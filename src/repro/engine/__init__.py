@@ -10,7 +10,7 @@ batches through the fixed plan:
 * :func:`lower_winograd` / :func:`lower_conv2d` — compile + intern plans
   (cache stats via :func:`plan_cache_stats`; the cache is evicted when the
   active kernel backend changes).
-* :func:`execute` / :func:`execute_tensor` / :class:`Executor` — run a plan;
+* :func:`execute` / :func:`execute_tensor` — run a plan;
   the tensor form is a *single fused autograd node* (fused forward+backward
   fast path for the no-quant-hook case).
 * :class:`CompiledConv` — a plan with bound (pre-transformed) weights, for
@@ -28,8 +28,8 @@ batches through the fixed plan:
 
 The eager entry points in :mod:`repro.nn.functional`,
 :mod:`repro.winograd.conv` and :mod:`repro.quant.qconv` lower-then-execute
-through this package by default and keep their composed implementations as
-the fallback (quantization hooks, exotic backends).
+through this package by default; only the quantization hooks, which must
+see the Winograd-domain intermediates, keep their composed implementations.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from . import autotune
 from .arena import ArenaPool, WorkspaceArena, current_arena, use_arena
 from .autotune import TuningRecord
-from .executor import CompiledConv, Executor, execute, execute_tensor
+from .executor import CompiledConv, execute, execute_tensor
 from .plan import (PLAN_CACHE_MAXSIZE, LayerPlan, PlanStats, clear_plan_cache,
                    lower_conv2d, lower_winograd, plan_cache_stats,
                    reset_plan_stats)
@@ -60,7 +60,6 @@ __all__ = [
     "clear_plan_cache",
     "reset_plan_stats",
     "PLAN_CACHE_MAXSIZE",
-    "Executor",
     "CompiledConv",
     "execute",
     "execute_tensor",

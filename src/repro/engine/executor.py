@@ -1,7 +1,9 @@
 """Executor: run compiled LayerPlans, with a fused forward+backward fast path.
 
 Three execution styles, all driven by the immutable plans of
-:mod:`repro.engine.plan`:
+:mod:`repro.engine.plan` and all calling the backend's fused Winograd entry
+points (``winograd_forward`` / ``winograd_autograd``), which every
+:class:`~repro.kernels.KernelBackend` implements:
 
 * :func:`execute` — plain numpy forward (no autograd), used by the inference
   entry points (:func:`repro.winograd.conv.winograd_conv2d`,
@@ -11,25 +13,22 @@ Three execution styles, all driven by the immutable plans of
   no-quantization-hook case: the whole convolution is a *single* autograd
   node.  The forward runs the backend's fused whole-layer kernel (tap-major,
   cache-blocked on the ``fast`` backend) without materialising any
-  Winograd-domain intermediate as a graph node; the backward closure
-  *rematerialises* the two cheap transform stages it needs (``BT x B`` and
-  ``G f GT``) and then applies the adjoint pipeline directly.  Compared with
+  Winograd-domain intermediate as a graph node; the backward closure the
+  kernel returns applies the adjoint pipeline directly.  Compared with
   the composed path (five autograd nodes, every intermediate kept alive and
   copied contiguously) this does strictly less Python/graph work and runs the
-  forward in the accelerator's fused dataflow.  The composed path remains the
-  fallback whenever hooks need to intercept the Winograd domain.
+  forward in the accelerator's fused dataflow.  The composed graph of
+  :mod:`repro.winograd.conv` is used only when hooks need to intercept the
+  Winograd domain.
 
 * :class:`CompiledConv` — a layer with its weights *bound*: the Winograd
-  weight transform (or the im2col weight reshape) is done once at bind time,
-  and every subsequent call just lowers the input shape through the shared
-  plan cache (a hit after the first call) and streams data through the fused
-  kernel.  This is the unit :class:`repro.engine.BatchRunner` ships to its
+  weight transform is done once at bind time, and every subsequent call
+  just lowers the input shape through the shared plan cache (a hit after the
+  first call) and runs :func:`execute`.  This is the unit :class:`repro.engine.BatchRunner` ships to its
   workers.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from ..winograd.transforms import WinogradTransform, get_transform
 from .arena import current_arena
 from .plan import LayerPlan, lower_conv2d, lower_winograd
 
-__all__ = ["Executor", "CompiledConv", "execute", "execute_tensor"]
+__all__ = ["CompiledConv", "execute", "execute_tensor"]
 
 
 def _plan_backend(plan: LayerPlan) -> KernelBackend:
@@ -70,22 +69,17 @@ def layer_span(plan: LayerPlan, phase: str = "conv"):
 # --------------------------------------------------------------------------- #
 # Shared numpy helpers
 # --------------------------------------------------------------------------- #
-def _pad_input(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
-    if plan.pad_width is None or not any(p for pair in plan.pad_width for p in pair):
-        return x
-    return np.pad(x, plan.pad_width)
+def _pad_input_workspace(plan: LayerPlan, x: np.ndarray, arena=None,
+                         slot=None) -> np.ndarray:
+    """Padded input, in a reusable ``(slot, "padded")`` buffer of ``arena``.
 
-
-def _pad_input_workspace(plan: LayerPlan, x: np.ndarray, slot) -> np.ndarray:
-    """Padded input for the autograd path, reusing an ambient arena buffer.
-
-    Training loops install an arena with :func:`repro.engine.use_arena`; the
-    padded copy — the one large per-step allocation of the fused autograd
-    node — then lives in a ``(slot, "padded")`` buffer that is reused every
-    step.  Only the halo is zeroed (the interior is overwritten), matching
-    the serving path.  Without an ambient arena this is exactly
-    :func:`_pad_input`.  Works for both plan kinds: im2col plans carry no
-    ``pad_width`` spec, so the symmetric one is derived from ``padding``.
+    Serving steps pass their leased arena and training loops the ambient one
+    (:func:`repro.engine.use_arena`); the padded copy — the one large
+    per-call allocation in front of the fused kernels — then lives in a
+    buffer that is reused every call.  Only the halo is zeroed (the interior
+    is overwritten).  Without an arena this is a plain ``np.pad``.  Works
+    for both plan kinds: im2col plans carry no ``pad_width`` spec, so the
+    symmetric one is derived from ``padding``.
     """
     pad_width = plan.pad_width
     if pad_width is None and plan.padding:
@@ -93,7 +87,6 @@ def _pad_input_workspace(plan: LayerPlan, x: np.ndarray, slot) -> np.ndarray:
         pad_width = ((0, 0), (0, 0), (p, p), (p, p))
     if pad_width is None or not any(p for pair in pad_width for p in pair):
         return x
-    arena = current_arena()
     if arena is None:
         return np.pad(x, pad_width)
     (_, _), (_, _), (pt, pb), (pl, pr) = pad_width
@@ -113,53 +106,19 @@ def _pad_input_workspace(plan: LayerPlan, x: np.ndarray, slot) -> np.ndarray:
     return padded
 
 
-def _winograd_forward_data(plan: LayerPlan, padded: np.ndarray,
-                           weight: np.ndarray,
-                           w_r: np.ndarray | None = None,
-                           weight_wino: np.ndarray | None = None) -> np.ndarray:
-    """Assembled Winograd output (no bias) from the already-padded input."""
-    be, t = _plan_backend(plan), plan.transform
-    if be.winograd_forward is not None:
-        if w_r is not None:
-            return be.winograd_forward(padded, weight, t, plan.out_h,
-                                       plan.out_w, w_r=w_r)
-        return be.winograd_forward(padded, weight, t, plan.out_h, plan.out_w)
-    # Composed fallback for backends without a fused whole-layer kernel.
-    tiles = be.extract_tiles(padded, t.m, t.r)
-    tiles_w = be.apply_transform_pair(tiles, t.BT, t.B)
-    if weight_wino is None:
-        weight_wino = be.apply_transform_pair(weight, t.G, t.G.T)
-    prod = be.tile_contract(tiles_w, weight_wino)
-    out_tiles = be.apply_transform_pair(prod, t.AT, t.A)
-    n, cout = out_tiles.shape[0], out_tiles.shape[1]
-    m = t.m
-    full = out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, cout, plan.n_h * m, plan.n_w * m)
-    return np.ascontiguousarray(full[:, :, :plan.out_h, :plan.out_w])
+def bind_tap_major_weights(be: KernelBackend, weight: np.ndarray,
+                           transform: WinogradTransform) -> np.ndarray:
+    """``G f GT`` in the tap-major ``(a², Cout, Cin)`` layout of ``w_r=``.
 
-
-def _embed_output_grad(plan: LayerPlan, grad: np.ndarray) -> np.ndarray:
-    """Adjoint of the output-tile assembly: ``(N,Cout,oh,ow) -> m x m tiles``."""
-    n, cout = grad.shape[0], grad.shape[1]
-    m = plan.transform.m
-    full_h, full_w = plan.n_h * m, plan.n_w * m
-    if (full_h, full_w) != (plan.out_h, plan.out_w):
-        padded = np.zeros((n, cout, full_h, full_w), dtype=grad.dtype)
-        padded[:, :, :plan.out_h, :plan.out_w] = grad
-    else:
-        padded = grad
-    tiles = padded.reshape(n, cout, plan.n_h, m, plan.n_w, m
-                           ).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(tiles)
-
-
-def _im2col_forward_data(plan: LayerPlan, x: np.ndarray, w2d: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    be = _plan_backend(plan)
-    kh, kw = plan.weight_shape[2], plan.weight_shape[3]
-    cols = be.im2col(x, (kh, kw), plan.stride, plan.padding)
-    out = be.conv2d_gemm(w2d, cols).reshape(plan.out_shape)
-    return out, cols
+    Bound layers (:class:`CompiledConv`, the serving conv steps) transform
+    their weights once with this and pass the result as ``w_r`` to every
+    ``winograd_forward`` call.
+    """
+    a = transform.alpha
+    cout, cin = weight.shape[0], weight.shape[1]
+    weight_wino = be.apply_transform_pair(weight, transform.G, transform.G.T)
+    return np.ascontiguousarray(weight_wino.transpose(2, 3, 0, 1)
+                                ).reshape(a * a, cout, cin)
 
 
 # --------------------------------------------------------------------------- #
@@ -167,22 +126,24 @@ def _im2col_forward_data(plan: LayerPlan, x: np.ndarray, w2d: np.ndarray
 # --------------------------------------------------------------------------- #
 def execute(plan: LayerPlan, x: np.ndarray, weight: np.ndarray,
             bias: np.ndarray | None = None,
-            w_r: np.ndarray | None = None,
-            weight_wino: np.ndarray | None = None) -> np.ndarray:
+            w_r: np.ndarray | None = None) -> np.ndarray:
     """Forward-only execution of ``plan`` on plain numpy arrays.
 
-    ``w_r`` / ``weight_wino`` are optional pre-transformed weights (tap-major
-    and ``(Cout,Cin,a,a)`` layouts respectively), supplied by
-    :class:`CompiledConv` so bound layers skip the weight transform.
+    ``w_r`` optionally supplies Winograd weights already in the tap-major
+    layout (:func:`bind_tap_major_weights`), so bound layers skip the
+    weight transform.
     """
-    cout = plan.weight_shape[0]
+    be, cout = _plan_backend(plan), plan.weight_shape[0]
     with layer_span(plan):
         if plan.kind == "winograd":
-            out = _winograd_forward_data(plan, _pad_input(plan, x), weight,
-                                         w_r=w_r, weight_wino=weight_wino)
+            out = be.winograd_forward(_pad_input_workspace(plan, x), weight,
+                                      plan.transform, plan.out_h, plan.out_w,
+                                      w_r=w_r)
         else:
-            w2d = weight.reshape(cout, -1)
-            out, _ = _im2col_forward_data(plan, x, w2d)
+            kh, kw = plan.weight_shape[2], plan.weight_shape[3]
+            cols = be.im2col(x, (kh, kw), plan.stride, plan.padding)
+            out = be.conv2d_gemm(weight.reshape(cout, -1), cols
+                                 ).reshape(plan.out_shape)
         if bias is not None:
             out = out + bias.reshape(1, cout, 1, 1)
     return out
@@ -196,63 +157,31 @@ def _winograd_tensor(plan: LayerPlan, x: Tensor, weight: Tensor,
     be, t = _plan_backend(plan), plan.transform
     parents = (x, weight) if bias is None else (x, weight, bias)
     needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
-    padded = _pad_input_workspace(plan, x.data, slot=weight)
-    h, w = plan.in_shape[2], plan.in_shape[3]
-    p = plan.padding
-
-    def _finish(out_data: np.ndarray, backward) -> Tensor:
-        if bias is not None:
-            out_data = out_data + bias.data.reshape(1, -1, 1, 1)
-        return Tensor.from_op(out_data, parents, backward)
+    padded = _pad_input_workspace(plan, x.data, current_arena(), slot=weight)
 
     if not needs_grad:
         # Inference: the backend's fused forward kernel, no graph at all.
-        return _finish(_winograd_forward_data(plan, padded, weight.data), None)
-
-    if be.winograd_autograd is not None:
+        out_data = be.winograd_forward(padded, weight.data, t, plan.out_h,
+                                       plan.out_w)
+        backward = None
+    else:
         # Fused training step: forward + both adjoints stay in the backend's
-        # internal (tap-major) layout, with the forward's transformed
-        # operands saved for the adjoint GEMMs.
+        # internal layout, with the forward's transformed operands saved for
+        # the adjoint contractions.
         out_data, kernel_backward = be.winograd_autograd(
             padded, weight.data, t, plan.out_h, plan.out_w)
+        h, w, p = plan.in_shape[2], plan.in_shape[3], plan.padding
 
-        def _backward_fused(grad: np.ndarray):
+        def backward(grad: np.ndarray):
             dpadded, dw = kernel_backward(grad)
             dx = dpadded[:, :, p:p + h, p:p + w]
             if bias is None:
                 return (dx, dw)
             return (dx, dw, grad.sum(axis=(0, 2, 3)))
 
-        return _finish(out_data, _backward_fused)
-
-    # Composed-capture fallback (e.g. the reference backend): the same five
-    # primitive stages as the composed graph, but as a *single* autograd node
-    # with the Winograd-domain operands captured for the backward closure.
-    padded_shape = padded.shape
-    tiles = be.extract_tiles(padded, t.m, t.r)
-    tiles_w = be.apply_transform_pair(tiles, t.BT, t.B)
-    weight_wino = be.apply_transform_pair(weight.data, t.G, t.G.T)
-    prod = be.tile_contract(tiles_w, weight_wino)
-    out_tiles = be.apply_transform_pair(prod, t.AT, t.A)
-    n, cout, m = out_tiles.shape[0], out_tiles.shape[1], t.m
-    full = out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, cout, plan.n_h * m, plan.n_w * m)
-    out_data = np.ascontiguousarray(full[:, :, :plan.out_h, :plan.out_w])
-
-    def _backward_composed(grad: np.ndarray):
-        g_tiles = _embed_output_grad(plan, grad)
-        dprod = be.apply_transform_pair(g_tiles, t.AT.T, t.A.T)
-        dtiles_w = be.tile_contract_dx(dprod, weight_wino)
-        dweight_w = be.tile_contract_dw(dprod, tiles_w)
-        dtiles = be.apply_transform_pair(dtiles_w, t.BT.T, t.B.T)
-        dpadded = be.scatter_tiles_add(dtiles, padded_shape, t.m, t.r)
-        dx = dpadded[:, :, p:p + h, p:p + w]
-        dw = be.apply_transform_pair(dweight_w, t.G.T, t.G)
-        if bias is None:
-            return (dx, dw)
-        return (dx, dw, grad.sum(axis=(0, 2, 3)))
-
-    return _finish(out_data, _backward_composed)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+    return Tensor.from_op(out_data, parents, backward)
 
 
 def _im2col_tensor(plan: LayerPlan, x: Tensor, weight: Tensor,
@@ -263,7 +192,7 @@ def _im2col_tensor(plan: LayerPlan, x: Tensor, weight: Tensor,
     # Pre-pad through the ambient arena (when one is installed) so the
     # backend sees an already-padded input; the column values — and hence
     # the forward/backward results — are bit-identical either way.
-    padded = _pad_input_workspace(plan, x.data, slot=weight)
+    padded = _pad_input_workspace(plan, x.data, current_arena(), slot=weight)
     kh, kw = plan.weight_shape[2], plan.weight_shape[3]
     cols = be.im2col(padded, (kh, kw), plan.stride,
                      plan.padding if padded is x.data else 0)
@@ -300,26 +229,17 @@ def execute_tensor(plan: LayerPlan, x, weight, bias=None) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# Bound layers and the Executor facade
+# Bound layers
 # --------------------------------------------------------------------------- #
-def _accepts_prepared_weights(be: KernelBackend) -> bool:
-    if be.winograd_forward is None:
-        return False
-    try:
-        return "w_r" in inspect.signature(be.winograd_forward).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-
-
 class CompiledConv:
     """A convolution with its weights bound to a reusable execution plan.
 
-    The expensive per-layer preparation — resolving the backend, transforming
-    the weights into the fused kernel's tap-major layout (Winograd) or the
-    GEMM matrix layout (im2col) — happens once in the constructor.  Calls
-    then lower the input *shape* through the shared plan cache (an interned
-    hit after the first call) and execute, so a stream of same-shape batches
-    never re-plans and never re-transforms weights.
+    The expensive per-layer preparation — resolving the backend and
+    transforming Winograd weights into the fused kernel's tap-major layout —
+    happens once in the constructor.  Calls then lower the input *shape*
+    through the shared plan cache (an interned hit after the first call) and
+    execute, so a stream of same-shape batches never re-plans and never
+    re-transforms weights.
 
     ``transform=None`` selects the im2col kind; a transform name or instance
     selects Winograd (unit stride).
@@ -329,7 +249,7 @@ class CompiledConv:
                  stride: int = 1, padding: int = 0,
                  transform: WinogradTransform | str | None = None,
                  backend: str | KernelBackend | None = None):
-        self.weight = np.asarray(weight)
+        self.weight = np.ascontiguousarray(weight)
         self.bias = None if bias is None else np.asarray(bias)
         self.stride = stride
         self.padding = padding
@@ -340,23 +260,8 @@ class CompiledConv:
         self.kind = "im2col" if transform is None else "winograd"
         if self.kind == "winograd" and stride != 1:
             raise ValueError("Winograd plans support unit stride only")
-
-        # Bind the weights once, in whichever layout the backend executes.
-        self._w_r = None
-        self._weight_wino = None
-        self._w2d = None
-        if self.kind == "winograd":
-            self._weight_wino = self.backend.apply_transform_pair(
-                self.weight, transform.G, transform.G.T)
-            if _accepts_prepared_weights(self.backend):
-                a = transform.alpha
-                cout, cin = self.weight.shape[0], self.weight.shape[1]
-                self._w_r = np.ascontiguousarray(
-                    self._weight_wino.transpose(2, 3, 0, 1)
-                ).reshape(a * a, cout, cin)
-        else:
-            self._w2d = np.ascontiguousarray(
-                self.weight.reshape(self.weight.shape[0], -1))
+        self._w_r = None if transform is None else bind_tap_major_weights(
+            self.backend, self.weight, transform)
 
     def plan_for(self, in_shape: tuple) -> LayerPlan:
         """The (cached) plan this layer uses for inputs of ``in_shape``."""
@@ -368,50 +273,5 @@ class CompiledConv:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        plan = self.plan_for(x.shape)
-        cout = self.weight.shape[0]
-        with layer_span(plan):
-            if self.kind == "winograd":
-                out = _winograd_forward_data(plan, _pad_input(plan, x),
-                                             self.weight, w_r=self._w_r,
-                                             weight_wino=self._weight_wino)
-            else:
-                out, _ = _im2col_forward_data(plan, x, self._w2d)
-            if self.bias is not None:
-                out = out + self.bias.reshape(1, cout, 1, 1)
-        return out
-
-
-class Executor:
-    """Facade tying lowering and execution together for one backend choice.
-
-    Mostly a convenience for interactive use and the benchmarks; the rewired
-    library entry points call the module-level functions directly with plans
-    they obtained from the cache.
-    """
-
-    def __init__(self, backend: str | KernelBackend | None = None):
-        self.backend = get_backend(backend)
-
-    def lower(self, in_shape: tuple, weight_shape: tuple, *, stride: int = 1,
-              padding: int = 0,
-              transform: WinogradTransform | str | None = None,
-              quant=None) -> LayerPlan:
-        if transform is None:
-            return lower_conv2d(in_shape, weight_shape, stride, padding,
-                                backend=self.backend, quant=quant)
-        return lower_winograd(in_shape, weight_shape, transform, padding,
-                              backend=self.backend, quant=quant)
-
-    def forward(self, plan: LayerPlan, x: np.ndarray, weight: np.ndarray,
-                bias: np.ndarray | None = None) -> np.ndarray:
-        return execute(plan, x, weight, bias)
-
-    def forward_tensor(self, plan: LayerPlan, x, weight, bias=None) -> Tensor:
-        return execute_tensor(plan, x, weight, bias)
-
-    def compile(self, weight: np.ndarray, bias: np.ndarray | None = None, *,
-                stride: int = 1, padding: int = 0,
-                transform: WinogradTransform | str | None = None) -> CompiledConv:
-        return CompiledConv(weight, bias, stride=stride, padding=padding,
-                            transform=transform, backend=self.backend)
+        return execute(self.plan_for(x.shape), x, self.weight, self.bias,
+                       w_r=self._w_r)

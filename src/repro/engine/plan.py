@@ -15,7 +15,9 @@ call.  This module is the compiler half of the fix:
 * Plans are interned in a process-wide LRU keyed by the lowering arguments,
   so repeated calls with the same layer shape — the overwhelmingly common
   case in training loops and sweeps — return the *same* immutable plan
-  object.  :func:`plan_cache_stats` exposes hit/miss counters.
+  object.  The backend enters the key by identity, not name, so an
+  instrumented copy of a registered backend gets plans of its own.
+  :func:`plan_cache_stats` exposes hit/miss counters.
 
 * The cache is evicted whenever the active kernel backend changes
   (:func:`repro.kernels.set_backend` and friends notify us), because plans
@@ -203,8 +205,10 @@ def lower_winograd(in_shape: tuple, weight_shape: tuple,
         raise ValueError(f"channel mismatch: input has {cin}, weight expects {cin_w}")
 
     quant_key, quant_field = _freeze_quant(quant)
+    # The cached plan holds ``be``, so its id cannot be reused while the
+    # entry lives.
     key = ("winograd", (n, cin, h, w), (cout, cin_w, kh, kw), padding,
-           transform, be.name, quant_key)
+           transform, id(be), quant_key)
 
     def build() -> LayerPlan:
         out_h = h + 2 * padding - r + 1
@@ -252,7 +256,7 @@ def lower_conv2d(in_shape: tuple, weight_shape: tuple, stride: int = 1,
 
     quant_key, quant_field = _freeze_quant(quant)
     key = ("im2col", (n, cin, h, w), (cout, cin_w, kh, kw), stride, padding,
-           be.name, quant_key)
+           id(be), quant_key)
 
     def build() -> LayerPlan:
         out_h = (h + 2 * padding - kh) // stride + 1

@@ -8,10 +8,12 @@ reproduction shipped with (see the seed revisions of
 divergence between the two backends is a bug in ``fast``, never a drift of
 this file.
 
-The only change relative to the seed is that the einsum contraction paths are
-memoised (:mod:`repro.kernels.einsum_cache`) — the contraction order is the
-one ``optimize=True`` picks, computed once per operand signature instead of
-on every call.
+The einsum contraction paths are memoised (:mod:`repro.kernels.einsum_cache`)
+— the contraction order is the one ``optimize=True`` picks, computed once per
+operand signature instead of on every call.  The fused entry points every
+backend provides (:func:`winograd_forward`, :func:`winograd_autograd`) are
+composed here from the seed primitives, in the order of the seed's composed
+autograd graph, so their results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -122,8 +124,13 @@ def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
     return x
 
 
-def conv2d_gemm(w2d: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return cached_einsum("ok,nkp->nop", w2d, cols)
+def conv2d_gemm(w2d: np.ndarray, cols: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    res = cached_einsum("ok,nkp->nop", w2d, cols)
+    if out is None:
+        return res
+    np.copyto(out, res)
+    return out
 
 
 def conv2d_gemm_dw(grad2d: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -132,6 +139,79 @@ def conv2d_gemm_dw(grad2d: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def conv2d_gemm_dcols(w2d: np.ndarray, grad2d: np.ndarray) -> np.ndarray:
     return cached_einsum("ok,nop->nkp", w2d, grad2d)
+
+
+# --------------------------------------------------------------------------- #
+# Fused Winograd entry points, composed from the primitives above
+# (seed: repro/winograd/conv.py's composed graph)
+# --------------------------------------------------------------------------- #
+def _winograd_stages(x_padded: np.ndarray, weight_wino: np.ndarray, transform
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``BT x B`` tiles and the uncropped ``(N, Cout, n_h*m, n_w*m)`` output."""
+    t = transform
+    tiles_w = apply_transform_pair(extract_tiles(x_padded, t.m, t.r), t.BT, t.B)
+    prod = tile_contract(tiles_w, weight_wino)
+    out_tiles = apply_transform_pair(prod, t.AT, t.A)
+    n, cout, n_h, n_w, m, _ = out_tiles.shape
+    full = out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, cout, n_h * m, n_w * m)
+    return tiles_w, full
+
+
+def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
+                     out_h: int, out_w: int,
+                     w_r: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Whole Winograd pipeline on the already-padded input, without bias.
+
+    A given tap-major ``w_r`` is only re-laid out, and a given uncropped
+    ``out`` buffer is filled, so both leave the result bit-identical.
+    """
+    t = transform
+    if w_r is None:
+        weight_wino = apply_transform_pair(weight, t.G, t.G.T)
+    else:
+        a = t.alpha
+        weight_wino = np.ascontiguousarray(
+            w_r.reshape((a, a) + w_r.shape[1:]).transpose(2, 3, 0, 1))
+    _, full = _winograd_stages(x_padded, weight_wino, t)
+    if out is not None:
+        if out.shape != full.shape or out.dtype != full.dtype:
+            raise ValueError(f"out workspace must be {full.shape} of "
+                             f"{full.dtype}, got {out.shape} of {out.dtype}")
+        np.copyto(out, full)
+        if out.shape[2:] == (out_h, out_w):
+            return out
+    return np.ascontiguousarray(full[:, :, :out_h, :out_w])
+
+
+def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
+                      out_h: int, out_w: int):
+    """Forward plus ``backward(grad) -> (dx_padded, dweight)``: the adjoints
+    of the composed graph's stages in reverse order."""
+    t = transform
+    weight_wino = apply_transform_pair(weight, t.G, t.G.T)
+    tiles_w, full = _winograd_stages(x_padded, weight_wino, t)
+    out = np.ascontiguousarray(full[:, :, :out_h, :out_w])
+    full_shape = full.shape
+
+    def backward(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Adjoint of the output assembly: zero-extend, then cut m x m tiles.
+        n, cout, full_h, full_w = full_shape
+        m = t.m
+        g_full = np.zeros(full_shape, dtype=grad.dtype)
+        g_full[:, :, :out_h, :out_w] = grad
+        g_tiles = np.ascontiguousarray(g_full.reshape(
+            n, cout, full_h // m, m, full_w // m, m
+        ).transpose(0, 1, 2, 4, 3, 5))
+        dprod = apply_transform_pair(g_tiles, t.AT.T, t.A.T)
+        dtiles_w = tile_contract_dx(dprod, weight_wino)
+        dweight_w = tile_contract_dw(dprod, tiles_w)
+        dtiles = apply_transform_pair(dtiles_w, t.BT.T, t.B.T)
+        return (scatter_tiles_add(dtiles, x_padded.shape, t.m, t.r),
+                apply_transform_pair(dweight_w, t.G.T, t.G))
+
+    return out, backward
 
 
 BACKEND = KernelBackend(
@@ -147,4 +227,6 @@ BACKEND = KernelBackend(
     conv2d_gemm=conv2d_gemm,
     conv2d_gemm_dw=conv2d_gemm_dw,
     conv2d_gemm_dcols=conv2d_gemm_dcols,
+    winograd_forward=winograd_forward,
+    winograd_autograd=winograd_autograd,
 )

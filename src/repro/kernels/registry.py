@@ -1,14 +1,20 @@
 """Kernel backend registry and dispatch.
 
 Every numerically heavy primitive of the library (the tap-wise contraction,
-the Winograd pair transforms, tile extraction/scattering, and the im2col
-GEMMs) is routed through a :class:`KernelBackend`.  Two backends are
-registered by :mod:`repro.kernels`:
+the Winograd pair transforms, tile extraction/scattering, the im2col GEMMs
+and the fused whole-layer Winograd forward and training step) is routed
+through a :class:`KernelBackend`.  Every backend implements every member with
+one call contract, so callers never probe what a backend supports.  Four
+backends are registered by :mod:`repro.kernels`:
 
 * ``"reference"`` — the seed implementation (generic ``np.einsum`` plus
-  Python loops), kept verbatim so the fast path can be equivalence-tested
-  against it forever.
+  Python loops), kept verbatim so the other backends can be
+  equivalence-tested against it forever; its fused entry points are composed
+  from those primitives.
 * ``"fast"`` — batched-GEMM formulations that reach BLAS (the default).
+* ``"tuned"`` / ``"compiled"`` — per-shape autotuned and code-generated
+  variants of ``fast`` (:mod:`repro.kernels.tuned`,
+  :mod:`repro.kernels.compiled`).
 
 Selection, in decreasing precedence:
 
@@ -94,40 +100,40 @@ class KernelBackend:
     # im2col lowering and its GEMMs.
     im2col: Callable
     col2im: Callable
-    conv2d_gemm: Callable          # (O,K) x (N,K,P)   -> (N,O,P)
+    conv2d_gemm: Callable          # (O,K) x (N,K,P)   -> (N,O,P), out=
     conv2d_gemm_dw: Callable       # (N,O,P) x (N,K,P) -> (O,K)
     conv2d_gemm_dcols: Callable    # (O,K) x (N,O,P)   -> (N,K,P)
 
-    # Optional fused Winograd forward (padded input -> assembled output).
-    # Backends may provide this to keep the whole pipeline in an internal
-    # tap-major layout; ``None`` means "compose the primitives above".
-    winograd_forward: Callable | None = None
+    # Fused Winograd forward on the padded input, without bias:
+    # ``winograd_forward(x_padded, weight, transform, out_h, out_w, w_r=None,
+    # out=None)``.  ``w_r`` supplies the transformed weights in the tap-major
+    # ``(a², Cout, Cin)`` layout (bit-identical to passing none); ``out`` the
+    # uncropped ``(N, Cout, n_h*m, n_w*m)`` output buffer, which is filled and
+    # returned when ``(out_h, out_w)`` is its full size.
+    winograd_forward: Callable
 
-    # Optional fused Winograd forward+backward for training: called as
+    # Fused Winograd forward+backward for training: called as
     # ``out, backward = winograd_autograd(x_padded, weight, transform,
     # out_h, out_w)`` where ``backward(grad) -> (dx_padded, dweight)``.
     # Lets a backend keep the whole autograd step in its internal layout
     # (the fast backend stays tap-major end to end, skipping the layout
-    # round-trips of the composed adjoint primitives).  ``None`` means
-    # "compose the primitives above".
-    winograd_autograd: Callable | None = None
+    # round-trips of the composed adjoint primitives).
+    winograd_autograd: Callable
 
     def primitives(self) -> list[str]:
-        """Names of the callable members this backend provides."""
+        """Names of the primitive members (every field but ``name``)."""
         from dataclasses import fields
-        return [f.name for f in fields(self)
-                if f.name != "name" and getattr(self, f.name) is not None]
+        return [f.name for f in fields(self) if f.name != "name"]
 
     def instrumented(self, wrap: Callable[[str, Callable], Callable]
                      ) -> "KernelBackend":
         """A copy of this backend with every primitive passed through ``wrap``.
 
-        ``wrap(primitive_name, fn)`` must return a callable with ``fn``'s
-        signature.  This is the dispatch-path seam :mod:`repro.obs.profile`
-        uses to attribute per-primitive wall time to a plan without the
-        executor knowing anything about profiling; optional members that
-        are ``None`` stay ``None``, so feature probes
-        (``be.winograd_forward is not None``) behave identically.
+        ``wrap(primitive_name, fn)`` must return a callable that accepts
+        ``fn``'s arguments; it need not expose ``fn``'s signature, since no
+        caller inspects it.  This is the dispatch-path seam
+        :mod:`repro.obs.profile` uses to attribute per-primitive wall time to
+        a plan without the executor knowing anything about profiling.
         """
         from dataclasses import replace
         return replace(self, **{name: wrap(name, getattr(self, name))

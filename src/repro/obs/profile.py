@@ -36,8 +36,8 @@ _lock = threading.Lock()
 _times: dict[tuple[str, str], list] = {}
 # plan_label -> {"kind", "backend", "tuning": TuningRecord | None}
 _plans: dict[str, dict] = {}
-# (plan_label, backend name) -> profiled KernelBackend
-_wrapped: dict[tuple[str, str], object] = {}
+# (plan_label, KernelBackend) -> profiled copy of that backend
+_wrapped: dict[tuple[str, object], object] = {}
 
 
 def enabled() -> bool:
@@ -86,7 +86,7 @@ def _record(key: tuple[str, str], elapsed: float) -> None:
 def backend_for(plan):
     """The plan's backend with every primitive wrapped for timing."""
     label = plan_label(plan)
-    cache_key = (label, plan.backend.name)
+    cache_key = (label, plan.backend)
     wrapped = _wrapped.get(cache_key)
     if wrapped is not None:
         return wrapped

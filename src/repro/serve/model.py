@@ -9,10 +9,9 @@ pipelines.
 
 What compilation buys over calling the module graph layer by layer:
 
-* **Weight binding** — every convolution's weights are transformed once into
-  the layout its kernel executes (tap-major Winograd ``w_r`` on the fast
-  backend, the GEMM matrix for im2col), exactly like
-  :class:`~repro.engine.CompiledConv` but for the whole network.
+* **Weight binding** — every Winograd convolution's weights are transformed
+  once into the tap-major ``w_r`` layout the fused kernel executes, exactly
+  like :class:`~repro.engine.CompiledConv` but for the whole network.
 * **BatchNorm folding** — in eval mode a ``Conv2d -> BatchNorm2d`` pair
   collapses into one convolution with rescaled weights and a fused bias
   (``fold_bn=True``), deleting the BN pass entirely.
@@ -45,7 +44,8 @@ import numpy as np
 
 from .. import engine
 from ..engine.arena import ArenaPool, WorkspaceArena
-from ..engine.executor import _plan_backend, layer_span
+from ..engine.executor import (_pad_input_workspace, _plan_backend,
+                               bind_tap_major_weights, layer_span)
 from ..kernels import KernelBackend, get_backend
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
@@ -84,14 +84,6 @@ class _Step:
         return type(self).__name__
 
 
-def _supports_kwarg(fn, name: str) -> bool:
-    import inspect
-    try:
-        return name in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-
-
 class _ConvStep(_Step):
     """A float convolution bound to plan + pre-transformed weights.
 
@@ -115,37 +107,17 @@ class _ConvStep(_Step):
         self.backend_arg = backend_arg
         self.fused_relu = relu
         self._be: KernelBackend | None = None
-        self._w_r = None            # tap-major Winograd weights (fused kernel)
-        self._weight_wino = None    # (Cout,Cin,a,a) Winograd weights (composed)
-        self._w2d = None            # (Cout, Cin*kh*kw) GEMM weights (im2col)
-        self._fused_out = False     # backend's winograd_forward accepts out=
-        self._gemm_out = False      # backend's conv2d_gemm accepts out=
+        self._w_r = None            # tap-major Winograd weights (w_r=)
         self._profiled_labels: set[str] = set()   # plans seen while profiling
 
     # -- binding ---------------------------------------------------------- #
-    def _bind(self, be: KernelBackend) -> None:
-        t = self.transform
-        if self.kind == "winograd":
-            self._weight_wino = be.apply_transform_pair(self.weight, t.G, t.G.T)
-            self._w_r = None
-            self._fused_out = False
-            if be.winograd_forward is not None and \
-                    _supports_kwarg(be.winograd_forward, "w_r"):
-                a = t.alpha
-                cout, cin = self.weight.shape[0], self.weight.shape[1]
-                self._w_r = np.ascontiguousarray(
-                    self._weight_wino.transpose(2, 3, 0, 1)).reshape(a * a, cout, cin)
-                self._fused_out = _supports_kwarg(be.winograd_forward, "out")
-        else:
-            self._w2d = np.ascontiguousarray(
-                self.weight.reshape(self.weight.shape[0], -1))
-            self._gemm_out = _supports_kwarg(be.conv2d_gemm, "out")
-        self._be = be
-
     def _backend(self) -> KernelBackend:
         be = get_backend(self.backend_arg)
         if be is not self._be:
-            self._bind(be)
+            if self.kind == "winograd":
+                self._w_r = bind_tap_major_weights(be, self.weight,
+                                                   self.transform)
+            self._be = be
         return be
 
     def plan_for(self, in_shape: tuple, be: KernelBackend):
@@ -173,40 +145,17 @@ class _ConvStep(_Step):
         if _obs_profile._ENABLED:
             self._profiled_labels.add(_obs_profile.plan_label(plan))
         if arena is None:
-            out = engine.execute(plan, x, self.weight, w_r=self._w_r,
-                                 weight_wino=self._weight_wino)
+            out = engine.execute(plan, x, self.weight, w_r=self._w_r)
             return self._finish(out, owned=True)
-        if self.kind == "winograd" and self._w_r is not None and self._fused_out:
-            with layer_span(plan):
+        with layer_span(plan):
+            if self.kind == "winograd":
                 return self._winograd_arena(plan, x, _plan_backend(plan), arena)
-        if self.kind == "im2col" and self._gemm_out:
-            with layer_span(plan):
-                return self._im2col_arena(plan, x, _plan_backend(plan), arena)
-        # Composed fallback (e.g. reference backend): correctness over reuse.
-        out = engine.execute(plan, x, self.weight, w_r=self._w_r,
-                             weight_wino=self._weight_wino)
-        return self._finish(out, owned=True)
+            return self._im2col_arena(plan, x, _plan_backend(plan), arena)
 
     def _winograd_arena(self, plan, x: np.ndarray, be: KernelBackend,
                         arena: WorkspaceArena) -> np.ndarray:
         t = plan.transform
-        if plan.pad_width is not None and \
-                any(p for pair in plan.pad_width for p in pair):
-            padded = arena.get(plan, "padded", dtype=x.dtype, slot=self)
-            (_, _), (_, _), (pt, pb), (pl, pr) = plan.pad_width
-            h, w = plan.in_shape[2], plan.in_shape[3]
-            # Zero only the halo (the interior is overwritten right after).
-            if pt:
-                padded[:, :, :pt].fill(0)
-            if pb:
-                padded[:, :, pt + h:].fill(0)
-            if pl:
-                padded[:, :, pt:pt + h, :pl].fill(0)
-            if pr:
-                padded[:, :, pt:pt + h, pl + w:].fill(0)
-            padded[:, :, pt:pt + h, pl:pl + w] = x
-        else:
-            padded = x
+        padded = _pad_input_workspace(plan, x, arena, slot=self)
         full_h, full_w = plan.n_h * t.m, plan.n_w * t.m
         n, cout = plan.in_shape[0], plan.weight_shape[0]
         full = arena.get(plan, "out_full", shape=(n, cout, full_h, full_w),
@@ -226,10 +175,10 @@ class _ConvStep(_Step):
                       arena: WorkspaceArena) -> np.ndarray:
         kh, kw = plan.weight_shape[2], plan.weight_shape[3]
         cols = be.im2col(x, (kh, kw), plan.stride, plan.padding)
+        cout = plan.weight_shape[0]
         gemm_out = arena.get(plan, "gemm_out", shape=plan.workspace["cols"][:1]
-                             + (plan.weight_shape[0], plan.out_h * plan.out_w),
-                             slot=self)
-        out = be.conv2d_gemm(self._w2d, cols, out=gemm_out)
+                             + (cout, plan.out_h * plan.out_w), slot=self)
+        out = be.conv2d_gemm(self.weight.reshape(cout, -1), cols, out=gemm_out)
         return self._finish(out.reshape(plan.out_shape), owned=True)
 
     def describe(self) -> str:

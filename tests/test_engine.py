@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro.engine as engine
-from repro.engine import (BatchRunner, CompiledConv, ConvJob, Executor,
+from repro.engine import (BatchRunner, CompiledConv, ConvJob,
                           clear_plan_cache, execute, execute_tensor,
                           lower_conv2d, lower_winograd, plan_cache_stats,
                           reset_plan_stats, warm_plans)
@@ -20,7 +20,7 @@ from repro.kernels import (ENV_VAR, UnknownBackendError, get_backend,
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor,
-                            winograd_f2, winograd_f4)
+                            winograd_f2, winograd_f4, winograd_f6)
 
 
 @pytest.fixture
@@ -114,10 +114,37 @@ class TestPlanCache:
         assert ref is not fast
         assert ref.backend.name == "reference" and fast.backend.name == "fast"
 
+    def test_plans_key_on_backend_identity_not_name(self):
+        wrapped = get_backend("fast").instrumented(
+            lambda name, fn: lambda *a, **k: fn(*a, **k))
+        bare = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", 1,
+                              backend="fast")
+        plan = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", 1,
+                              backend=wrapped)
+        assert plan is not bare
+        assert plan.backend is wrapped and bare.backend is get_backend("fast")
+        assert lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", 1,
+                              backend=wrapped) is plan
+
 
 # --------------------------------------------------------------------------- #
 # Planned execution equivalence
 # --------------------------------------------------------------------------- #
+def _fused_and_composed(x, w, b, seed_grad, transform, backend):
+    """(out, dx, dw, db) from the fused node and the hook-composed graph."""
+    identity = lambda t: t  # a hook forces the composed graph # noqa: E731
+    results = []
+    for hook in (None, identity):
+        xt = Tensor(x.copy(), requires_grad=True)
+        wt = Tensor(w.copy(), requires_grad=True)
+        bt = Tensor(b.copy(), requires_grad=True)
+        out = winograd_conv2d_tensor(xt, wt, transform, bias=bt, padding=1,
+                                     input_tile_hook=hook, backend=backend)
+        out.backward(seed_grad)
+        results.append((out.data, xt.grad, wt.grad, bt.grad))
+    return results
+
+
 class TestPlannedEquivalence:
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
@@ -158,19 +185,29 @@ class TestPlannedEquivalence:
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))
         seed_grad = rng.normal(size=(2, 4, 9, 9))
-        identity = lambda t: t  # a hook forces the composed graph # noqa: E731
+        fused, composed = _fused_and_composed(x, w, b, seed_grad, factory(),
+                                              backend)
+        for got, want in zip(fused, composed):
+            if backend == "reference":      # the oracle: bit-identical
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, atol=1e-9)
 
-        results = {}
-        for label, hook in (("fused", None), ("composed", identity)):
-            xt = Tensor(x.copy(), requires_grad=True)
-            wt = Tensor(w.copy(), requires_grad=True)
-            bt = Tensor(b.copy(), requires_grad=True)
-            out = winograd_conv2d_tensor(xt, wt, factory(), bias=bt, padding=1,
-                                         input_tile_hook=hook, backend=backend)
-            out.backward(seed_grad)
-            results[label] = (out.data, xt.grad, wt.grad, bt.grad)
-        for got, want in zip(results["fused"], results["composed"]):
-            np.testing.assert_allclose(got, want, atol=1e-9)
+    @pytest.mark.parametrize("factory",
+                             [winograd_f2, winograd_f4, winograd_f6])
+    @pytest.mark.parametrize("shape", [(1, 1, 6, 6), (2, 3, 9, 9),
+                                       (2, 4, 11, 13), (1, 2, 17, 8)])
+    def test_reference_fused_autograd_is_the_composed_graph(self, rng,
+                                                            factory, shape):
+        n, cin, h, w = shape
+        x = rng.normal(size=shape)
+        wt = rng.normal(size=(3, cin, 3, 3))
+        b = rng.normal(size=(3,))
+        seed_grad = rng.normal(size=(n, 3, h, w))
+        fused, composed = _fused_and_composed(x, wt, b, seed_grad, factory(),
+                                              "reference")
+        for got, want in zip(fused, composed):
+            np.testing.assert_array_equal(got, want)
 
     def test_fused_conv2d_matches_eager_backward(self, rng):
         x = rng.normal(size=(2, 3, 8, 8))
@@ -208,7 +245,7 @@ class TestPlannedEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Bound layers, Executor facade, warm-up
+# Bound layers, warm-up
 # --------------------------------------------------------------------------- #
 class TestCompiledAndWarm:
     def test_compiled_conv_winograd(self, rng):
@@ -229,15 +266,6 @@ class TestCompiledAndWarm:
         compiled = CompiledConv(w, stride=2, padding=1)
         ref = F.conv2d_numpy(x, w, None, 2, 1)
         np.testing.assert_allclose(compiled(x), ref, atol=1e-11)
-
-    def test_executor_facade(self, rng):
-        x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        ex = Executor("fast")
-        plan = ex.lower(x.shape, w.shape, transform="F4", padding=1)
-        np.testing.assert_allclose(
-            ex.forward(plan, x, w),
-            winograd_conv2d(x, w, winograd_f4(), padding=1), atol=1e-10)
 
     def test_warm_plans_pre_lowers_model_layers(self):
         from repro.models.small import micro_net

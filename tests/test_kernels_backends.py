@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.kernels as kernels
+from repro.engine.executor import bind_tap_major_weights
 from repro.kernels import (available_backends, get_backend, reset_backend,
                            set_backend, use_backend)
 from repro.nn import functional as F
@@ -86,6 +87,44 @@ class TestRegistry:
         by_name = winograd_conv2d(x, w, winograd_f4(), backend="reference")
         by_instance = winograd_conv2d(x, w, winograd_f4(), backend=REF)
         np.testing.assert_array_equal(by_name, by_instance)
+
+
+# --------------------------------------------------------------------------- #
+# The call contract every registered backend implements
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("name", available_backends())
+class TestCallContract:
+    def test_winograd_forward_w_r_and_out(self, rng, name):
+        be, t = get_backend(name), winograd_f4()
+        x_padded = rng.normal(size=(1, 2, 10, 14))   # 2x3 tiles, full 8x12
+        w = rng.normal(size=(3, 2, 3, 3))
+        w_r = bind_tap_major_weights(be, w, t)
+        np.testing.assert_array_equal(
+            be.winograd_forward(x_padded, w, t, 7, 10, w_r=w_r),
+            be.winograd_forward(x_padded, w, t, 7, 10))
+        out = np.empty((1, 3, 8, 12))
+        got = be.winograd_forward(x_padded, w, t, 8, 12, w_r=w_r, out=out)
+        assert got is out
+        np.testing.assert_array_equal(
+            out, be.winograd_forward(x_padded, w, t, 8, 12))
+
+    def test_winograd_autograd(self, rng, name):
+        be, t = get_backend(name), winograd_f4()
+        x_padded = rng.normal(size=(1, 2, 10, 14))
+        w = rng.normal(size=(3, 2, 3, 3))
+        out, backward = be.winograd_autograd(x_padded, w, t, 7, 10)
+        np.testing.assert_allclose(
+            out, REF.winograd_forward(x_padded, w, t, 7, 10), atol=1e-10)
+        dx_padded, dw = backward(rng.normal(size=out.shape))
+        assert dx_padded.shape == x_padded.shape and dw.shape == w.shape
+
+    def test_conv2d_gemm_fills_out(self, rng, name):
+        be = get_backend(name)
+        w2d = rng.normal(size=(5, 18))
+        cols = rng.normal(size=(2, 18, 35))
+        out = np.empty((2, 5, 35))
+        assert be.conv2d_gemm(w2d, cols, out=out) is out
+        np.testing.assert_array_equal(out, be.conv2d_gemm(w2d, cols))
 
 
 # --------------------------------------------------------------------------- #

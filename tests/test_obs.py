@@ -286,6 +286,25 @@ class TestProfile:
         prim = block["primitives"]["winograd_forward"]
         assert prim["calls"] >= 1 and prim["mean_ms"] > 0
 
+    def test_profiling_keeps_an_instrumented_backend(self, obs_on, rng):
+        """A plan on an instrumented copy of a registered backend is profiled
+        through that copy, not through the registered backend's wrapper."""
+        from repro.engine import CompiledConv
+        from repro.kernels import get_backend
+        calls = []
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        w, x = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=(2, 3, 12, 12))
+        CompiledConv(w, padding=1, transform="F4", backend="fast")(x)
+        CompiledConv(w, padding=1, transform="F4",
+                     backend=get_backend("fast").instrumented(count))(x)
+        assert "winograd_forward" in calls
+
     def test_disabled_profile_is_empty(self, rng):
         from repro.engine import CompiledConv
         with obs.enabled_scope(False):

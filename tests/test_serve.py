@@ -94,6 +94,27 @@ class TestCompiledModel:
         assert compiled.workspace_nbytes == before
         assert {id(buf) for buf in arena._buffers.values()} == ids_before
 
+    def test_signature_hiding_backend_keeps_the_arena_path(self, rng):
+        """Wrappers that hide their signature change nothing: the same arena
+        bytes, and ``winograd_forward`` still gets ``w_r`` and ``out``."""
+        kwargs_seen = []
+
+        def wrap(name, fn):
+            def hidden(*args, **kwargs):
+                if name == "winograd_forward":
+                    kwargs_seen.append(sorted(kwargs))
+                return fn(*args, **kwargs)
+            return hidden
+
+        model = resnet_tiny(seed=2)
+        x = rng.normal(size=(2, 3, 32, 32))
+        bare = compile_model(model, (2, 3, 32, 32), backend="fast")
+        wrapped = compile_model(model, (2, 3, 32, 32),
+                                backend=get_backend("fast").instrumented(wrap))
+        np.testing.assert_array_equal(wrapped.infer(x), bare.infer(x))
+        assert wrapped.workspace_nbytes == bare.workspace_nbytes
+        assert kwargs_seen and all(kw == ["out", "w_r"] for kw in kwargs_seen)
+
     def test_output_is_not_an_arena_buffer(self, rng):
         model = resnet_tiny(seed=2)
         compiled = compile_model(model, (2, 3, 32, 32))
