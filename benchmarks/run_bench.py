@@ -31,7 +31,7 @@ Serving-layer numbers (PR 5, written to ``BENCH_serve.json``):
   ReLU fused, plan-keyed workspace arena) must be >= 1.2x over the same
   network run as per-layer CompiledConv + BN + ReLU steps.
 * ``shm_pool_batch{4,8}``: the persistent shared-memory worker pool must
-  beat the pickle ``multiprocessing.Pool`` transport at batch <= 8.
+  beat a plain pickling ``multiprocessing.Pool`` at batch <= 8.
 * ``shm_pool_supervision_overhead`` (PR 6): the supervised pool (heartbeats,
   sentinel watching, retry bookkeeping) must stay within 5% of the same pool
   with supervision disabled (``heartbeat_interval=None``, the bare PR 5
@@ -529,6 +529,21 @@ def _bind_per_layer_compiledconv(model) -> None:
             module.forward = forward
 
 
+# Per-worker bound layer of the pickling-pool baseline in serve_cases.
+_PICKLE_CONV = None
+
+
+def _pickle_pool_init(job) -> None:
+    global _PICKLE_CONV
+    from repro.obs import trace
+    trace.suppress_export()     # workers never write the parent's trace file
+    _PICKLE_CONV = job.compile()
+
+
+def _pickle_pool_chunk(x: np.ndarray) -> np.ndarray:
+    return _PICKLE_CONV(x)
+
+
 def serve_cases(repeats: int, warmup: int) -> dict:
     """Benchmarks of the serving layer (PR 5), paired round by round.
 
@@ -539,8 +554,9 @@ def serve_cases(repeats: int, warmup: int) -> dict:
       ``per_layer_steps_s`` column is a tougher strawman: the same unfused
       per-layer pipeline but with all the elementwise ops already in plain
       numpy (``fold_bn=False, fuse_relu=False, use_arena=False``).
-    * ``shm_pool_batch{4,8}`` — BatchRunner's two transports head to head on
-      one bound F4 layer, persistent pools, same chunking.
+    * ``shm_pool_batch{4,8}`` — the shared-memory pool head to head with a
+      plain pickling ``multiprocessing.Pool`` on one bound F4 layer,
+      persistent pools, same chunking.
     """
     from repro.engine import ConvJob, clear_plan_cache
     from repro.models.resnet_cifar import resnet_tiny
@@ -625,7 +641,7 @@ def serve_cases(repeats: int, warmup: int) -> dict:
     results["tuned_served_model"] = case
     _print_case("tuned_served_model", case)
 
-    # -- shm pool vs pickle BatchRunner ------------------------------------- #
+    # -- shm pool vs a plain pickling multiprocessing.Pool ------------------ #
     job = ConvJob(weight=W, padding=1, transform="F4")
     try:
         shm_pool = ShmWorkerPool(job, num_workers=2)
@@ -633,9 +649,10 @@ def serve_cases(repeats: int, warmup: int) -> dict:
         results["shm_pool"] = {"skipped": f"{type(exc).__name__}: {exc}"}
         print(f"shm pool benchmark skipped: {exc}")
         return results
-    from repro.engine.runner import _init_worker, _pick_context, _run_chunk
-    ctx = _pick_context(None)
-    pickle_pool = ctx.Pool(2, initializer=_init_worker, initargs=(job,))
+    import multiprocessing
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    pickle_pool = ctx.Pool(2, initializer=_pickle_pool_init, initargs=(job,))
     try:
         for n in (4, 8):
             x = _RNG.normal(size=(n, 32, 32, 32))
@@ -646,7 +663,8 @@ def serve_cases(repeats: int, warmup: int) -> dict:
                 shm_pool.run(x, chunk_size=chunk)
 
             def run_pickle():
-                np.concatenate(pickle_pool.map(_run_chunk, chunks), axis=0)
+                np.concatenate(pickle_pool.map(_pickle_pool_chunk, chunks),
+                               axis=0)
 
             case = _paired_case(run_shm, run_pickle, repeats, warmup,
                                 "shm_s", "pickle_s",

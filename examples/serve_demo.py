@@ -11,8 +11,8 @@ Walks the `repro.serve` subsystem end to end:
    ``repro.engine.autotune.tune`` benchmarks and persists them).
 
    When a C toolchain is present, full-mode tuning also *generates*
-   shape-specialized native kernels (the ``compiled`` tier's codegen,
-   PR 9) and benchmarks them against the blocked numpy variants; winners
+   shape-specialized native kernels (``repro.kernels.codegen``) and
+   benchmarks them against the blocked numpy variants; winners
    persist like any other choice and the built objects are cached in
    ``~/.cache/repro-codegen`` (``REPRO_CODEGEN_CACHE``), so later
    processes — and respawned pool workers — load them from disk without
@@ -22,9 +22,8 @@ Walks the `repro.serve` subsystem end to end:
 2. **Micro-batched serving** — single-image requests submitted from client
    threads are coalesced into batches under a latency deadline and served;
    the server reports p50/p99 latency and throughput.
-3. **Shared-memory sharding** — the same bound layer behind
-   ``BatchRunner``'s two transports (pickle pipes vs the persistent
-   shared-memory worker pool).
+3. **Shared-memory sharding** — the same bound layer run inline and through
+   ``BatchRunner``'s persistent shared-memory worker pool.
 4. **Fault injection** — a scripted ``FaultPlan`` SIGKILLs and corrupts
    workers mid-batch; the supervisor respawns them, retries their chunks,
    and the recovered results are bit-identical to a fault-free run.
@@ -114,15 +113,15 @@ def main() -> None:
     job = ConvJob(weight=rng.normal(size=(32, 32, 3, 3)), padding=1,
                   transform="F4")
     big = rng.normal(size=(8, 32, 32, 32))
-    print("\n[3] BatchRunner transports, batch of 8 "
+    print("\n[3] BatchRunner inline vs shared-memory pool, batch of 8 "
           "(interleaved rounds, medians):")
+    runners = {"inline": BatchRunner(job),
+               "shm": BatchRunner(job, num_workers=2)}
     try:
-        runners = {name: BatchRunner(job, num_workers=2, transport=name)
-                   for name in ("pickle", "shm")}
-    except Exception as exc:                         # sandboxed environments
-        print(f"    multiprocessing unavailable here ({exc})")
-        return
-    try:
+        if runners["shm"].transport != "shm":        # sandboxed environments
+            print("    shared-memory worker pool unavailable here; "
+                  "sections [4] and [5] need it")
+            return
         times = {name: [] for name in runners}
         for runner in runners.values():
             runner.run(big)                          # warm the workers
@@ -134,8 +133,8 @@ def main() -> None:
         medians = {name: sorted(ts)[len(ts) // 2] for name, ts in times.items()}
         for name, median in medians.items():
             print(f"    {name:6s}: {median * 1e3:7.2f} ms/batch")
-        print(f"    shared memory vs pickle: "
-              f"{medians['pickle'] / medians['shm']:.2f}x")
+        print(f"    shared memory (2 workers) vs inline: "
+              f"{medians['inline'] / medians['shm']:.2f}x")
     finally:
         for runner in runners.values():
             runner.close()

@@ -16,7 +16,7 @@ batches through the fixed plan:
 * :class:`CompiledConv` — a plan with bound (pre-transformed) weights, for
   inference streams.
 * :class:`BatchRunner` / :class:`ConvJob` — shard input streams across
-  ``multiprocessing`` workers through the kernel-registry seam; workers
+  shared-memory pool workers through the kernel-registry seam; workers
   compile their job once and share plan-cache keys, so they never re-lower.
 * :func:`warm_plans` — pre-lower every conv layer of a model by tracing one
   forward pass, so training loops and sweeps start with a hot plan cache.

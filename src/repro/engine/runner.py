@@ -10,28 +10,22 @@ parent uses, a worker lowers each input shape once and every later chunk is a
 cache hit: workers never re-lower, and with the (default, where available)
 ``fork`` start method they even inherit plans the parent had already lowered.
 
-Two transports are available for ``num_workers > 0``:
-
-* ``"shm"`` (default where available) — delegate to
-  :class:`repro.serve.ShmWorkerPool`: long-lived workers fed through
-  ``multiprocessing.shared_memory`` ring buffers, so array bytes cross the
-  process boundary as one memcpy each way instead of a pickle round trip.
-  This makes sharding pay off at much smaller batch sizes.
-* ``"pickle"`` — the original ``multiprocessing.Pool`` transport, kept as
-  the portable fallback (and for equivalence testing).
-
-``transport="auto"`` tries shared memory, quietly falls back to pickle on
-platforms without it, and degrades to inline execution when process spawning
-is forbidden entirely.  A shm pool that later loses every worker for good
+With ``num_workers > 0`` the runner delegates to
+:class:`repro.serve.ShmWorkerPool`: supervised long-lived workers fed
+through ``multiprocessing.shared_memory`` ring buffers, so array bytes cross
+the process boundary as one memcpy each way instead of a pickle round trip.
+When the pool cannot be created (no shared memory, process spawning
+forbidden) the runner executes inline instead of failing construction, and a
+pool that later loses every worker for good
 (:class:`~repro.serve.PoolUnavailable` after the supervisor's respawn
 attempts are exhausted) likewise degrades to inline mid-run instead of
 failing the batch.  ``num_workers=0`` executes inline in the calling
-process — same results, no processes.
+process — same results, no processes.  :attr:`BatchRunner.transport` reports
+which of the two is in use: ``"shm"`` or ``"inline"``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,30 +84,6 @@ class ConvJob:
         return np.result_type(in_dtype, self.weight.dtype)
 
 
-# Per-worker bound layer, installed once by the pool initializer.
-_WORKER_CONV: CompiledConv | None = None
-
-
-def _init_worker(job: ConvJob) -> None:
-    global _WORKER_CONV
-    # Pickle-pool workers never write the parent's REPRO_TRACE file.
-    _trace.suppress_export()
-    _WORKER_CONV = job.compile()
-
-
-def _run_chunk(x: np.ndarray) -> np.ndarray:
-    return _WORKER_CONV(x)
-
-
-def _pick_context(name: str | None) -> multiprocessing.context.BaseContext:
-    if name is not None:
-        return multiprocessing.get_context(name)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        return multiprocessing.get_context()
-
-
 class BatchRunner:
     """Runs a bound convolution over input streams, optionally sharded.
 
@@ -122,56 +92,34 @@ class BatchRunner:
     job:
         The layer to run (see :class:`ConvJob`).
     num_workers:
-        ``0`` (default) executes inline; ``> 0`` spawns a process pool whose
-        workers each compile ``job`` once.
+        ``0`` (default) executes inline; ``> 0`` spawns a shared-memory
+        worker pool whose workers each compile ``job`` once.
     chunk_size:
         Batch items per shard when splitting one large batch in :meth:`run`;
         defaults to an even split across workers.
     mp_context:
         multiprocessing start method (``"fork"``/``"spawn"``/...); default
         prefers ``fork`` so workers inherit the parent's warm caches.
-    transport:
-        ``"shm"`` (shared-memory worker pool), ``"pickle"`` (the original
-        ``multiprocessing.Pool``), or ``"auto"`` (default: shared memory
-        where available, pickle otherwise).
     """
 
     def __init__(self, job: ConvJob, num_workers: int = 0,
-                 chunk_size: int | None = None, mp_context: str | None = None,
-                 transport: str = "auto"):
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}; "
-                             "expected 'auto', 'shm' or 'pickle'")
+                 chunk_size: int | None = None, mp_context: str | None = None):
         self.job = job
         self.num_workers = int(num_workers)
         self.chunk_size = chunk_size
         self.transport = "inline"
-        self._pool = None
         self._shm_pool = None
         self._local: CompiledConv | None = None   # compiled lazily on first use
         if self.num_workers > 0:
-            if transport in ("auto", "shm"):
-                try:
-                    from ..serve.pool import ShmWorkerPool
-                    self._shm_pool = ShmWorkerPool(job, self.num_workers,
-                                                   mp_context=mp_context)
-                    self.transport = "shm"
-                except Exception:
-                    if transport == "shm":
-                        raise
-            if self._shm_pool is None and transport in ("auto", "pickle"):
-                ctx = _pick_context(mp_context)
-                try:
-                    self._pool = ctx.Pool(self.num_workers,
-                                          initializer=_init_worker,
-                                          initargs=(job,))
-                    self.transport = "pickle"
-                except Exception:
-                    # Spawning processes is forbidden here entirely: degrade
-                    # to inline execution instead of failing construction.
-                    if transport == "pickle":
-                        raise
-                    self.transport = "inline"
+            try:
+                from ..serve.pool import ShmWorkerPool
+                self._shm_pool = ShmWorkerPool(job, self.num_workers,
+                                               mp_context=mp_context)
+                self.transport = "shm"
+            except Exception:
+                # No shared memory or process spawning is forbidden here:
+                # execute inline instead of failing construction.
+                pass
 
     def _local_conv(self) -> CompiledConv:
         if self._local is None:
@@ -207,14 +155,7 @@ class BatchRunner:
                     return self._shm_pool.run(x, chunk_size=self.chunk_size)
                 except PoolUnavailable:
                     self._degrade_inline()
-                    return self._local_conv()(x)
-            if self._pool is None:
-                return self._local_conv()(x)
-            n = x.shape[0]
-            chunk = self.chunk_size or -(-n // self.num_workers)
-            chunks = [x[i:i + chunk] for i in range(0, n, chunk)]
-            outs = self._pool.map(_run_chunk, chunks)
-            return np.concatenate(outs, axis=0)
+            return self._local_conv()(x)
 
     def map(self, inputs) -> list[np.ndarray]:
         """A stream of independent input arrays (one result per input)."""
@@ -227,12 +168,8 @@ class BatchRunner:
                 return self._shm_pool.map(inputs)
             except PoolUnavailable:
                 self._degrade_inline()
-                local = self._local_conv()
-                return [local(x) for x in inputs]
-        if self._pool is None:
-            local = self._local_conv()
-            return [local(x) for x in inputs]
-        return self._pool.map(_run_chunk, inputs)
+        local = self._local_conv()
+        return [local(x) for x in inputs]
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -240,10 +177,6 @@ class BatchRunner:
         if self._shm_pool is not None:
             self._shm_pool.close()
             self._shm_pool = None
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
         self.transport = "inline"
 
     def __enter__(self) -> "BatchRunner":

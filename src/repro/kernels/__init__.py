@@ -15,13 +15,11 @@ can coexist.  Every backend implements every member of
 * ``"tuned"`` — per-shape autotuned variants of the fast primitives, driven
   by :mod:`repro.engine.autotune`'s persistent plan/winner cache
   (:mod:`repro.kernels.tuned`).  With an empty tuning store it behaves
-  exactly like ``fast``;
-* ``"compiled"`` — shape-specialized native kernels generated per plan
-  geometry by :mod:`repro.kernels.codegen` (C via cffi, numba optional) with
-  a persistent on-disk object store; degrades bit-exactly to ``fast`` when
-  codegen is off or no toolchain exists (:mod:`repro.kernels.compiled`).
-  The ``tuned`` tier also benchmarks these kernels as extra candidates and
-  persists per-shape winners, so ``tuned`` arbitrates numpy vs codegen.
+  exactly like ``fast``.  Where a C toolchain exists it also benchmarks
+  shape-specialized kernels generated per plan geometry by
+  :mod:`repro.kernels.codegen` (through the adapters in
+  :mod:`repro.kernels.compiled`) as extra candidates and persists per-shape
+  winners, so ``tuned`` arbitrates numpy vs codegen.
 
 Select a backend globally with :func:`set_backend` / :func:`use_backend`, via
 the ``REPRO_KERNEL_BACKEND`` environment variable, or per call with the
@@ -33,7 +31,7 @@ This package deliberately imports nothing else from :mod:`repro`, so every
 compute module can depend on it without import cycles.
 """
 
-from . import compiled, fast, reference, tuned
+from . import fast, reference, tuned
 from .einsum_cache import cached_einsum
 from .registry import (DEFAULT_BACKEND, ENV_VAR, KernelBackend,
                        UnknownBackendError, add_backend_listener,
@@ -58,4 +56,3 @@ __all__ = [
 register_backend(reference.BACKEND)
 register_backend(fast.BACKEND)
 register_backend(tuned.BACKEND)
-register_backend(compiled.BACKEND)

@@ -19,13 +19,12 @@ file in a versioned on-disk store.  Lookups go memory → disk → compile:
   back to their numpy paths.
 
 All entry points return ``None`` instead of raising when codegen cannot
-deliver — the contract that lets the ``compiled`` backend degrade bit-exactly
-to ``fast`` on toolchain-less hosts.
+deliver — the contract that lets the ``tuned`` tier degrade bit-exactly to
+its numpy candidates on toolchain-less hosts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import glob
 import hashlib
 import importlib.util
@@ -78,7 +77,6 @@ _LOCK = threading.Lock()
 _KERNELS: dict[str, "LoadedKernel"] = {}     # digest -> loaded kernel
 _FAILED: set[str] = set()                     # digests whose build failed
 _TOOLCHAIN_BROKEN = False
-_RESET_HOOKS: list = []
 
 
 @dataclass
@@ -275,11 +273,6 @@ def reset_stats() -> None:
         _STATS = CodegenStats()
 
 
-def register_reset_hook(fn) -> None:
-    """Called by :func:`reset_state`; lets dependents drop derived caches."""
-    _RESET_HOOKS.append(fn)
-
-
 def reset_state() -> None:
     """Forget loaded kernels, failures and stats (testing / fork-cold start).
 
@@ -292,6 +285,3 @@ def reset_state() -> None:
         _FAILED.clear()
         _TOOLCHAIN_BROKEN = False
     reset_stats()
-    for fn in _RESET_HOOKS:
-        with contextlib.suppress(Exception):
-            fn()

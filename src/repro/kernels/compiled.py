@@ -1,21 +1,15 @@
-"""Compiled kernel backend: per-shape generated native kernels, else ``fast``.
+"""Generated-kernel adapters the ``tuned`` tier uses.
 
-The fourth backend tier.  For float64 calls whose geometry the
-:mod:`repro.kernels.codegen` package supports, the three hottest primitives —
-fused Winograd forward, fused Winograd autograd, im2col GEMM — run as
-shape-specialized native kernels (C via cffi by default, numba optionally).
-Every other primitive, every non-float64 dtype (including the bit-exact
-integer simulation paths) and every call made while codegen is unavailable
-(``REPRO_CODEGEN=off``, no C toolchain, a failed build) executes the ``fast``
-backend's code *verbatim* — so on a toolchain-less host this backend is
-bit-identical to ``fast`` by construction.
-
-This module also exports the ``try_*`` / ``prepare_*`` entry points the
-``tuned`` tier uses to register generated kernels as autotune candidates:
+For float64 calls whose geometry the :mod:`repro.kernels.codegen` package
+supports, the three hottest primitives — fused Winograd forward, fused
+Winograd autograd, im2col GEMM — can run as shape-specialized C kernels.
+``tuned`` registers them as autotune candidates through these entry points:
 ``prepare_*`` builds (or disk-loads) the kernel for a geometry ahead of the
 benchmark rounds so :func:`repro.engine.autotune.decide` times the kernel,
 never the compile; ``try_*`` runs it, returning ``None`` when codegen cannot
-deliver so callers fall back to their numpy paths.
+deliver (``REPRO_CODEGEN=off``, no C toolchain, a failed build, a
+non-float64 dtype, an uncovered geometry) so callers fall back to their
+numpy paths.
 """
 
 from __future__ import annotations
@@ -24,11 +18,8 @@ import numpy as np
 
 from . import codegen, fast
 from .codegen import GemmSpec, WinogradSpec
-from .registry import KernelBackend
 
 __all__ = [
-    "BACKEND",
-    "winograd_forward", "winograd_autograd", "conv2d_gemm",
     "try_forward", "try_autograd", "try_gemm",
     "prepare_forward", "prepare_autograd", "prepare_gemm",
 ]
@@ -108,18 +99,6 @@ def try_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     return res
 
 
-def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
-                     out_h: int, out_w: int,
-                     w_r: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    res = try_forward(x_padded, weight, transform, out_h, out_w,
-                      w_r=w_r, out=out)
-    if res is not None:
-        return res
-    return fast.winograd_forward(x_padded, weight, transform, out_h, out_w,
-                                 w_r=w_r, out=out)
-
-
 # --------------------------------------------------------------------------- #
 # Fused Winograd autograd
 # --------------------------------------------------------------------------- #
@@ -170,14 +149,6 @@ def try_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
     return out, backward
 
 
-def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
-                      out_h: int, out_w: int):
-    res = try_autograd(x_padded, weight, transform, out_h, out_w)
-    if res is not None:
-        return res
-    return fast.winograd_autograd(x_padded, weight, transform, out_h, out_w)
-
-
 # --------------------------------------------------------------------------- #
 # im2col GEMM
 # --------------------------------------------------------------------------- #
@@ -215,29 +186,3 @@ def try_gemm(w2d: np.ndarray, cols: np.ndarray,
         res = np.empty(shape, dtype=np.float64)
     kern(wc, cc, res)
     return res
-
-
-def conv2d_gemm(w2d: np.ndarray, cols: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    res = try_gemm(w2d, cols, out=out)
-    if res is not None:
-        return res
-    return fast.conv2d_gemm(w2d, cols, out=out)
-
-
-BACKEND = KernelBackend(
-    name="compiled",
-    tile_contract=fast.tile_contract,
-    tile_contract_dx=fast.tile_contract_dx,
-    tile_contract_dw=fast.tile_contract_dw,
-    apply_transform_pair=fast.apply_transform_pair,
-    extract_tiles=fast.extract_tiles,
-    scatter_tiles_add=fast.scatter_tiles_add,
-    im2col=fast.im2col,
-    col2im=fast.col2im,
-    conv2d_gemm=conv2d_gemm,
-    conv2d_gemm_dw=fast.conv2d_gemm_dw,
-    conv2d_gemm_dcols=fast.conv2d_gemm_dcols,
-    winograd_forward=winograd_forward,
-    winograd_autograd=winograd_autograd,
-)

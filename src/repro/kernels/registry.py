@@ -4,7 +4,7 @@ Every numerically heavy primitive of the library (the tap-wise contraction,
 the Winograd pair transforms, tile extraction/scattering, the im2col GEMMs
 and the fused whole-layer Winograd forward and training step) is routed
 through a :class:`KernelBackend`.  Every backend implements every member with
-one call contract, so callers never probe what a backend supports.  Four
+one call contract, so callers never probe what a backend supports.  Three
 backends are registered by :mod:`repro.kernels`:
 
 * ``"reference"`` — the seed implementation (generic ``np.einsum`` plus
@@ -12,9 +12,9 @@ backends are registered by :mod:`repro.kernels`:
   equivalence-tested against it forever; its fused entry points are composed
   from those primitives.
 * ``"fast"`` — batched-GEMM formulations that reach BLAS (the default).
-* ``"tuned"`` / ``"compiled"`` — per-shape autotuned and code-generated
-  variants of ``fast`` (:mod:`repro.kernels.tuned`,
-  :mod:`repro.kernels.compiled`).
+* ``"tuned"`` — per-shape autotuned variants of ``fast``, with generated
+  native kernels as extra candidates where a C toolchain exists
+  (:mod:`repro.kernels.tuned`).
 
 Selection, in decreasing precedence:
 

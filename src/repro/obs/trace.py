@@ -85,8 +85,8 @@ def disable() -> None:
 def suppress_export() -> None:
     """Disarm the atexit ``REPRO_TRACE`` export in this process.
 
-    Called by worker processes (shm pool / pickle pool initializers) so
-    only the coordinating process writes the trace file.
+    Called by worker processes (the shm pool's worker entry point) so only
+    the coordinating process writes the trace file.
     """
     global _EXPORT_SUPPRESSED
     _EXPORT_SUPPRESSED = True

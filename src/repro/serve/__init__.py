@@ -20,7 +20,7 @@ pipelines with traffic):
   by a :class:`WorkerSupervisor`: dead or stalled workers are detected
   (process sentinel + heartbeats), respawned with capped backoff, and their
   unacknowledged jobs retried bit-exactly on surviving workers.
-  :class:`repro.engine.BatchRunner` delegates to it by default and degrades
+  :class:`repro.engine.BatchRunner` delegates to it when sharding and degrades
   to inline execution if the pool becomes :class:`PoolUnavailable`.
 * :class:`Server` — a synchronous facade with ``submit`` / ``infer`` /
   ``infer_batch``, end-to-end deadlines, load shedding, an in-process

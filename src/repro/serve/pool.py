@@ -1,10 +1,10 @@
 """Persistent shared-memory worker pool: zero-pickle transport, supervised.
 
-:class:`repro.engine.BatchRunner`'s original transport ships every input and
-output array through ``multiprocessing.Pool``'s pickle pipe — each chunk is
-serialised, copied through the OS pipe in small writes, and deserialised on
-the other side, twice per round trip.  This module replaces that transport
-with ``multiprocessing.shared_memory``:
+A plain ``multiprocessing.Pool`` ships every input and output array through
+a pickle pipe — each chunk is serialised, copied through the OS pipe in
+small writes, and deserialised on the other side, twice per round trip.
+This pool moves array bytes through ``multiprocessing.shared_memory``
+instead:
 
 * each worker owns an **input ring buffer** (one shm segment the parent
   writes request frames into, head/tail managed parent-side) and an **output
@@ -51,12 +51,13 @@ use to degrade to in-process execution.
 
 Segments grow on demand (the parent allocates a bigger segment and tells the
 worker to re-attach), so the pool adapts to whatever batch shapes traffic
-brings.  ``BatchRunner(transport="shm")`` (the default where shared memory is
-available) delegates here.
+brings.  :class:`repro.engine.BatchRunner` with ``num_workers > 0``
+delegates here.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -76,6 +77,15 @@ from .errors import (PoolUnavailable, RequestTimeout, ServingError,
 __all__ = ["ShmWorkerPool", "WorkerSupervisor"]
 
 _ALIGN = 64
+
+
+def _pick_context(name: str | None) -> multiprocessing.context.BaseContext:
+    if name is not None:
+        return multiprocessing.get_context(name)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # platforms without fork
+        return multiprocessing.get_context()
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -606,7 +616,6 @@ class ShmWorkerPool:
                  max_job_retries: int = 2, max_respawn_attempts: int = 3):
         if num_workers < 1:
             raise ValueError("ShmWorkerPool needs at least one worker")
-        from ..engine.runner import _pick_context
         self._ctx = _pick_context(mp_context)
         self.job = job
         self.num_workers = int(num_workers)

@@ -21,9 +21,9 @@ Failure modes and guarantees (PR 6):
 * **Deadlines** — ``submit(x, deadline=0.5)`` attaches an end-to-end budget:
   expired requests are failed with :class:`~repro.serve.RequestTimeout`
   *before* dispatch (never computed and discarded), and the serving loop
-  forwards the batch's tightest remaining deadline to models whose ``infer``
-  accepts a ``deadline=`` keyword (:class:`~repro.serve.CompiledModel`
-  does, aborting between steps).  :meth:`infer`'s timeout rides the same
+  forwards the batch's tightest remaining deadline to the model as its
+  ``deadline=`` keyword (:class:`~repro.serve.CompiledModel` honours it,
+  aborting between steps).  :meth:`infer`'s timeout rides the same
   path and cancels the queued request on expiry, so no orphaned work stays
   behind.
 * **Graceful degradation** — when the primary model raises
@@ -56,14 +56,6 @@ from .batcher import InferenceRequest, MicroBatcher
 from .errors import PoolUnavailable, RequestTimeout, deadline_clock
 
 __all__ = ["Server", "ServerStats"]
-
-
-def _accepts_deadline(fn) -> bool:
-    import inspect
-    try:
-        return "deadline" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
 
 
 class ServerStats:
@@ -137,8 +129,12 @@ class Server:
     Parameters
     ----------
     model:
-        A :class:`~repro.serve.CompiledModel` or any callable mapping an
-        NCHW batch to an output batch.
+        A :class:`~repro.serve.CompiledModel` or any callable
+        ``fn(batch, deadline=None)`` mapping an NCHW batch to an output
+        batch.  ``deadline`` is the batch's tightest absolute request
+        deadline on :func:`~repro.serve.errors.deadline_clock` (``None``
+        when no request set one); a model may ignore it or raise
+        :class:`~repro.serve.RequestTimeout` once it passes.
     max_batch_size / max_delay_ms:
         Micro-batching policy (see :class:`~repro.serve.MicroBatcher`).
     num_threads:
@@ -159,7 +155,6 @@ class Server:
                  max_delay_ms: float = 2.0, num_threads: int = 1,
                  max_pending: int | None = None, fallback=None):
         self._infer = model.infer if hasattr(model, "infer") else model
-        self._infer_deadline = _accepts_deadline(self._infer)
         self.model = model
         self.fallback = fallback
         self._fallback_infer = (None if fallback is None else
@@ -194,18 +189,13 @@ class Server:
         deadlines = [r.deadline for r in batch if r.deadline is not None]
         return min(deadlines) if deadlines else None
 
-    def _execute(self, stacked: np.ndarray, deadline: float | None):
-        if deadline is not None and self._infer_deadline:
-            return self._infer(stacked, deadline=deadline)
-        return self._infer(stacked)
-
     def _run_batch(self, batch: list[InferenceRequest]) -> None:
         deadline = self._batch_deadline(batch)
         with _trace.span("serve.batch", cat="serve", batch=len(batch)):
             try:
                 stacked = np.stack([request.x for request in batch])
                 try:
-                    out = self._execute(stacked, deadline)
+                    out = self._infer(stacked, deadline=deadline)
                 except PoolUnavailable:
                     # The model's worker pool is gone for good: degrade to the
                     # in-process fallback rather than failing the batch.

@@ -171,17 +171,8 @@ class TestAvailability:
         assert not codegen.available()
         spec, x_padded, w, t = _spec(rng)
         assert codegen.forward_kernel(spec) is None
-        # The compiled backend is bit-exact with fast on such a host.
-        np.testing.assert_array_equal(
-            compiled.winograd_forward(x_padded, w, t, 12, 12),
-            fast_mod.winograd_forward(x_padded, w, t, 12, 12))
-
-    def test_numba_emitter_honest_about_absence(self, cg_sandbox, monkeypatch):
-        from repro.kernels.codegen import numba_emitter
-        monkeypatch.setenv(codegen.ENV_EMITTER, "numba")
-        codegen.reset_state()
-        assert codegen.emitter_name() == "numba"
-        assert codegen.available() == numba_emitter.available()
+        # Callers are told to use their numpy paths on such a host.
+        assert compiled.try_forward(x_padded, w, t, 12, 12) is None
 
 
 # --------------------------------------------------------------------------- #

@@ -308,11 +308,8 @@ class TestBatchRunner:
         w = rng.normal(size=(4, 3, 3, 3))
         job = ConvJob(weight=w, padding=1, transform="F4", backend="fast")
         inline = BatchRunner(job).run(x)
-        try:
-            with BatchRunner(job, num_workers=2) as runner:
-                sharded = runner.run(x)
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            pytest.skip(f"multiprocessing unavailable in this sandbox: {exc}")
+        with BatchRunner(job, num_workers=2) as runner:
+            sharded = runner.run(x)
         np.testing.assert_allclose(sharded, inline, atol=1e-12)
 
     def test_empty_batch_round_trips(self, rng):
@@ -322,34 +319,38 @@ class TestBatchRunner:
         empty = np.empty((0, 3, 10, 10))
         assert BatchRunner(job).run(empty).shape == (0, 4, 10, 10)
         assert BatchRunner(job).map([]) == []
-        for transport in ("pickle", "shm"):
-            try:
-                with BatchRunner(job, num_workers=2,
-                                 transport=transport) as runner:
-                    assert runner.run(empty).shape == (0, 4, 10, 10)
-                    assert runner.map([]) == []
-            except (OSError, PermissionError) as exc:  # pragma: no cover
-                pytest.skip(f"multiprocessing unavailable: {exc}")
+        with BatchRunner(job, num_workers=2) as runner:
+            assert runner.run(empty).shape == (0, 4, 10, 10)
+            assert runner.map([]) == []
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_ragged_final_chunk_round_trips(self, rng, transport):
+    def test_ragged_final_chunk_round_trips(self, rng):
         """Regression: a final chunk smaller than the shard size is fine."""
         x = rng.normal(size=(7, 3, 10, 10))      # chunk_size 3 -> 3 + 3 + 1
         w = rng.normal(size=(4, 3, 3, 3))
         job = ConvJob(weight=w, padding=1, transform="F4")
         inline = BatchRunner(job).run(x)
-        try:
-            with BatchRunner(job, num_workers=2, chunk_size=3,
-                             transport=transport) as runner:
-                sharded = runner.run(x)
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            pytest.skip(f"multiprocessing unavailable in this sandbox: {exc}")
+        with BatchRunner(job, num_workers=2, chunk_size=3) as runner:
+            sharded = runner.run(x)
         np.testing.assert_allclose(sharded, inline, atol=1e-12)
 
-    def test_unknown_transport_rejected(self, rng):
+    def test_pool_creation_failure_runs_inline(self, rng, monkeypatch):
+        """A pool that cannot be created leaves the runner working inline."""
+        from repro.serve.pool import ShmWorkerPool
+
+        def forbidden(self, *args, **kwargs):
+            raise PermissionError("process spawning forbidden")
+
+        monkeypatch.setattr(ShmWorkerPool, "__init__", forbidden)
+        xs = [rng.normal(size=(3, 3, 10, 10)) for _ in range(2)]
         w = rng.normal(size=(4, 3, 3, 3))
-        with pytest.raises(ValueError, match="transport"):
-            BatchRunner(ConvJob(weight=w), transport="carrier-pigeon")
+        job = ConvJob(weight=w, padding=1, transform="F4")
+        inline = BatchRunner(job)
+        with BatchRunner(job, num_workers=2) as runner:
+            assert runner.transport == "inline"
+            np.testing.assert_array_equal(runner.run(xs[0]),
+                                          inline.run(xs[0]))
+            for got, want in zip(runner.map(xs), inline.map(xs)):
+                np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------------------------------- #

@@ -12,8 +12,9 @@ import pytest
 
 import repro.kernels as kernels
 from repro.engine.executor import bind_tap_major_weights
-from repro.kernels import (available_backends, get_backend, reset_backend,
-                           set_backend, use_backend)
+from repro.kernels import (available_backends, codegen, compiled,
+                           get_backend, reset_backend, set_backend,
+                           use_backend)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
@@ -40,8 +41,7 @@ DEFAULT_NAME = os.environ.get(kernels.ENV_VAR) or kernels.DEFAULT_BACKEND
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert available_backends() == ["compiled", "fast", "reference",
-                                        "tuned"]
+        assert available_backends() == ["fast", "reference", "tuned"]
 
     def test_default_resolution(self):
         reset_backend()
@@ -298,135 +298,121 @@ class TestEndToEnd:
 
 
 # --------------------------------------------------------------------------- #
-# The compiled tier (PR 9): shape-specialized generated kernels, else fast
+# Generated-kernel adapters (repro.kernels.compiled) the tuned tier arbitrates
 # --------------------------------------------------------------------------- #
+def _tile_padded(x, padding, m):
+    """Pad like the public entry points: enough for full tile coverage."""
+    out = x.shape[-1] + 2 * padding - 2
+    extra = -(-out // m) * m - out
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding + extra),
+                      (padding, padding + extra))), out
+
+
 class TestCompiledBackend:
-    """``compiled`` must match ``fast`` in every regime — with the generated
-    native kernels when a toolchain is present, and *bit-exactly* (the same
-    code runs) when codegen is off or unavailable."""
+    """``compiled.try_*`` must match ``fast`` whenever codegen delivers, and
+    decline with ``None`` (so callers take their numpy paths) whenever it
+    cannot: no toolchain, ``REPRO_CODEGEN=off``, non-float64 inputs or a
+    geometry the tiles do not cover."""
 
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
     @pytest.mark.parametrize("padding", [0, 1])
     def test_float_forward_matches_fast(self, rng, factory, padding):
-        from repro.kernels import codegen
-        x = rng.normal(size=(2, 3, 12, 12))
+        t = factory()
+        x_padded, out = _tile_padded(rng.normal(size=(2, 3, 12, 12)),
+                                     padding, t.m)
         w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=(4,))
-        out_fast = winograd_conv2d(x, w, factory(), bias=b, padding=padding,
-                                   backend="fast")
-        before = codegen.stats_dict()["builds"] + \
-            codegen.stats_dict()["memory_hits"] + \
-            codegen.stats_dict()["disk_hits"]
-        out_compiled = winograd_conv2d(x, w, factory(), bias=b,
-                                       padding=padding, backend="compiled")
-        np.testing.assert_allclose(out_compiled, out_fast, atol=1e-10)
-        if codegen.available() and padding == 1:
-            # padding=1 gives full tile coverage: the generated kernel ran.
-            s = codegen.stats_dict()
-            assert s["builds"] + s["memory_hits"] + s["disk_hits"] > before
+        got = compiled.try_forward(x_padded, w, t, out, out)
+        if not codegen.available():
+            assert got is None
+            return
+        np.testing.assert_allclose(
+            got, FAST.winograd_forward(x_padded, w, t, out, out), atol=1e-10)
 
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
     def test_autograd_matches_fast(self, rng, factory):
-        x = rng.normal(size=(2, 3, 12, 12))
+        t = factory()
+        x_padded, out = _tile_padded(rng.normal(size=(2, 3, 12, 12)), 1, t.m)
         w = rng.normal(size=(4, 3, 3, 3))
-        seed_grad = rng.normal(size=(2, 4, 12, 12))
-        grads = {}
-        for name in ("fast", "compiled"):
-            xt = Tensor(x.copy(), requires_grad=True)
-            wt = Tensor(w.copy(), requires_grad=True)
-            out = winograd_conv2d_tensor(xt, wt, factory(), padding=1,
-                                         backend=name)
-            out.backward(seed_grad)
-            grads[name] = (out.data, xt.grad, wt.grad)
-        for got, want in zip(grads["compiled"], grads["fast"]):
-            np.testing.assert_allclose(got, want, atol=1e-9)
+        res = compiled.try_autograd(x_padded, w, t, out, out)
+        if not codegen.available():
+            assert res is None
+            return
+        got, backward = res
+        want, backward_fast = FAST.winograd_autograd(x_padded, w, t, out, out)
+        np.testing.assert_allclose(got, want, atol=1e-10)
+        grad = rng.normal(size=want.shape)
+        for g, f in zip(backward(grad), backward_fast(grad)):
+            np.testing.assert_allclose(g, f, atol=1e-9)
 
     def test_conv2d_gemm_matches_fast(self, rng):
         x = rng.normal(size=(2, 3, 9, 11))
         cols = FAST.im2col(x, (3, 3), 1, 1)
         w2d = rng.normal(size=(7, 27))
-        compiled = get_backend("compiled")
-        np.testing.assert_allclose(compiled.conv2d_gemm(w2d, cols),
-                                   FAST.conv2d_gemm(w2d, cols), atol=1e-11)
+        got = compiled.try_gemm(w2d, cols)
+        if not codegen.available():
+            assert got is None
+            return
+        np.testing.assert_allclose(got, FAST.conv2d_gemm(w2d, cols),
+                                   atol=1e-11)
 
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
     def test_integer_path_bit_exact(self, rng, factory):
-        """Integers never enter codegen: the fast path runs verbatim."""
-        transform = factory()
+        """Integers never enter codegen: the adapters decline them, so the
+        tuned tier's integer path runs fast's code bit-exactly."""
+        t = factory()
+        xi, out = _tile_padded(rng.integers(-128, 128, size=(2, 3, 12, 12)),
+                               1, t.m)
+        wi = rng.integers(-128, 128, size=(4, 3, 3, 3))
+        assert compiled.try_forward(xi, wi, t, out, out) is None
+        assert compiled.try_autograd(xi, wi, t, out, out) is None
+        cols = FAST.im2col(xi, (3, 3), 1, 0)
+        assert compiled.try_gemm(wi.reshape(4, -1), cols) is None
         x = rng.normal(size=(2, 3, 12, 12))
         w = rng.normal(size=(4, 3, 3, 3))
-        scales = calibrate_tapwise_scales(x, w, transform, power_of_two=True)
+        scales = calibrate_tapwise_scales(x, w, t, power_of_two=True)
         out_fast, stats_fast = integer_winograd_conv2d(
-            x, w, transform, scales, return_stats=True, backend="fast")
-        out_compiled, stats_compiled = integer_winograd_conv2d(
-            x, w, transform, scales, return_stats=True, backend="compiled")
-        assert stats_compiled == stats_fast
-        np.testing.assert_array_equal(out_compiled, out_fast)
+            x, w, t, scales, return_stats=True, backend="fast")
+        out_tuned, stats_tuned = integer_winograd_conv2d(
+            x, w, t, scales, return_stats=True, backend="tuned")
+        assert stats_tuned == stats_fast
+        np.testing.assert_array_equal(out_tuned, out_fast)
 
-    def test_quantized_replay_bit_exact(self, rng):
-        """A calibrated Quantizer replays identically through compiled."""
-        from repro.quant import Quantizer
-        q = Quantizer(n_bits=8, power_of_two=True)
-        q.forward(Tensor(rng.normal(size=(2, 3, 12, 12))))  # calibrate
-        q.eval()
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        xq = q.fake_quantize_array(x)
-        out_fast = winograd_conv2d(xq, w, winograd_f4(), padding=1,
-                                   backend="fast")
-        out_compiled = winograd_conv2d(xq, w, winograd_f4(), padding=1,
-                                       backend="compiled")
-        np.testing.assert_allclose(out_compiled, out_fast, atol=1e-10)
-
-    def test_disabled_codegen_is_bit_exact_with_fast(self, rng, monkeypatch):
-        """REPRO_CODEGEN=off (== no toolchain) must leave zero numeric trace."""
-        from repro.kernels import codegen
+    def test_disabled_codegen_declines_without_building(self, rng,
+                                                        monkeypatch):
+        """REPRO_CODEGEN=off (== no toolchain) must build nothing."""
         monkeypatch.setenv(codegen.ENV_ENABLE, "off")
         codegen.reset_state()
         try:
             assert not codegen.available()
-            x = rng.normal(size=(2, 3, 12, 12))
+            t = winograd_f4()
+            x_padded, out = _tile_padded(rng.normal(size=(2, 3, 12, 12)),
+                                         1, t.m)
             w = rng.normal(size=(4, 3, 3, 3))
-            for factory in (winograd_f2, winograd_f4):
-                np.testing.assert_array_equal(
-                    winograd_conv2d(x, w, factory(), padding=1,
-                                    backend="compiled"),
-                    winograd_conv2d(x, w, factory(), padding=1,
-                                    backend="fast"))
-            xt = Tensor(x.copy(), requires_grad=True)
-            wt = Tensor(w.copy(), requires_grad=True)
-            out = winograd_conv2d_tensor(xt, wt, winograd_f4(), padding=1,
-                                         backend="compiled")
-            out.backward(np.ones_like(out.data))
-            xf = Tensor(x.copy(), requires_grad=True)
-            wf = Tensor(w.copy(), requires_grad=True)
-            out_f = winograd_conv2d_tensor(xf, wf, winograd_f4(), padding=1,
-                                           backend="fast")
-            out_f.backward(np.ones_like(out_f.data))
-            np.testing.assert_array_equal(out.data, out_f.data)
-            np.testing.assert_array_equal(xt.grad, xf.grad)
-            np.testing.assert_array_equal(wt.grad, wf.grad)
+            assert not compiled.prepare_forward(
+                x_padded, bind_tap_major_weights(FAST, w, t), t, out, out)
+            assert compiled.try_forward(x_padded, w, t, out, out) is None
+            assert not compiled.prepare_autograd(x_padded, w, t, out, out)
+            assert compiled.try_autograd(x_padded, w, t, out, out) is None
+            cols = FAST.im2col(x_padded, (3, 3), 1, 0)
+            assert not compiled.prepare_gemm(w.reshape(4, -1), cols)
+            assert compiled.try_gemm(w.reshape(4, -1), cols) is None
             assert codegen.stats_dict()["builds"] == 0
         finally:
             monkeypatch.delenv(codegen.ENV_ENABLE, raising=False)
             codegen.reset_state()
 
-    def test_uncovered_geometry_delegates_to_fast(self, rng):
-        """Tiles that can't cover the asked-for output delegate to fast.
+    def test_uncovered_geometry_declined(self, rng):
+        """Tiles that can't cover the asked-for output are declined.
 
         The public entry points pad inputs up to full tile coverage, so this
-        can only happen on direct backend-level calls — where ``compiled``
-        must hand the exact same call to ``fast`` rather than run a kernel
-        generated for a geometry that doesn't exist.
+        can only happen on direct calls — where no kernel may be generated
+        for a geometry that doesn't exist.
         """
-        from repro.kernels import compiled
         x_padded = rng.normal(size=(2, 3, 11, 13))  # F4: 2 tiles cover 8 < 9
         w = rng.normal(size=(4, 3, 3, 3))
         t = winograd_f4()
         assert compiled.try_forward(x_padded, w, t, 9, 11) is None
-        np.testing.assert_array_equal(
-            compiled.winograd_forward(x_padded, w, t, 9, 11),
-            FAST.winograd_forward(x_padded, w, t, 9, 11))
+        assert compiled.try_autograd(x_padded, w, t, 9, 11) is None
 
 
 # --------------------------------------------------------------------------- #

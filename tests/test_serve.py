@@ -375,13 +375,31 @@ class TestServer:
         assert stats["throughput_rps"] > 0
 
     def test_model_error_propagates_to_caller(self, rng):
-        def broken(batch):
+        def broken(batch, deadline=None):
             raise RuntimeError("boom")
 
         with Server(broken, max_batch_size=2, max_delay_ms=1) as server:
             handle = server.submit(rng.normal(size=(3, 8, 8)))
             with pytest.raises(RuntimeError, match="boom"):
                 handle.result(timeout=10)
+
+    def test_model_receives_tightest_batch_deadline(self, rng):
+        seen = []
+
+        def model(batch, deadline=None):
+            seen.append(deadline)
+            return batch
+
+        with Server(model, max_batch_size=3, max_delay_ms=2_000) as server:
+            timed = [server.submit(rng.normal(size=(3, 8, 8)), deadline=d)
+                     for d in (60.0, 30.0, None)]
+            for handle in timed:
+                handle.result(timeout=10)
+            untimed = [server.submit(rng.normal(size=(3, 8, 8)))
+                       for _ in range(3)]
+            for handle in untimed:
+                handle.result(timeout=10)
+        assert seen == [timed[1].deadline, None]
 
     def test_graceful_shutdown_drains_queue(self, rng):
         model = resnet_tiny(seed=9)
@@ -397,7 +415,7 @@ class TestServer:
 
 
 # --------------------------------------------------------------------------- #
-# Shared-memory worker pool + BatchRunner transports
+# Shared-memory worker pool behind BatchRunner
 # --------------------------------------------------------------------------- #
 class TestShmPool:
     def test_run_and_map_match_inline(self, rng):
