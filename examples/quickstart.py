@@ -29,8 +29,7 @@ import numpy as np
 
 from repro.accelerator import AcceleratorSystem
 from repro.datasets.synthetic import make_shapes_dataset
-from repro.engine import (CompiledConv, autotune, lower_winograd,
-                          plan_cache_stats)
+from repro.engine import CompiledConv, lower_winograd, plan_cache_stats
 from repro.models.layer_specs import Conv2DSpec
 from repro.models.small import MicroNet
 from repro.nn import Tensor
@@ -141,18 +140,6 @@ def main() -> None:
           f"{np.abs(out_planned - wino).max():.2e}  "
           f"(plan cache: {stats.hits} hits / {stats.misses} misses)")
 
-    # The autotuned tier: the same layer through the `tuned` backend, which
-    # benchmarks its candidate kernel variants per shape and persists the
-    # winners to ~/.cache/repro-plans — later processes (and
-    # compile_model(..., autotune="cached")) reuse them without re-tuning.
-    tuned_conv = CompiledConv(w, padding=1, transform=transform,
-                              backend="tuned")
-    report = autotune.tune(tuned_conv, x.shape, budget=1.0)
-    out_tuned = tuned_conv(x)
-    print(f"    autotuned (`tuned` backend): ran {report['benchmarks_run']} "
-          f"candidate benchmarks, tuned {report['tuned_keys']} keys, "
-          f"max |diff| = {np.abs(out_tuned - wino).max():.2e}")
-
     # --- 2. vs 3. layer-wise vs tap-wise quantization ------------------------
     rows = []
     for label, tapwise in (("single scale per transform", False),
@@ -211,13 +198,11 @@ def main() -> None:
           f"{prim['calls']} call(s), {block['total_s'] * 1e3:.2f} ms total "
           f"(obs.export_trace(path) writes the Perfetto timeline)")
 
-    print("\nNext: whole-model serving — compilation "
-          "(compile_model(..., autotune=\"cached\") reuses\nthe persisted "
-          "kernel winners), micro-batching and the shared-memory worker pool "
-          "live\nin repro.serve; see examples/serve_demo.py for the "
-          "walkthrough. The training-side\nfault drills (worker SIGKILL, "
-          "trainer kill -9 + resume, total pool loss) live in\n"
-          "tests/test_train_faults.py.")
+    print("\nNext: whole-model serving — compilation, micro-batching and the "
+          "shared-memory\nworker pool live in repro.serve; see "
+          "examples/serve_demo.py for the walkthrough.\nThe training-side "
+          "fault drills (worker SIGKILL, trainer kill -9 + resume, total\n"
+          "pool loss) live in tests/test_train_faults.py.")
 
 
 if __name__ == "__main__":

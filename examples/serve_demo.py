@@ -5,20 +5,7 @@ Walks the `repro.serve` subsystem end to end:
 1. **Whole-model compilation** — a CIFAR ResNet is lowered into an immutable
    pipeline of plan-bound steps (weights pre-transformed, BatchNorm folded,
    ReLU fused, workspaces arena-allocated) and checked against the eager
-   module graph. ``autotune="cached"`` pins the convolutions to the
-   autotuned kernel tier and warms any per-shape winners persisted in
-   ``~/.cache/repro-plans`` by earlier tuning runs (``autotune="full"`` or
-   ``repro.engine.autotune.tune`` benchmarks and persists them).
-
-   When a C toolchain is present, full-mode tuning also *generates*
-   shape-specialized native kernels (``repro.kernels.codegen``) and
-   benchmarks them against the blocked numpy variants; winners
-   persist like any other choice and the built objects are cached in
-   ``~/.cache/repro-codegen`` (``REPRO_CODEGEN_CACHE``), so later
-   processes — and respawned pool workers — load them from disk without
-   compiling. Set ``REPRO_CODEGEN=off`` (or have no compiler) and
-   everything degrades bit-exactly to the numpy paths; the
-   ``codegen_cache`` block in ``Server.stats()`` shows which happened.
+   module graph.
 2. **Micro-batched serving** — single-image requests submitted from client
    threads are coalesced into batches under a latency deadline and served;
    the server reports p50/p99 latency and throughput.
@@ -43,8 +30,7 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.engine import BatchRunner, ConvJob, autotune
-from repro.kernels import codegen
+from repro.engine import BatchRunner, ConvJob
 from repro.models.resnet_cifar import resnet_tiny
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
@@ -58,11 +44,7 @@ def main() -> None:
     # --- 1. whole-model compilation -----------------------------------------
     model = resnet_tiny()
     model.eval()
-    # autotune="cached" serves on the `tuned` backend with whatever per-shape
-    # kernel winners previous tuning runs persisted to disk; misses fall back
-    # to the fast defaults without benchmarking (production-safe cold start).
-    compiled = compile_model(model, input_shape=(8, 3, 32, 32),
-                             autotune="cached")
+    compiled = compile_model(model, input_shape=(8, 3, 32, 32))
     x = rng.normal(size=(8, 3, 32, 32))
     with no_grad():
         eager = model(Tensor(x)).data
@@ -73,17 +55,6 @@ def main() -> None:
     print(f"    max |compiled - eager| = {np.abs(served - eager).max():.2e}, "
           f"workspace arena = {compiled.workspace_nbytes / 1024:.0f} KiB "
           f"(reused every call)")
-    tuning = autotune.stats_dict()
-    print(f"    autotune: mode={autotune.get_mode()}, "
-          f"winners loaded from disk={tuning['loaded_records']}, "
-          f"keys defaulted={tuning['default_keys']} "
-          f"(tune(model, shape) benches + persists winners)")
-    cg = codegen.stats_dict()
-    print(f"    codegen: available={codegen.available()} "
-          f"(REPRO_CODEGEN=off or a missing compiler falls back to numpy "
-          f"bit-exactly), builds={cg['builds']}, "
-          f"disk_hits={cg['disk_hits']}, warm_loads={cg['warm_loads']} "
-          f"(autotune='full' builds + benchmarks specialized kernels)")
 
     # --- 2. micro-batched serving -------------------------------------------
     images = [rng.normal(size=(3, 32, 32)) for _ in range(48)]
@@ -184,9 +155,9 @@ def main() -> None:
         prims = ", ".join(f"{name} x{p['calls']}"
                           for name, p in block["primitives"].items())
         print(f"    {total_ms:7.2f} ms  {label}  [{prims}]")
-    print(f"    Server.stats() is one registry snapshot: cache blocks "
-          + ", ".join(f"{name}={stats[name]['hits']} hits"
-                      for name in ("autotune", "plan_cache", "codegen_cache")))
+    plan_cache = stats["plan_cache"]
+    print(f"    Server.stats() is one registry snapshot: plan_cache "
+          f"{plan_cache['hits']} hits / {plan_cache['misses']} misses")
 
 
 if __name__ == "__main__":

@@ -86,8 +86,8 @@ def assemble_critical_path(stage_times: dict[str, float],
     Returns ``(breakdown, total_cycles, bottleneck_stage)``.
     """
     bottleneck = max(stage_times, key=stage_times.get)
-    l2_block_bytes = l1_size_bytes // 2
-    num_outer = max(8, ceil_div(int(ifm_bytes), l2_block_bytes))
+    l2_tile_size = l1_size_bytes // 2   # bytes per outer-loop block
+    num_outer = max(8, ceil_div(int(ifm_bytes), l2_tile_size))
 
     breakdown = CycleBreakdown()
     for stage, cycles in prologue:

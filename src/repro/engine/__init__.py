@@ -20,11 +20,6 @@ batches through the fixed plan:
   compile their job once and share plan-cache keys, so they never re-lower.
 * :func:`warm_plans` — pre-lower every conv layer of a model by tracing one
   forward pass, so training loops and sweeps start with a hot plan cache.
-* :mod:`repro.engine.autotune` — plan-guided autotuning for the ``tuned``
-  kernel backend: per-shape kernel-variant winners (recorded on tuned plans
-  as :class:`TuningRecord`), explicit budgets (``tune(model, budget=...)``,
-  ``REPRO_AUTOTUNE=off|cached|full``), and a versioned on-disk cache so
-  cold processes — including respawned pool workers — skip tuning.
 
 The eager entry points in :mod:`repro.nn.functional`,
 :mod:`repro.winograd.conv` and :mod:`repro.quant.qconv` lower-then-execute
@@ -36,9 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autotune
 from .arena import ArenaPool, WorkspaceArena, current_arena, use_arena
-from .autotune import TuningRecord
 from .executor import CompiledConv, execute, execute_tensor
 from .plan import (PLAN_CACHE_MAXSIZE, LayerPlan, PlanStats, clear_plan_cache,
                    lower_conv2d, lower_winograd, plan_cache_stats,
@@ -50,8 +43,6 @@ __all__ = [
     "WorkspaceArena",
     "use_arena",
     "current_arena",
-    "autotune",
-    "TuningRecord",
     "LayerPlan",
     "PlanStats",
     "lower_winograd",

@@ -78,11 +78,6 @@ class LayerPlan:
     pad_width: tuple | None = None              # np.pad spec for the input
     workspace: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
     quant: MappingProxyType | None = None       # quantization parameters, if any
-    # Autotuning state (tuned-backend plans only): a live
-    # :class:`repro.engine.autotune.TuningRecord` view of the primitive keys
-    # this plan consults and the variant choices bound to them.  Attached by
-    # the interner after construction; excluded from equality/hash/repr.
-    tuning: object | None = field(default=None, compare=False, repr=False)
 
     @property
     def out_shape(self) -> tuple[int, int, int, int]:
@@ -135,19 +130,6 @@ def reset_plan_stats() -> None:
 add_backend_listener(clear_plan_cache)
 
 
-def _attach_tuning(plan: LayerPlan) -> LayerPlan:
-    """Attach a live TuningRecord to tuned-backend plans (idempotent).
-
-    Done outside construction so lowering stays independent of the autotune
-    module; ``object.__setattr__`` is the sanctioned frozen-dataclass hatch
-    and is race-benign (two attachers write equivalent records).
-    """
-    if plan.tuning is None and plan.backend.name == "tuned":
-        from .autotune import TuningRecord
-        object.__setattr__(plan, "tuning", TuningRecord.for_plan(plan))
-    return plan
-
-
 def _intern(key: tuple, build) -> LayerPlan:
     with _LOCK:
         plan = _CACHE.get(key)
@@ -161,13 +143,13 @@ def _intern(key: tuple, build) -> LayerPlan:
         existing = _CACHE.get(key)
         if existing is not None:        # lost a race: keep the first plan
             _STATS.hits += 1
-            return _attach_tuning(existing)
+            return existing
         _STATS.misses += 1
         _CACHE[key] = plan
         if len(_CACHE) > PLAN_CACHE_MAXSIZE:
             _CACHE.popitem(last=False)
             _STATS.evictions += 1
-    return _attach_tuning(plan)
+    return plan
 
 
 def _freeze_quant(quant) -> tuple[tuple | None, MappingProxyType | None]:

@@ -11,15 +11,7 @@ can coexist.  Every backend implements every member of
   equivalence testing, with the fused Winograd entry points composed from
   those primitives (:mod:`repro.kernels.reference`);
 * ``"fast"`` — batched-GEMM formulations that reach BLAS, the default
-  (:mod:`repro.kernels.fast`);
-* ``"tuned"`` — per-shape autotuned variants of the fast primitives, driven
-  by :mod:`repro.engine.autotune`'s persistent plan/winner cache
-  (:mod:`repro.kernels.tuned`).  With an empty tuning store it behaves
-  exactly like ``fast``.  Where a C toolchain exists it also benchmarks
-  shape-specialized kernels generated per plan geometry by
-  :mod:`repro.kernels.codegen` (through the adapters in
-  :mod:`repro.kernels.compiled`) as extra candidates and persists per-shape
-  winners, so ``tuned`` arbitrates numpy vs codegen.
+  (:mod:`repro.kernels.fast`).
 
 Select a backend globally with :func:`set_backend` / :func:`use_backend`, via
 the ``REPRO_KERNEL_BACKEND`` environment variable, or per call with the
@@ -31,7 +23,7 @@ This package deliberately imports nothing else from :mod:`repro`, so every
 compute module can depend on it without import cycles.
 """
 
-from . import fast, reference, tuned
+from . import fast, reference
 from .einsum_cache import cached_einsum
 from .registry import (DEFAULT_BACKEND, ENV_VAR, KernelBackend,
                        UnknownBackendError, add_backend_listener,
@@ -55,4 +47,3 @@ __all__ = [
 
 register_backend(reference.BACKEND)
 register_backend(fast.BACKEND)
-register_backend(tuned.BACKEND)

@@ -220,6 +220,13 @@ def scatter_tiles_add(grad_tiles: np.ndarray, padded_shape: tuple[int, int, int,
 _BLOCK_BYTES = 144 * 1024
 
 
+def _rows_per_block(a: int, cin: int, n_h: int, n_w: int, itemsize: int) -> int:
+    """Rows of Winograd tiles per block, keeping a gathered block near
+    :data:`_BLOCK_BYTES`."""
+    row_bytes = a * a * cin * n_w * itemsize
+    return min(n_h, max(1, _BLOCK_BYTES // max(row_bytes, 1)))
+
+
 def transform_weights_tap_major(weight: np.ndarray, transform) -> np.ndarray:
     """``G f GT`` in the tap-major ``(a², Cout, Cin)`` layout of the fused kernel.
 
@@ -237,8 +244,7 @@ def transform_weights_tap_major(weight: np.ndarray, transform) -> np.ndarray:
 def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
                      out_h: int, out_w: int,
                      w_r: np.ndarray | None = None,
-                     out: np.ndarray | None = None,
-                     block_bytes: int | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Whole Winograd pipeline on the already-padded input, without bias.
 
     This is the dataflow the accelerator actually runs (Listing 1 of the
@@ -258,8 +264,6 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     ``out`` optionally supplies the *uncropped* ``(N, Cout, n_h*m, n_w*m)``
     output workspace (e.g. from a :class:`repro.engine.WorkspaceArena`), so
     steady-state serving loops do zero fresh large allocations here.
-    ``block_bytes`` overrides the :data:`_BLOCK_BYTES` working-set target —
-    the knob the ``tuned`` backend's autotuner turns per shape.
     """
     m, r, a = transform.m, transform.r, transform.alpha
     n, cin, hp, wp = x_padded.shape
@@ -280,11 +284,7 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         raise ValueError(f"out workspace must be {full_shape} of {out_dtype}, "
                          f"got {out.shape} of {out.dtype}")
 
-    # Rows of Winograd tiles per block, sized to keep the gathered tile
-    # block around the working-set target.
-    target = _BLOCK_BYTES if block_bytes is None else int(block_bytes)
-    row_bytes = a * a * cin * n_w * x_padded.itemsize
-    rows_per_block = min(n_h, max(1, target // max(row_bytes, 1)))
+    rows_per_block = _rows_per_block(a, cin, n_h, n_w, x_padded.itemsize)
 
     for nn in range(n):
         image = x_padded[nn]
@@ -333,8 +333,7 @@ def _separable_pair(t3: np.ndarray, left: np.ndarray, right: np.ndarray
 
 
 def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
-                      out_h: int, out_w: int,
-                      block_bytes: int | None = None):
+                      out_h: int, out_w: int):
     """Fused Winograd training step: blocked forward now, blocked adjoints later.
 
     Returns ``(out, backward)`` where ``backward(grad)`` yields
@@ -363,13 +362,10 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
     bt, at, g = transform.BT, transform.AT, transform.G
 
     w_r = transform_weights_tap_major(weight, transform)             # (a²,O,I)
-    out = winograd_forward(x_padded, weight, transform, out_h, out_w, w_r=w_r,
-                           block_bytes=block_bytes)
+    out = winograd_forward(x_padded, weight, transform, out_h, out_w, w_r=w_r)
 
     full_h, full_w = n_h * m, n_w * m
-    target = _BLOCK_BYTES if block_bytes is None else int(block_bytes)
-    row_bytes = a * a * cin * n_w * x_padded.itemsize
-    rows_per_block = min(n_h, max(1, target // max(row_bytes, 1)))
+    rows_per_block = _rows_per_block(a, cin, n_h, n_w, x_padded.itemsize)
 
     def backward(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if full_h == out_h and full_w == out_w:

@@ -10,15 +10,9 @@ Two halves:
   multiple threads (e.g. ``ServerStats``) hold their own lock, matching
   the pre-obs design.
 * **Registry** — a process-wide :data:`REGISTRY` of named *collectors*
-  (zero-arg callables returning a stats dict).  The kernel-selection
-  subsystems (autotune store, plan cache, codegen object store) register
-  collectors at import, so ``Server.stats()`` is one
-  ``REGISTRY.collect()`` call instead of four hand-merged imports.
-
-Collector blocks use **unified key naming**: every cache-like subsystem
-exposes ``hits`` / ``misses`` alongside its original fine-grained keys
-(``memory_hits``, ``disk_hits``, ``builds``, ...), which are kept as
-aliases so existing ``Server.stats()`` consumers keep working.
+  (zero-arg callables returning a stats dict).  The plan cache registers
+  its collector at import, so ``Server.stats()`` is one
+  ``REGISTRY.collect()`` call.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ import numpy as np
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "LatencyWindow",
-    "MetricsRegistry", "REGISTRY", "cache_blocks",
+    "MetricsRegistry", "REGISTRY",
 ]
 
 
@@ -196,16 +190,8 @@ REGISTRY = MetricsRegistry()
 
 
 # --------------------------------------------------------------------- #
-# Default collectors: kernel-selection subsystems with unified keys
+# Default collector: the plan cache
 # --------------------------------------------------------------------- #
-def _autotune_block() -> dict:
-    from ..engine import autotune
-    block = dict(autotune.stats_dict())
-    # Unified alias: a lookup served from any cache tier is a hit.
-    block["hits"] = block.get("memory_hits", 0) + block.get("disk_hits", 0)
-    return block
-
-
 def _plan_cache_block() -> dict:
     from ..engine import plan
     stats = plan.plan_cache_stats()
@@ -213,23 +199,4 @@ def _plan_cache_block() -> dict:
             "evictions": stats.evictions, "size": stats.size}
 
 
-def _codegen_block() -> dict:
-    from ..kernels import codegen
-    block = dict(codegen.stats_dict())
-    block["hits"] = block.get("memory_hits", 0) + block.get("disk_hits", 0)
-    # A build (successful or not) means the lookup missed every cache tier.
-    block["misses"] = block.get("builds", 0) + block.get("build_failures", 0)
-    return block
-
-
-REGISTRY.register_collector("autotune", _autotune_block)
 REGISTRY.register_collector("plan_cache", _plan_cache_block)
-REGISTRY.register_collector("codegen_cache", _codegen_block)
-
-
-def cache_blocks() -> dict:
-    """The kernel-selection collector blocks only (bench meta helper)."""
-    snapshot = REGISTRY.collect()
-    return {name: snapshot[name]
-            for name in ("autotune", "plan_cache", "codegen_cache")
-            if name in snapshot}

@@ -4,10 +4,8 @@ When profiling is enabled, the executor swaps a plan's backend for a
 *profiled* copy — the same frozen :class:`~repro.kernels.KernelBackend`
 with every primitive member wrapped to accumulate wall time into a
 process-wide table keyed ``(plan label, primitive)``.  Each entry
-remembers which backend ran and, for tuned plans, which autotuner
-candidate each primitive was bound to (via the plan's
-:class:`~repro.engine.autotune.TuningRecord`), answering "which layer is
-hot, and did the tuner's pick actually win in production?".
+remembers which backend ran, answering "which layer is hot, and in which
+primitive?".
 
 Profiled backends are built once per ``(plan label, backend)`` and cached,
 so steady-state overhead is one dict lookup plus two clock reads per
@@ -34,7 +32,7 @@ _ENABLED = _env_on(os.environ.get("REPRO_OBS"))
 _lock = threading.Lock()
 # (plan_label, primitive) -> [calls, total_s]
 _times: dict[tuple[str, str], list] = {}
-# plan_label -> {"kind", "backend", "tuning": TuningRecord | None}
+# plan_label -> {"kind", "backend"}
 _plans: dict[str, dict] = {}
 # (plan_label, KernelBackend) -> profiled copy of that backend
 _wrapped: dict[tuple[str, object], object] = {}
@@ -92,8 +90,7 @@ def backend_for(plan):
         return wrapped
     with _lock:
         _plans.setdefault(label, {"kind": plan.kind,
-                                  "backend": plan.backend.name,
-                                  "tuning": plan.tuning})
+                                  "backend": plan.backend.name})
 
     def _wrap(primitive: str, fn):
         key = (label, primitive)
@@ -114,25 +111,12 @@ def backend_for(plan):
     return wrapped
 
 
-def _candidates(tuning) -> dict:
-    """primitive-key -> {"choice", "source"} for a TuningRecord."""
-    if tuning is None:
-        return {}
-    try:
-        choices = tuning.choices()
-        sources = tuning.sources()
-    except Exception:  # pragma: no cover - defensive: stats must not raise
-        return {}
-    return {key: {"choice": choices[key], "source": sources.get(key)}
-            for key in choices}
-
-
 def report() -> dict:
     """Accumulated profile: ``{plan label: {...}}``.
 
-    Each plan block carries the backend that ran, the autotuner candidate
-    bindings (for tuned plans), and per-primitive ``calls`` / ``total_s``
-    / ``mean_ms``, plus the plan's total kernel seconds.
+    Each plan block carries the backend that ran and per-primitive
+    ``calls`` / ``total_s`` / ``mean_ms``, plus the plan's total kernel
+    seconds.
     """
     with _lock:
         times = {key: list(value) for key, value in _times.items()}
@@ -143,7 +127,6 @@ def report() -> dict:
         block = out.setdefault(label, {
             "kind": info.get("kind"),
             "backend": info.get("backend"),
-            "candidates": _candidates(info.get("tuning")),
             "total_s": 0.0,
             "primitives": {},
         })

@@ -620,8 +620,7 @@ class CompiledModel:
         Requires observability (``repro.obs``) to be enabled while batches
         run; returns the process-wide :func:`repro.obs.profile.report`
         filtered to the plans this model's convolution steps used — per
-        primitive calls / wall time, attributed to the backend and (for
-        tuned plans) the autotuner candidate that ran.
+        primitive calls / wall time, attributed to the backend that ran.
         """
         from ..obs import profile as obs_profile
         labels: set[str] = set()
@@ -643,8 +642,7 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
                   transform: WinogradTransform | str | None = "F4",
                   backend: str | KernelBackend | None = None,
                   fold_bn: bool = True, fuse_relu: bool = True,
-                  use_arena: bool = True,
-                  autotune: str | None = None) -> CompiledModel:
+                  use_arena: bool = True) -> CompiledModel:
     """Lower ``model`` into a :class:`CompiledModel` (eval-mode semantics).
 
     Parameters
@@ -668,21 +666,7 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
         Toggles for the whole-model optimisations (all on by default; turning
         them all off yields the plain per-layer ``CompiledConv`` behaviour,
         which is the baseline the serving benchmark measures against).
-    autotune:
-        ``None`` leaves kernel selection to ``backend``.  Any of
-        :data:`repro.engine.autotune.MODES` pins the model's convolutions to
-        the ``tuned`` backend (unless ``backend`` is given explicitly) and
-        controls how winners are found: ``"cached"`` warms from the on-disk
-        plan cache only (no benchmarking — safe for serving workers),
-        ``"full"`` benchmarks unresolved kernels during the warm-up pass
-        (needs ``input_shape``), ``"off"`` runs the untuned defaults.
     """
-    from ..engine import autotune as _autotune_mod
-
-    if autotune is not None:
-        autotune = _autotune_mod.check_mode(autotune)
-        if backend is None and autotune != "off":
-            backend = "tuned"
     if isinstance(transform, str):
         transform = get_transform(transform)
     ctx = _CompileCtx(transform, fold_bn, fuse_relu, backend)
@@ -696,12 +680,6 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
             model.train()
 
     compiled = CompiledModel(steps, use_arena=use_arena)
-    if autotune == "cached":
-        _autotune_mod.warm_disk()
     if input_shape is not None:
-        if autotune == "full":
-            with _autotune_mod.use_mode("full"):
-                compiled.warmup(input_shape)
-        else:
-            compiled.warmup(input_shape)
+        compiled.warmup(input_shape)
     return compiled

@@ -138,15 +138,6 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
     idle pool's pipes empty.  Both threads share ``send_lock`` so reply and
     heartbeat frames never interleave on the pipe.
 
-    Before compiling, the worker warms the autotune store from the shared
-    on-disk plan cache — a worker serving the ``tuned`` backend (including a
-    supervisor respawn) binds pre-measured kernel winners instead of running
-    benchmarks of its own — and preloads any prebuilt codegen objects from
-    the shared object store, so adopting a winner that names a generated
-    kernel never triggers a compile (or a benchmark) inside a worker.  The
-    parent can query the resulting counters with an ``("autotune_stats",)``
-    control message; codegen counters ride along under a ``"codegen"`` key.
-
     With :mod:`repro.obs` tracing enabled, the worker records spans locally
     (a ``worker.job`` span around each compute, plus whatever the executor
     records inside it) and ships the drained events back as the last element
@@ -160,16 +151,6 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
     _trace.suppress_export()
     if _trace._ENABLED:
         _trace.reset()
-    try:
-        from ..engine import autotune as _autotune
-        _autotune.warm_disk()
-    except Exception:  # pragma: no cover - tuning must never block serving
-        _autotune = None
-    try:
-        from ..kernels import codegen as _codegen
-        _codegen.warm_disk()
-    except Exception:  # pragma: no cover - codegen must never block serving
-        _codegen = None
     conv = job.compile()
     in_shm = _attach(in_name)
     out_shm = _attach(out_name)
@@ -242,11 +223,6 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
                 out_shm.close()
                 out_shm = _attach(msg[1])
                 _send(("attached",))
-            elif tag == "autotune_stats":
-                stats = _autotune.stats_dict() if _autotune is not None else {}
-                stats["codegen"] = (_codegen.stats_dict()
-                                    if _codegen is not None else {})
-                _send(("autotune_stats", stats))
             elif tag == "stop":
                 break
     except (EOFError, KeyboardInterrupt):      # parent went away
@@ -671,28 +647,6 @@ class ShmWorkerPool:
             "retried_jobs": sup.retried_jobs,
             "corrupt_replies": sup.corrupt_replies,
         }
-
-    def autotune_stats(self) -> dict:
-        """Per-worker autotune counters, keyed by worker index.
-
-        Each live worker replies with its in-process
-        :func:`repro.engine.autotune.stats_dict` — the proof point being
-        ``benchmarks_run == 0`` with ``disk_hits > 0`` on a worker (including
-        a supervisor respawn) that warmed from the shared on-disk plan cache.
-        Workers that die mid-query are skipped.
-        """
-        out: dict[int, dict] = {}
-        for w in self._live():
-            try:
-                w.conn.send(("autotune_stats",))
-                while True:
-                    msg = w._recv_ctrl()
-                    if msg[0] == "autotune_stats":
-                        out[w.index] = msg[1]
-                        break
-            except (EOFError, BrokenPipeError, OSError):
-                continue
-        return out
 
     def kill_worker(self, index: int) -> None:
         """SIGKILL one live worker process (chaos-testing helper)."""

@@ -280,17 +280,11 @@ class Server:
     def stats(self) -> dict:
         """Throughput, latency, and robustness counters snapshot.
 
-        Besides the serving counters, exposes the kernel-selection state of
-        this process as one :data:`repro.obs.REGISTRY` collect: the autotune
-        store counters (``"autotune"``), the plan cache (``"plan_cache"``)
-        and the codegen object store (``"codegen_cache"``) — each with
-        unified ``hits``/``misses`` keys alongside their original
-        fine-grained counters — so which kernels serve and where they came
-        from (memory, disk, benchmark, compile) is observable per server.
-        With :mod:`repro.obs` profiling enabled, ``"profile"`` carries the
-        per-plan kernel wall-time report.  Pool workers are separate
-        processes with their own counters; query those through
-        ``ShmWorkerPool.autotune_stats()``.
+        Besides the serving counters, carries one :data:`repro.obs.REGISTRY`
+        collect (the plan cache's ``hits``/``misses``/``evictions``/``size``
+        under ``"plan_cache"``).  With :mod:`repro.obs` profiling enabled,
+        ``"profile"`` carries the per-plan kernel wall-time report.  Pool
+        workers are separate processes with their own plan caches.
         """
         out = self.stats_.snapshot()
         out["queue_depth"] = self.batcher.pending()

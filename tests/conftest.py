@@ -2,24 +2,9 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import settings
-
-# Isolate the autotune plan cache: tests must neither read winners from a
-# developer's real ~/.cache/repro-plans nor write into it.  Tests that
-# exercise the disk cache point REPRO_PLAN_CACHE at their own tmp_path.
-os.environ.setdefault("REPRO_PLAN_CACHE",
-                      tempfile.mkdtemp(prefix="repro-plans-test-"))
-
-# Same isolation for the codegen object store — one shared tmp dir for the
-# whole session, so kernels built by one test are disk hits for the rest
-# instead of repeated compiles.
-os.environ.setdefault("REPRO_CODEGEN_CACHE",
-                      tempfile.mkdtemp(prefix="repro-codegen-test-"))
 
 # Keep hypothesis fast and deterministic for CI-style runs.
 settings.register_profile("repro", max_examples=25, deadline=None,

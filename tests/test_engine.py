@@ -370,13 +370,23 @@ class TestFailFast:
             set_backend("warp-drive")
 
     def test_env_var_source_is_named(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "nonexistent")
+        self._assert_env_var_named(monkeypatch, "nonexistent")
+
+    # tuned and compiled were backends once: a deployment that still
+    # selects them must fail fast with the variable named.
+    @pytest.mark.parametrize("name", "tuned compiled".split())
+    def test_retired_backend_env_var_is_named(self, monkeypatch, name):
+        self._assert_env_var_named(monkeypatch, name)
+
+    @staticmethod
+    def _assert_env_var_named(monkeypatch, name):
+        monkeypatch.setenv(ENV_VAR, name)
         reset_backend()
         try:
             with pytest.raises(UnknownBackendError) as excinfo:
                 get_backend()
             assert ENV_VAR in str(excinfo.value)
-            assert "nonexistent" in str(excinfo.value)
+            assert repr(name) in str(excinfo.value)
         finally:
             monkeypatch.delenv(ENV_VAR)
             reset_backend()

@@ -12,9 +12,8 @@ import pytest
 
 import repro.kernels as kernels
 from repro.engine.executor import bind_tap_major_weights
-from repro.kernels import (available_backends, codegen, compiled,
-                           get_backend, reset_backend, set_backend,
-                           use_backend)
+from repro.kernels import (available_backends, get_backend, reset_backend,
+                           set_backend, use_backend)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
@@ -31,8 +30,7 @@ REF = get_backend("reference")
 FAST = get_backend("fast")
 
 # What reset_backend() resolves to in this process: the environment override
-# if the CI matrix set one (e.g. REPRO_KERNEL_BACKEND=tuned), else the
-# built-in default.
+# if one is set, else the built-in default.
 DEFAULT_NAME = os.environ.get(kernels.ENV_VAR) or kernels.DEFAULT_BACKEND
 
 
@@ -41,7 +39,7 @@ DEFAULT_NAME = os.environ.get(kernels.ENV_VAR) or kernels.DEFAULT_BACKEND
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert available_backends() == ["fast", "reference", "tuned"]
+        assert available_backends() == ["fast", "reference"]
 
     def test_default_resolution(self):
         reset_backend()
@@ -295,124 +293,6 @@ class TestEndToEnd:
         scales = calibrate_tapwise_scales(x, w, winograd_f6())
         with pytest.raises(ValueError):
             integer_winograd_conv2d(x, w, winograd_f6(), scales)
-
-
-# --------------------------------------------------------------------------- #
-# Generated-kernel adapters (repro.kernels.compiled) the tuned tier arbitrates
-# --------------------------------------------------------------------------- #
-def _tile_padded(x, padding, m):
-    """Pad like the public entry points: enough for full tile coverage."""
-    out = x.shape[-1] + 2 * padding - 2
-    extra = -(-out // m) * m - out
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding + extra),
-                      (padding, padding + extra))), out
-
-
-class TestCompiledBackend:
-    """``compiled.try_*`` must match ``fast`` whenever codegen delivers, and
-    decline with ``None`` (so callers take their numpy paths) whenever it
-    cannot: no toolchain, ``REPRO_CODEGEN=off``, non-float64 inputs or a
-    geometry the tiles do not cover."""
-
-    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_float_forward_matches_fast(self, rng, factory, padding):
-        t = factory()
-        x_padded, out = _tile_padded(rng.normal(size=(2, 3, 12, 12)),
-                                     padding, t.m)
-        w = rng.normal(size=(4, 3, 3, 3))
-        got = compiled.try_forward(x_padded, w, t, out, out)
-        if not codegen.available():
-            assert got is None
-            return
-        np.testing.assert_allclose(
-            got, FAST.winograd_forward(x_padded, w, t, out, out), atol=1e-10)
-
-    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    def test_autograd_matches_fast(self, rng, factory):
-        t = factory()
-        x_padded, out = _tile_padded(rng.normal(size=(2, 3, 12, 12)), 1, t.m)
-        w = rng.normal(size=(4, 3, 3, 3))
-        res = compiled.try_autograd(x_padded, w, t, out, out)
-        if not codegen.available():
-            assert res is None
-            return
-        got, backward = res
-        want, backward_fast = FAST.winograd_autograd(x_padded, w, t, out, out)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-        grad = rng.normal(size=want.shape)
-        for g, f in zip(backward(grad), backward_fast(grad)):
-            np.testing.assert_allclose(g, f, atol=1e-9)
-
-    def test_conv2d_gemm_matches_fast(self, rng):
-        x = rng.normal(size=(2, 3, 9, 11))
-        cols = FAST.im2col(x, (3, 3), 1, 1)
-        w2d = rng.normal(size=(7, 27))
-        got = compiled.try_gemm(w2d, cols)
-        if not codegen.available():
-            assert got is None
-            return
-        np.testing.assert_allclose(got, FAST.conv2d_gemm(w2d, cols),
-                                   atol=1e-11)
-
-    @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    def test_integer_path_bit_exact(self, rng, factory):
-        """Integers never enter codegen: the adapters decline them, so the
-        tuned tier's integer path runs fast's code bit-exactly."""
-        t = factory()
-        xi, out = _tile_padded(rng.integers(-128, 128, size=(2, 3, 12, 12)),
-                               1, t.m)
-        wi = rng.integers(-128, 128, size=(4, 3, 3, 3))
-        assert compiled.try_forward(xi, wi, t, out, out) is None
-        assert compiled.try_autograd(xi, wi, t, out, out) is None
-        cols = FAST.im2col(xi, (3, 3), 1, 0)
-        assert compiled.try_gemm(wi.reshape(4, -1), cols) is None
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        scales = calibrate_tapwise_scales(x, w, t, power_of_two=True)
-        out_fast, stats_fast = integer_winograd_conv2d(
-            x, w, t, scales, return_stats=True, backend="fast")
-        out_tuned, stats_tuned = integer_winograd_conv2d(
-            x, w, t, scales, return_stats=True, backend="tuned")
-        assert stats_tuned == stats_fast
-        np.testing.assert_array_equal(out_tuned, out_fast)
-
-    def test_disabled_codegen_declines_without_building(self, rng,
-                                                        monkeypatch):
-        """REPRO_CODEGEN=off (== no toolchain) must build nothing."""
-        monkeypatch.setenv(codegen.ENV_ENABLE, "off")
-        codegen.reset_state()
-        try:
-            assert not codegen.available()
-            t = winograd_f4()
-            x_padded, out = _tile_padded(rng.normal(size=(2, 3, 12, 12)),
-                                         1, t.m)
-            w = rng.normal(size=(4, 3, 3, 3))
-            assert not compiled.prepare_forward(
-                x_padded, bind_tap_major_weights(FAST, w, t), t, out, out)
-            assert compiled.try_forward(x_padded, w, t, out, out) is None
-            assert not compiled.prepare_autograd(x_padded, w, t, out, out)
-            assert compiled.try_autograd(x_padded, w, t, out, out) is None
-            cols = FAST.im2col(x_padded, (3, 3), 1, 0)
-            assert not compiled.prepare_gemm(w.reshape(4, -1), cols)
-            assert compiled.try_gemm(w.reshape(4, -1), cols) is None
-            assert codegen.stats_dict()["builds"] == 0
-        finally:
-            monkeypatch.delenv(codegen.ENV_ENABLE, raising=False)
-            codegen.reset_state()
-
-    def test_uncovered_geometry_declined(self, rng):
-        """Tiles that can't cover the asked-for output are declined.
-
-        The public entry points pad inputs up to full tile coverage, so this
-        can only happen on direct calls — where no kernel may be generated
-        for a geometry that doesn't exist.
-        """
-        x_padded = rng.normal(size=(2, 3, 11, 13))  # F4: 2 tiles cover 8 < 9
-        w = rng.normal(size=(4, 3, 3, 3))
-        t = winograd_f4()
-        assert compiled.try_forward(x_padded, w, t, 9, 11) is None
-        assert compiled.try_autograd(x_padded, w, t, 9, 11) is None
 
 
 # --------------------------------------------------------------------------- #

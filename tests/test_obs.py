@@ -120,14 +120,9 @@ class TestRegistry:
         assert reg.collectors() == ["good"]
 
     def test_default_cache_blocks_have_unified_keys(self):
-        blocks = obs_metrics.cache_blocks()
-        assert set(blocks) == {"autotune", "plan_cache", "codegen_cache"}
-        for name, block in blocks.items():
-            assert "hits" in block, name
-            assert "misses" in block, name
-        # Original fine-grained keys survive as aliases.
-        assert "memory_hits" in blocks["autotune"]
-        assert "builds" in blocks["codegen_cache"]
+        block = obs_metrics.REGISTRY.collect()["plan_cache"]
+        assert set(block) == {"hits", "misses", "evictions", "size"}
+        assert all(isinstance(v, int) for v in block.values())
 
 
 # --------------------------------------------------------------------------- #
@@ -350,10 +345,9 @@ class TestServerStats:
         assert stats["requests"] == 3
         assert stats["latency_p50_ms"] > 0
         assert stats["latency_p99_ms"] >= stats["latency_p50_ms"]
-        # ... plus the new percentile and the unified registry blocks.
+        # ... plus the new percentile and the registry's plan-cache block.
         assert stats["latency_p99_ms"] >= stats["latency_p95_ms"] > 0
-        for block in ("autotune", "plan_cache", "codegen_cache"):
-            assert "hits" in stats[block]
+        assert "hits" in stats["plan_cache"]
         assert "profile" not in stats       # profiling off -> no block
 
     def test_stats_profile_block_when_enabled(self, obs_on, rng):

@@ -45,10 +45,10 @@ def _spawn_pool(*args, **kwargs):
         pytest.skip(f"multiprocessing/shared memory unavailable: {exc}")
 
 
-def _job(rng, **kwargs) -> ConvJob:
+def _job(rng) -> ConvJob:
     w = rng.normal(size=(4, 3, 3, 3))
     return ConvJob(weight=w, bias=rng.normal(size=(4,)), padding=1,
-                   transform="F4", **kwargs)
+                   transform="F4")
 
 
 class _SentinelJob(ConvJob):
@@ -275,95 +275,6 @@ class TestPoolChaos:
         assert death[7]["worker"] == 0
         retry = next(e for e in events if e[1] == "pool.retry")
         assert retry[7]["attempt"] >= 1
-
-
-# --------------------------------------------------------------------------- #
-# Autotune cache under chaos: respawned workers re-warm from disk
-# --------------------------------------------------------------------------- #
-class TestTunedWorkerWarmth:
-    def test_respawned_worker_rewarms_from_disk(self, rng, tmp_path,
-                                                monkeypatch):
-        """A SIGKILLed tuned worker's replacement loads winners, never tunes.
-
-        The parent tunes the exact chunk shape the pool will shard to and
-        persists the winners; every worker — including the supervisor's
-        respawn after the scripted kill — must then answer its kernel-variant
-        decisions from the disk cache with zero benchmarks.
-        """
-        from repro.engine import autotune
-        monkeypatch.setenv(autotune.ENV_CACHE_DIR, str(tmp_path))
-        autotune.reset_state()
-        try:
-            job = _job(rng, backend="tuned")
-            x = rng.normal(size=(6, 3, 12, 12))
-            conv = job.compile()
-            with autotune.use_mode("full"):
-                conv(x[:3])                    # one 2-worker chunk's shape
-            assert autotune.stats().persisted_records >= 1
-
-            autotune.reset_state()             # forked workers start cold
-            plan = FaultPlan().kill(worker=0, step=1)
-            with _spawn_pool(job, 2, faults=plan) as pool:
-                got = pool.run(x)
-                assert pool.stats()["restarts"] >= 1
-                per_worker = pool.autotune_stats()
-                assert sorted(per_worker) == [0, 1]
-                for stats in per_worker.values():
-                    assert stats["benchmarks_run"] == 0
-                    assert stats["disk_loads"] >= 1
-                    assert stats["loaded_records"] >= 1
-                assert sum(s["disk_hits"] for s in per_worker.values()) >= 1
-            with _spawn_pool(job, 2) as clean:
-                np.testing.assert_array_equal(got, clean.run(x))
-        finally:
-            autotune.reset_state()
-
-    def test_respawned_worker_warms_codegen_objects(self, rng, tmp_path,
-                                                    monkeypatch):
-        """A respawned worker loads prebuilt codegen objects, never compiles.
-
-        The parent's full-mode tuning pass builds the shape-specialized
-        kernels into the shared object store; every worker — including the
-        replacement for the SIGKILLed one — must preload them at spawn
-        (``warm_loads``) and answer its decisions without a single build or
-        benchmark of its own.
-        """
-        from repro.engine import autotune
-        from repro.kernels import codegen
-        if not codegen.available():
-            pytest.skip("no C toolchain / cffi in this environment")
-        monkeypatch.setenv(autotune.ENV_CACHE_DIR, str(tmp_path / "plans"))
-        monkeypatch.setenv(codegen.ENV_CACHE_DIR, str(tmp_path / "codegen"))
-        autotune.reset_state()
-        codegen.reset_state()
-        try:
-            job = _job(rng, backend="tuned")
-            x = rng.normal(size=(6, 3, 12, 12))
-            conv = job.compile()
-            with autotune.use_mode("full"):
-                conv(x[:3])                    # one 2-worker chunk's shape
-            assert autotune.stats().persisted_records >= 1
-            assert codegen.stats_dict()["builds"] >= 1
-
-            autotune.reset_state()             # forked workers start cold
-            codegen.reset_state()
-            plan = FaultPlan().kill(worker=0, step=1)
-            with _spawn_pool(job, 2, faults=plan) as pool:
-                got = pool.run(x)
-                assert pool.stats()["restarts"] >= 1
-                per_worker = pool.autotune_stats()
-                assert sorted(per_worker) == [0, 1]
-                for stats in per_worker.values():
-                    assert stats["benchmarks_run"] == 0
-                    cg = stats["codegen"]
-                    assert cg["builds"] == 0
-                    assert cg["build_failures"] == 0
-                    assert cg["warm_loads"] >= 1
-            with _spawn_pool(job, 2) as clean:
-                np.testing.assert_array_equal(got, clean.run(x))
-        finally:
-            autotune.reset_state()
-            codegen.reset_state()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,48 +1,27 @@
-"""Tests for the ``tuned`` backend tier and its autotuning machinery (PR 7).
+"""Tests kept under this module's name after the ``tuned`` backend tier was
+deleted, so that their ids stay stable.
 
-Covers the satellite checklist of the tuned-tier issue:
-
-* tuned-vs-reference equivalence — float forward/autograd, the bit-exact
-  integer simulation path, and a calibrated quantization replay;
-* per-candidate equivalence — every variant in the candidate spaces computes
-  the same convolution;
-* cache round-trip — a full-mode tuning run persists winners; a simulated
-  second-process cold start answers every decision from disk with **zero**
-  benchmarks (the acceptance criterion, pinned via the stats counters);
-* corruption tolerance — garbage or wrong-version cache files load as empty
-  stores, counted, never raised;
-* stale records — an on-disk winner for a backend that is no longer
-  registered is a clean miss, not an ``UnknownBackendError``;
-* backend-switch invalidation — default-choice placeholder bindings are
-  dropped on ``set_backend`` & friends while benchmarked winners survive;
-* ``TuningRecord`` attachment to interned tuned plans;
-* ``tune()`` budgets and input validation, ``compile_model(autotune=...)``;
+* ``fast``-vs-``reference`` equivalence on the cases that tier was checked
+  on: float forward/autograd, the bit-exact integer primitives, and a
+  calibrated quantization replay. ``fast`` is the default backend that every
+  workload runs on;
 * the ``run_bench.py --check`` regression-gate comparison logic.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.engine import (CompiledConv, TuningRecord, autotune,
-                          clear_plan_cache, lower_winograd, plan_cache_stats)
-from repro.kernels import fast as fast_mod
-from repro.kernels import get_backend, reset_backend, set_backend, use_backend
-from repro.kernels import tuned as tuned_mod
-from repro.nn.layers import Conv2d
-from repro.nn.module import Sequential
+from repro.kernels import get_backend
 from repro.nn.tensor import Tensor
 from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
-from repro.serve import compile_model
 from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor,
                             winograd_f2, winograd_f4)
 
-TUNED = get_backend("tuned")
 REF = get_backend("reference")
 FAST = get_backend("fast")
 
@@ -52,418 +31,56 @@ def rng():
     return np.random.default_rng(7)
 
 
-@pytest.fixture
-def sandbox(tmp_path, monkeypatch):
-    """A private plan-cache dir and a cold tuning store, restored afterwards."""
-    monkeypatch.setenv(autotune.ENV_CACHE_DIR, str(tmp_path))
-    autotune.set_mode(None)
-    autotune.reset_state()
-    clear_plan_cache()
-    yield tmp_path
-    autotune.set_mode(None)
-    autotune.reset_state()
-    clear_plan_cache()
-
-
-def _write_cache(payload) -> str:
-    path = autotune.cache_path()
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            json.dump(payload, fh)
-    return path
-
-
 # --------------------------------------------------------------------------- #
-# Equivalence: tuned must match reference in every numerical regime
+# Equivalence: fast must match reference in every numerical regime
 # --------------------------------------------------------------------------- #
 class TestEquivalence:
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    def test_float_forward_matches_reference(self, rng, sandbox, factory):
+    def test_float_forward_matches_reference(self, rng, factory):
         x = rng.normal(size=(2, 3, 12, 12))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))
         out_ref = winograd_conv2d(x, w, factory(), bias=b, padding=1,
                                   backend="reference")
-        with autotune.use_mode("full"):
-            out_tuned = winograd_conv2d(x, w, factory(), bias=b, padding=1,
-                                        backend="tuned")
-        np.testing.assert_allclose(out_tuned, out_ref, atol=1e-9)
-        assert autotune.stats().benchmarks_run > 0
+        out_fast = winograd_conv2d(x, w, factory(), bias=b, padding=1,
+                                   backend="fast")
+        np.testing.assert_allclose(out_fast, out_ref, atol=1e-9)
 
-    def test_autograd_matches_reference(self, rng, sandbox):
+    def test_autograd_matches_reference(self, rng):
         x = rng.normal(size=(2, 3, 12, 12))
         w = rng.normal(size=(4, 3, 3, 3))
         seed_grad = rng.normal(size=(2, 4, 12, 12))
         grads = {}
-        for name, mode in (("reference", "cached"), ("tuned", "full")):
+        for name in ("reference", "fast"):
             xt = Tensor(x.copy(), requires_grad=True)
             wt = Tensor(w.copy(), requires_grad=True)
-            with autotune.use_mode(mode):
-                out = winograd_conv2d_tensor(xt, wt, winograd_f4(), padding=1,
-                                             backend=name)
-                out.backward(seed_grad)
+            out = winograd_conv2d_tensor(xt, wt, winograd_f4(), padding=1,
+                                         backend=name)
+            out.backward(seed_grad)
             grads[name] = (out.data, xt.grad, wt.grad)
-        for got, want in zip(grads["tuned"], grads["reference"]):
+        for got, want in zip(grads["fast"], grads["reference"]):
             np.testing.assert_allclose(got, want, atol=1e-8)
 
-    def test_integer_primitives_bit_exact(self, rng, sandbox):
-        """Integer inputs bypass tuning entirely and stay bit-identical."""
+    def test_integer_primitives_bit_exact(self, rng):
         xw = rng.integers(-512, 512, size=(2, 3, 4, 4, 6, 6))
         ww = rng.integers(-512, 512, size=(5, 3, 6, 6))
-        with autotune.use_mode("full"):
-            out = TUNED.tile_contract(xw, ww)
+        out = FAST.tile_contract(xw, ww)
         np.testing.assert_array_equal(out, REF.tile_contract(xw, ww))
         assert out.dtype == np.int64
-        # No float entered the kernel, so nothing was keyed or benchmarked.
-        assert autotune.stats().benchmarks_run == 0
-        assert autotune.stats().misses == 0
 
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
-    def test_quantized_replay_bit_exact(self, rng, sandbox, factory):
-        """Calibrated integer Winograd replays identically through tuned."""
+    def test_quantized_replay_bit_exact(self, rng, factory):
+        """Calibrated integer Winograd replays identically through fast."""
         transform = factory()
         x = rng.normal(size=(2, 3, 12, 12))
         w = rng.normal(size=(4, 3, 3, 3))
         scales = calibrate_tapwise_scales(x, w, transform, power_of_two=True)
         out_ref, stats_ref = integer_winograd_conv2d(
             x, w, transform, scales, return_stats=True, backend="reference")
-        with autotune.use_mode("full"):
-            out_tuned, stats_tuned = integer_winograd_conv2d(
-                x, w, transform, scales, return_stats=True, backend="tuned")
-        assert stats_tuned == stats_ref       # integer intermediates bit-exact
-        np.testing.assert_allclose(out_tuned, out_ref, atol=1e-10)
-
-    def test_every_forward_candidate_matches_fast(self, rng):
-        """Each variant in the forward candidate space computes the same conv."""
-        x = rng.normal(size=(2, 3, 16, 16))
-        w = rng.normal(size=(4, 3, 3, 3))
-        x_padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        t = winograd_f4()
-        expected = fast_mod.winograd_forward(x_padded, w, t, 16, 16)
-        for cand in tuned_mod._FWD_CANDIDATES:
-            got = tuned_mod._run_forward(dict(cand), x_padded, w, t, 16, 16,
-                                         None, None)
-            np.testing.assert_allclose(got, expected, atol=1e-10,
-                                       err_msg=f"candidate {cand}")
-
-    def test_every_gemm_candidate_matches_fast(self, rng):
-        cols = rng.normal(size=(2, 27, 5000))
-        w2d = rng.normal(size=(8, 27))
-        expected = fast_mod.conv2d_gemm(w2d, cols)
-        for cand in tuned_mod._GEMM_CANDIDATES:
-            np.testing.assert_allclose(
-                tuned_mod._run_gemm(dict(cand), w2d, cols, None), expected,
-                atol=1e-12, err_msg=f"candidate {cand}")
-
-    def test_pair_and_contract_variants_match_fast(self, rng):
-        t = winograd_f4()
-        tiles = rng.normal(size=(2, 3, 4, 4, 6, 6))
-        np.testing.assert_allclose(
-            tuned_mod._pair_separable(tiles, t.BT, t.B),
-            fast_mod.apply_transform_pair(tiles, t.BT, t.B), atol=1e-12)
-
-    def test_off_mode_is_bit_identical_to_fast(self, rng, sandbox):
-        """With tuning off, the tuned tier runs fast's exact code paths."""
-        x = rng.normal(size=(2, 3, 12, 12))
-        w = rng.normal(size=(4, 3, 3, 3))
-        with autotune.use_mode("off"):
-            out_tuned = winograd_conv2d(x, w, winograd_f4(), padding=1,
-                                        backend="tuned")
-        out_fast = winograd_conv2d(x, w, winograd_f4(), padding=1,
-                                   backend="fast")
-        np.testing.assert_array_equal(out_tuned, out_fast)
-        # Off mode touches neither the store nor the disk.
-        s = autotune.stats()
-        assert s.misses == 0 and s.disk_loads == 0
-
-
-# --------------------------------------------------------------------------- #
-# The persistent cache: round-trip, corruption, staleness
-# --------------------------------------------------------------------------- #
-class TestDiskCache:
-    def test_cold_start_round_trip_runs_zero_benchmarks(self, rng, sandbox):
-        """The acceptance criterion: a warm disk means no tuning at all."""
-        x = rng.normal(size=(2, 3, 16, 16))
-        w = rng.normal(size=(4, 3, 3, 3))
-        conv = CompiledConv(w, padding=1, transform="F4", backend="tuned")
-        with autotune.use_mode("full"):
-            expected = conv(x)
-        first = autotune.stats()
-        assert first.benchmarks_run > 0
-        assert first.tuned_keys >= 1
-        assert first.persisted_records >= 1
-        assert os.path.exists(autotune.cache_path())
-
-        # Simulate a second process: empty store, cold counters, same disk.
-        autotune.reset_state()
-        clear_plan_cache()
-        conv2 = CompiledConv(w, padding=1, transform="F4", backend="tuned")
-        out = conv2(x)
-        np.testing.assert_array_equal(out, expected)
-        second = autotune.stats()
-        assert second.benchmarks_run == 0
-        assert second.disk_hits >= 1
-        assert second.loaded_records >= 1
-
-    def test_cache_file_format(self, rng, sandbox):
-        x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        with autotune.use_mode("full"):
-            winograd_conv2d(x, w, winograd_f4(), padding=1, backend="tuned")
-        with open(autotune.cache_path(), encoding="utf-8") as fh:
-            data = json.load(fh)
-        assert data["version"] == autotune.CACHE_VERSION
-        assert data["numpy"] == np.__version__
-        assert data["records"]
-        for rec in data["records"].values():
-            assert rec["backend"] == "tuned"
-            assert isinstance(rec["choice"], dict)
-            assert rec["best_s"] >= 0.0
-
-    @pytest.mark.parametrize("payload", [
-        "{not json at all",
-        '"a bare string"',
-        {"version": 999, "records": {}},
-        {"version": autotune.CACHE_VERSION, "records": "nope"},
-    ])
-    def test_corrupt_cache_loads_as_empty(self, sandbox, payload):
-        _write_cache(payload)
-        assert autotune.warm_disk() == 0
-        s = autotune.stats()
-        assert s.disk_load_errors == 1
-        assert s.loaded_records == 0
-        # The store still works: decisions fall through to defaults cleanly.
-        assert autotune.lookup("winograd_forward|x=(1,)|cout=1|t=F4"
-                               "|dt=float64") is None
-
-    def test_stale_backend_record_is_clean_miss(self, sandbox):
-        """A winner from a removed tier must not resolve through the registry."""
-        key = "winograd_forward|x=(1, 2, 10, 10)|cout=3|t=F4|dt=float64"
-        _write_cache({
-            "version": autotune.CACHE_VERSION,
-            "records": {
-                key: {"choice": {"kernel": "blocked", "block_kb": 96},
-                      "best_s": 0.001, "backend": "experimental-tier"},
-                "malformed": "not a record dict",
-            },
-        })
-        assert autotune.warm_disk() == 0        # nothing adopted...
-        s = autotune.stats()
-        assert s.stale_records == 2             # ...both entries skipped
-        assert s.disk_load_errors == 0          # but the file itself was fine
-        assert autotune.lookup(key) is None     # clean miss, no exception
-
-    def test_live_winner_beats_disk_record(self, rng, sandbox):
-        x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        with autotune.use_mode("full"):
-            winograd_conv2d(x, w, winograd_f4(), padding=1, backend="tuned")
-        with open(autotune.cache_path(), encoding="utf-8") as fh:
-            data = json.load(fh)
-        live = {k: autotune.lookup(k) for k in data["records"]}
-        # Scribble different choices into every on-disk record, then force a
-        # re-read: in-process benchmarked winners must not be overwritten.
-        for rec in data["records"].values():
-            rec["choice"] = {"kernel": "batch"}
-        _write_cache(data)
-        autotune._DISK_LOADED = False
-        autotune.warm_disk()
-        for key, choice in live.items():
-            assert autotune.lookup(key) == choice
-
-    def test_missing_cache_dir_is_fine(self, sandbox, monkeypatch):
-        monkeypatch.setenv(autotune.ENV_CACHE_DIR,
-                           os.path.join(str(sandbox), "does", "not", "exist"))
-        assert autotune.warm_disk() == 0
-        assert autotune.stats().disk_load_errors == 0
-
-
-# --------------------------------------------------------------------------- #
-# Mode and budget semantics
-# --------------------------------------------------------------------------- #
-class TestModesAndBudgets:
-    def test_cached_miss_binds_default_without_benchmarking(self, rng, sandbox):
-        x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        winograd_conv2d(x, w, winograd_f4(), padding=1, backend="tuned")
-        s = autotune.stats()
-        assert s.benchmarks_run == 0
-        assert s.misses >= 1 and s.default_keys >= 1
-        winograd_conv2d(x, w, winograd_f4(), padding=1, backend="tuned")
-        assert autotune.stats().memory_hits >= 1
-
-    def test_full_mode_retunes_previously_defaulted_keys(self, rng, sandbox):
-        x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        winograd_conv2d(x, w, winograd_f4(), padding=1, backend="tuned")
-        assert autotune.stats().tuned_keys == 0
-        with autotune.use_mode("full"):
-            winograd_conv2d(x, w, winograd_f4(), padding=1, backend="tuned")
-        s = autotune.stats()
-        assert s.tuned_keys >= 1 and s.benchmarks_run > 0
-
-    def test_exhausted_budget_falls_back_to_defaults(self, rng, sandbox):
-        x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        with autotune.use_mode("full"), autotune.use_budget(0.0):
-            out = winograd_conv2d(x, w, winograd_f4(), padding=1,
-                                  backend="tuned")
-        assert out.shape == (1, 3, 8, 8)
-        s = autotune.stats()
-        assert s.benchmarks_run == 0 and s.default_keys >= 1
-
-    def test_budget_remaining_reporting(self):
-        assert autotune.budget_remaining() is None
-        with autotune.use_budget(60.0):
-            remaining = autotune.budget_remaining()
-            assert remaining is not None and 0.0 < remaining <= 60.0
-        assert autotune.budget_remaining() is None
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="turbo"):
-            autotune.check_mode("turbo")
-        with pytest.raises(ValueError):
-            autotune.set_mode("turbo")
-
-    def test_env_mode_respected(self, sandbox, monkeypatch):
-        monkeypatch.setenv(autotune.ENV_MODE, "off")
-        assert autotune.get_mode() == "off"
-        with autotune.use_mode("full"):        # explicit override wins
-            assert autotune.get_mode() == "full"
-        assert autotune.get_mode() == "off"
-
-
-# --------------------------------------------------------------------------- #
-# Invalidation on backend switches
-# --------------------------------------------------------------------------- #
-class TestInvalidation:
-    def test_switch_drops_defaults_keeps_winners(self, rng, sandbox):
-        x_small = rng.normal(size=(1, 2, 8, 8))
-        x_big = rng.normal(size=(2, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
-        # Bind one key by default (cached miss), one by benchmark (full).
-        winograd_conv2d(x_small, w, winograd_f4(), padding=1, backend="tuned")
-        with autotune.use_mode("full"):
-            winograd_conv2d(x_big, w, winograd_f4(), padding=1,
-                            backend="tuned")
-        key_default = tuned_mod._forward_key((1, 2, 10, 10), 3, "F4",
-                                             np.dtype(np.float64))
-        key_tuned = tuned_mod._forward_key((2, 2, 10, 10), 3, "F4",
-                                           np.dtype(np.float64))
-        assert autotune.lookup(key_default) is not None
-        assert autotune.lookup(key_tuned) is not None
-        try:
-            set_backend("fast")                 # notifies listeners
-        finally:
-            reset_backend()
-        # The placeholder is gone; the measured winner survived the switch.
-        assert autotune._STORE.get(key_default) is None
-        assert autotune.lookup(key_tuned) is not None
-
-    def test_switch_evicts_tuned_plans_and_records(self, sandbox):
-        with use_backend("tuned"):
-            plan = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", padding=1)
-            assert plan_cache_stats().size >= 1
-            assert plan.tuning is not None
-        # An actual change of backend evicts the plan cache (entering the
-        # context above is only a switch when the process default isn't
-        # already tuned, e.g. under REPRO_KERNEL_BACKEND=tuned).
-        with use_backend("reference"):
-            assert plan_cache_stats().size == 0
-
-
-# --------------------------------------------------------------------------- #
-# TuningRecord attachment on interned plans
-# --------------------------------------------------------------------------- #
-class TestTuningRecord:
-    def test_tuned_plans_carry_records(self, rng, sandbox):
-        with use_backend("tuned"):
-            plan = lower_winograd((2, 3, 16, 16), (4, 3, 3, 3), "F4",
-                                  padding=1)
-            rec = plan.tuning
-            assert isinstance(rec, TuningRecord)
-            assert rec.plan_key == autotune.plan_key(plan)
-            assert len(rec.keys) == 2          # forward + autograd keys
-            assert all(k.startswith("winograd_") for k in rec.keys)
-            # Nothing resolved yet; after a full-mode run the forward key is.
-            assert rec.choices() == {}
-            x = rng.normal(size=(2, 3, 16, 16))
-            w = rng.normal(size=(4, 3, 3, 3))
-            with autotune.use_mode("full"):
-                winograd_conv2d(x, w, winograd_f4(), padding=1)
-            assert rec.sources().get(rec.keys[0]) == "tuned"
-            assert rec.choices()[rec.keys[0]]["kernel"] in ("batch", "blocked")
-
-    def test_untuned_backends_have_no_record(self, sandbox):
-        with use_backend("fast"):
-            plan = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", padding=1)
-            assert plan.tuning is None
-
-    def test_im2col_plans_key_on_gemm(self, sandbox):
-        with use_backend("tuned"):
-            from repro.engine import lower_conv2d
-            plan = lower_conv2d((1, 3, 8, 8), (4, 3, 5, 5), padding=2)
-            assert plan.tuning is not None
-            (key,) = plan.tuning.keys
-            assert key.startswith("conv2d_gemm|")
-
-
-# --------------------------------------------------------------------------- #
-# tune() and compile_model(autotune=...)
-# --------------------------------------------------------------------------- #
-class TestTuneEntryPoints:
-    def test_tune_module_within_budget(self, sandbox):
-        model = Sequential(Conv2d(2, 3, 3, padding=1,
-                                  rng=np.random.default_rng(0)))
-        report = autotune.tune(model, (1, 2, 8, 8), budget=10.0)
-        assert report["budget_s"] == 10.0
-        assert report["benchmarks_run"] > 0
-        assert report["tuned_keys"] >= 1
-
-    def test_tune_callable(self, rng, sandbox):
-        w = rng.normal(size=(3, 2, 3, 3))
-
-        def forward(x):
-            return winograd_conv2d(x, w, winograd_f4(), padding=1,
-                                   backend="tuned")
-
-        report = autotune.tune(forward, (1, 2, 8, 8), budget=10.0)
-        assert report["tuned_keys"] >= 1
-
-    def test_tune_input_validation(self, sandbox):
-        model = Sequential(Conv2d(2, 3, 3, padding=1))
-        with pytest.raises(ValueError, match="input_shape"):
-            autotune.tune(model)
-        with pytest.raises(TypeError):
-            autotune.tune(object())
-
-    def test_compile_model_full_tunes_and_matches_fast(self, rng, sandbox):
-        model = Sequential(Conv2d(3, 4, 3, padding=1,
-                                  rng=np.random.default_rng(3)))
-        model.eval()
-        compiled = compile_model(model, (2, 3, 12, 12), autotune="full")
-        assert autotune.stats().benchmarks_run > 0
-        x = rng.normal(size=(2, 3, 12, 12))
-        got = compiled.infer(x)
-        clear_plan_cache()
-        want = compile_model(model, (2, 3, 12, 12), backend="fast").infer(x)
-        np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_compile_model_cached_warms_disk(self, sandbox):
-        model = Sequential(Conv2d(2, 3, 3, padding=1))
-        model.eval()
-        compile_model(model, (1, 2, 8, 8), autotune="cached")
-        s = autotune.stats()
-        assert s.disk_loads >= 1                # warm_disk ran
-        assert s.benchmarks_run == 0            # cached never benchmarks
-
-    def test_compile_model_rejects_unknown_mode(self):
-        model = Sequential(Conv2d(2, 3, 3, padding=1))
-        with pytest.raises(ValueError, match="autotune mode"):
-            compile_model(model, (1, 2, 8, 8), autotune="turbo")
+        out_fast, stats_fast = integer_winograd_conv2d(
+            x, w, transform, scales, return_stats=True, backend="fast")
+        assert stats_fast == stats_ref        # integer intermediates bit-exact
+        np.testing.assert_allclose(out_fast, out_ref, atol=1e-10)
 
 
 # --------------------------------------------------------------------------- #
@@ -482,19 +99,19 @@ class TestBenchCheck:
     def test_check_regressions_bounds(self):
         rb = _load_run_bench()
         baseline = {
-            "winograd": {"speedup_tuned_vs_fast": 2.0, "fast_s": 0.5},
+            "winograd": {"speedup_fast_vs_reference": 2.0, "fast_s": 0.5},
             "plan": {"overhead_cold_vs_fast": 1.0},
             "flaky": {"skipped": "no shm"},
             "meta-ish": "not a dict",
         }
         fresh_ok = {
-            "winograd": {"speedup_tuned_vs_fast": 1.75, "fast_s": 9.9},
+            "winograd": {"speedup_fast_vs_reference": 1.75, "fast_s": 9.9},
             "plan": {"overhead_cold_vs_fast": 1.10},
         }
         assert rb.check_regressions(baseline, fresh_ok, "k") == []
 
         fresh_bad = {
-            "winograd": {"speedup_tuned_vs_fast": 1.5},   # >15% below 2.0
+            "winograd": {"speedup_fast_vs_reference": 1.5},   # >15% below 2.0
             "plan": {"overhead_cold_vs_fast": 1.3},       # >15% above 1.0
         }
         problems = rb.check_regressions(baseline, fresh_bad, "k")
