@@ -35,7 +35,8 @@ from types import MappingProxyType
 
 from ..kernels import KernelBackend, add_backend_listener, get_backend
 from ..winograd.tiling import tile_counts
-from ..winograd.transforms import WinogradTransform, get_transform, winograd_f4
+from ..winograd.transforms import (WinogradTransform, get_transform,
+                                   integer_transform_matrices, winograd_f4)
 
 __all__ = [
     "LayerPlan",
@@ -160,6 +161,20 @@ def _freeze_quant(quant) -> tuple[tuple | None, MappingProxyType | None]:
     return items, MappingProxyType(dict(items))
 
 
+def _check_integer_exact(transform: WinogradTransform, cin: int,
+                         wino_bits: int) -> None:
+    if integer_transform_matrices(transform).BT is None:
+        raise ValueError(
+            f"transform {transform.name or transform} has a non-integer BT; "
+            "the integer path supports F2/F4-style integral input transforms")
+    bound = cin * (1 << (int(wino_bits) - 1)) ** 2
+    if bound >= 1 << 53:
+        raise ValueError(
+            f"integer Winograd accumulator bound Cin * 2**(2*(wino_bits-1)) = "
+            f"{cin} * 2**{2 * (int(wino_bits) - 1)} reaches 2**53 (wino_bits="
+            f"{wino_bits}); the integer path is only exact below 2**53")
+
+
 def lower_winograd(in_shape: tuple, weight_shape: tuple,
                    transform: WinogradTransform | str | None = None,
                    padding: int = 1,
@@ -173,6 +188,13 @@ def lower_winograd(in_shape: tuple, weight_shape: tuple,
     optional mapping of quantization parameters recorded verbatim on the plan
     (and folded into the cache key, so differently-quantized instances of the
     same shape get distinct plans).
+
+    For the integer tap-wise path (``quant={"path": "integer", "wino_bits":
+    b, ...}``) lowering also checks that the path is exact: ``BT`` must be
+    integral, and the worst-case accumulator ``Cin · (2**(b-1))²`` must stay
+    below 2**53, the largest bound under which every backend (``fast``
+    carries the integers in float64) computes it exactly.  Either failure
+    raises ``ValueError``.
     """
     be = get_backend(backend)
     if isinstance(transform, str):
@@ -186,6 +208,8 @@ def lower_winograd(in_shape: tuple, weight_shape: tuple,
     if cin != cin_w:
         raise ValueError(f"channel mismatch: input has {cin}, weight expects {cin_w}")
 
+    if quant is not None and quant.get("path") == "integer":
+        _check_integer_exact(transform, cin, quant["wino_bits"])
     quant_key, quant_field = _freeze_quant(quant)
     # The cached plan holds ``be``, so its id cannot be reused while the
     # entry lives.

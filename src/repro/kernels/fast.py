@@ -11,12 +11,14 @@ this backend reshapes the operands into a tap-major batched layout
 
     (a², Cout, Cin) @ (a², Cin, N·nH·nW)
 
-so ``np.matmul`` dispatches each tap to BLAS (floats) or to the tight gufunc
-integer loop (the bit-exact integer simulation path).  The same treatment is
-applied to both adjoints, to the pair transforms (two ``tensordot`` GEMMs
-instead of thousands of broadcast ``alpha x alpha`` matmuls), to the im2col
-convolution GEMMs, and to :func:`scatter_tiles_add` (a handful of strided
-block adds instead of an ``n_h x n_w`` Python loop).
+so ``np.matmul`` dispatches each tap to BLAS (floats) or to numpy's exact
+integer loop.  The integer tap-wise path does not use that loop: its fused
+forward (``winograd_forward(quant=...)``) carries the integers in float64,
+which BLAS multiplies exactly while every partial sum stays below 2**53.
+The same treatment is applied to both adjoints, to the pair transforms (two
+``tensordot`` GEMMs instead of thousands of broadcast ``alpha x alpha``
+matmuls), to the im2col convolution GEMMs, and to :func:`scatter_tiles_add`
+(a handful of strided block adds instead of an ``n_h x n_w`` Python loop).
 
 ``extract_tiles`` returns the read-only strided *view* instead of forcing an
 ``ascontiguousarray`` copy: every consumer in this backend is a GEMM that
@@ -29,22 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .einsum_cache import cached_einsum
-from .registry import KernelBackend
+from .registry import KernelBackend, TapRequant
 
 __all__ = ["BACKEND", "transform_weights_tap_major"]
-
-
-def _is_float(*arrays: np.ndarray) -> bool:
-    """True when every operand is a BLAS-eligible float array.
-
-    The GEMM reshapes only pay off when the GEMM itself runs in BLAS; for
-    integer operands (the bit-exact accelerator simulation path) numpy falls
-    back to generic loops, where the reference formulations do strictly less
-    scalar work.  The integer results are identical either way — integer
-    arithmetic is exact — so dispatching on dtype is purely a perf choice.
-    """
-    return all(a.dtype in (np.float32, np.float64) for a in arrays)
 
 
 def _tap_major(x: np.ndarray) -> np.ndarray:
@@ -65,8 +54,6 @@ def _tap_major(x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 def tile_contract(tiles_w: np.ndarray, weight_w: np.ndarray) -> np.ndarray:
     """Forward: ``out[n,o,i,j,:,:] = sum_c w[o,c,:,:] * x[n,c,i,j,:,:]``."""
-    if not _is_float(tiles_w, weight_w):
-        return cached_einsum("ncijab,ocab->noijab", tiles_w, weight_w)
     n, cin, nh, nw, a, _ = tiles_w.shape
     cout = weight_w.shape[0]
     # (a², Cin, N·nH·nW): tap-major activations, channels as the GEMM K dim.
@@ -81,8 +68,6 @@ def tile_contract(tiles_w: np.ndarray, weight_w: np.ndarray) -> np.ndarray:
 
 def tile_contract_dx(grad: np.ndarray, weight_w: np.ndarray) -> np.ndarray:
     """Adjoint wrt the input tiles: ``(a², Cin, Cout) @ (a², Cout, M)``."""
-    if not _is_float(grad, weight_w):
-        return cached_einsum("noijab,ocab->ncijab", grad, weight_w)
     n, cout, nh, nw, a, _ = grad.shape
     cin = weight_w.shape[1]
     g_r = np.ascontiguousarray(grad.transpose(4, 5, 1, 0, 2, 3)
@@ -96,8 +81,6 @@ def tile_contract_dx(grad: np.ndarray, weight_w: np.ndarray) -> np.ndarray:
 
 def tile_contract_dw(grad: np.ndarray, tiles_w: np.ndarray) -> np.ndarray:
     """Adjoint wrt the weights: ``(a², Cout, M) @ (a², M, Cin)``."""
-    if not _is_float(grad, tiles_w):
-        return cached_einsum("noijab,ncijab->ocab", grad, tiles_w)
     n, cout, nh, nw, a, _ = grad.shape
     cin = tiles_w.shape[1]
     g_r = np.ascontiguousarray(grad.transpose(4, 5, 1, 0, 2, 3)
@@ -142,10 +125,8 @@ def apply_transform_pair(tiles: np.ndarray, left: np.ndarray,
     executes as one tiny matmul per tile.  Here the whole batch is flattened
     to ``(B, p·q)`` and multiplied by the cached ``(p·q, o·s)`` Kronecker
     matrix — a single GEMM whose output is already in the target layout, so
-    no output copy is needed.  Integer inputs stay exact (integer GEMM).
+    no output copy is needed.  Integer operands stay exact (integer GEMM).
     """
-    if not _is_float(tiles, left, right):
-        return left @ tiles @ right
     o = left.shape[0]
     s = right.shape[1]
     p, q = tiles.shape[-2], tiles.shape[-1]
@@ -244,7 +225,9 @@ def transform_weights_tap_major(weight: np.ndarray, transform) -> np.ndarray:
 def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
                      out_h: int, out_w: int,
                      w_r: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     quant: TapRequant | None = None,
+                     stats: dict | None = None) -> np.ndarray:
     """Whole Winograd pipeline on the already-padded input, without bias.
 
     This is the dataflow the accelerator actually runs (Listing 1 of the
@@ -261,6 +244,13 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     permutation) behind.  The pipeline is blocked over rows of Winograd
     tiles so the whole working set stays cache-resident.
 
+    With ``quant`` (the integer tap-wise path) the gather casts the integer
+    input to float64, the ``BT x B`` taps are requantized in place (scale,
+    ``rint``, ``clip``) and the accumulator is rescaled by ``S_BG`` before
+    ``AT y A``.  Every value up to the rescale is an integer below 2**53, so
+    float64 BLAS computes it exactly and the result is bit-identical to the
+    integer ``reference``.
+
     ``out`` optionally supplies the *uncropped* ``(N, Cout, n_h*m, n_w*m)``
     output workspace (e.g. from a :class:`repro.engine.WorkspaceArena`), so
     steady-state serving loops do zero fresh large allocations here.
@@ -276,7 +266,14 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         # Transformed weights, tap-major: (a², Cout, Cin).
         w_r = transform_weights_tap_major(weight, transform)
 
-    out_dtype = np.result_type(x_padded.dtype, w_r.dtype)
+    gather_dtype = None
+    if quant is not None:
+        gather_dtype = np.float64
+        w_r = w_r.astype(np.float64, copy=False)
+        in_ratio = np.reshape(quant.in_ratio, (a * a, 1, 1))
+        out_scale = np.reshape(quant.out_scale, (a * a, 1, 1))
+        tile_max = acc_max = q_max = 0.0
+    out_dtype = np.result_type(gather_dtype or x_padded.dtype, w_r.dtype)
     full_shape = (n, cout, n_h * m, n_w * m)
     if out is None:
         out = np.empty(full_shape, dtype=out_dtype)
@@ -284,7 +281,8 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         raise ValueError(f"out workspace must be {full_shape} of {out_dtype}, "
                          f"got {out.shape} of {out.dtype}")
 
-    rows_per_block = _rows_per_block(a, cin, n_h, n_w, x_padded.itemsize)
+    rows_per_block = _rows_per_block(a, cin, n_h, n_w,
+                                     np.dtype(gather_dtype or x_padded.dtype).itemsize)
 
     for nn in range(n):
         image = x_padded[nn]
@@ -300,16 +298,30 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         for i0 in range(0, n_h, rows_per_block):
             rb = min(rows_per_block, n_h - i0)
             tiles = rb * n_w
-            f3 = np.ascontiguousarray(view[:, :, :, i0:i0 + rb]
+            f3 = np.ascontiguousarray(view[:, :, :, i0:i0 + rb], dtype=gather_dtype
                                       ).reshape(a, a, cin * tiles)
             g1 = np.matmul(bt, f3)                       # 1-D BT over 2nd tap axis
             x_r = (bt @ g1.reshape(a, -1)).reshape(a * a, cin, tiles)
+            if quant is not None:
+                if stats is not None:
+                    tile_max = max(tile_max, np.abs(x_r).max())
+                x_r *= in_ratio
+                np.rint(x_r, out=x_r)
+                np.clip(x_r, quant.qmin, quant.qmax, out=x_r)
 
             acc = np.matmul(w_r, x_r)                    # (a², Cout, tiles)
+            if quant is not None:
+                if stats is not None:
+                    q_max = max(q_max, np.abs(x_r).max())
+                    acc_max = max(acc_max, np.abs(acc).max())
+                acc *= out_scale
 
             t1 = np.matmul(at, acc.reshape(a, a, cout * tiles))
             ot = (at @ t1.reshape(a, -1)).reshape(m, m, cout, rb, n_w)
             out_img[:, i0:i0 + rb] = ot.transpose(2, 3, 0, 4, 1)
+    if quant is not None and stats is not None:
+        stats.update(input_tile_int_max=int(tile_max),
+                     accumulator_int_max=int(acc_max), input_q_max=int(q_max))
     if out.shape[2] == out_h and out.shape[3] == out_w:
         return out
     return np.ascontiguousarray(out[:, :, :out_h, :out_w])

@@ -13,7 +13,9 @@ The einsum contraction paths are memoised (:mod:`repro.kernels.einsum_cache`)
 operand signature instead of on every call.  The fused entry points every
 backend provides (:func:`winograd_forward`, :func:`winograd_autograd`) are
 composed here from the seed primitives, in the order of the seed's composed
-autograd graph, so their results are bit-identical to it.
+autograd graph, so their results are bit-identical to it.  The integer
+tap-wise forward (``winograd_forward(quant=...)``) is composed the same way,
+with int64 arithmetic throughout, and is the oracle for that path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .einsum_cache import cached_einsum
-from .registry import KernelBackend
+from .registry import KernelBackend, TapRequant
 
 __all__ = ["BACKEND"]
 
@@ -158,14 +160,43 @@ def _winograd_stages(x_padded: np.ndarray, weight_wino: np.ndarray, transform
     return tiles_w, full
 
 
+def _integer_winograd_forward(x_padded: np.ndarray, weight_wino: np.ndarray,
+                              transform, quant: TapRequant, stats: dict | None
+                              ) -> np.ndarray:
+    """Staged int64 tap-wise pipeline: the oracle of the integer path.
+
+    Integer ``BT x B``, tap-wise requantization to ``[qmin, qmax]``, the int64
+    tap contraction (the Cube Unit), then the single ``S_BG`` rescale and the
+    float ``AT y A``; returns the uncropped output.
+    """
+    t = transform
+    bt_int = np.rint(t.BT).astype(np.int64)      # integral: checked at lowering
+    tiles_w_exact = apply_transform_pair(extract_tiles(x_padded, t.m, t.r),
+                                         bt_int, bt_int.T)
+    tiles_w_q = np.clip(np.rint(tiles_w_exact * quant.in_ratio), quant.qmin,
+                        quant.qmax).astype(np.int64)
+    acc = tile_contract(tiles_w_q, weight_wino.astype(np.int64))
+    out_tiles = apply_transform_pair(acc.astype(np.float64) * quant.out_scale,
+                                     t.AT, t.A)
+    if stats is not None:
+        stats.update(input_tile_int_max=int(np.abs(tiles_w_exact).max()),
+                     accumulator_int_max=int(np.abs(acc).max()),
+                     input_q_max=int(np.abs(tiles_w_q).max()))
+    n, cout, n_h, n_w, m, _ = out_tiles.shape
+    return out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, cout, n_h * m, n_w * m)
+
+
 def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
                      out_h: int, out_w: int,
                      w_r: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     quant: TapRequant | None = None,
+                     stats: dict | None = None) -> np.ndarray:
     """Whole Winograd pipeline on the already-padded input, without bias.
 
     A given tap-major ``w_r`` is only re-laid out, and a given uncropped
-    ``out`` buffer is filled, so both leave the result bit-identical.
+    ``out`` buffer is filled, so both leave the result bit-identical.  With
+    ``quant`` the integer pipeline of :func:`_integer_winograd_forward` runs.
     """
     t = transform
     if w_r is None:
@@ -174,7 +205,10 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         a = t.alpha
         weight_wino = np.ascontiguousarray(
             w_r.reshape((a, a) + w_r.shape[1:]).transpose(2, 3, 0, 1))
-    _, full = _winograd_stages(x_padded, weight_wino, t)
+    if quant is None:
+        _, full = _winograd_stages(x_padded, weight_wino, t)
+    else:
+        full = _integer_winograd_forward(x_padded, weight_wino, t, quant, stats)
     if out is not None:
         if out.shape != full.shape or out.dtype != full.dtype:
             raise ValueError(f"out workspace must be {full.shape} of "

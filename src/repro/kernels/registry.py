@@ -30,8 +30,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "KernelBackend",
+    "TapRequant",
     "UnknownBackendError",
     "register_backend",
     "available_backends",
@@ -69,13 +72,31 @@ class UnknownBackendError(KeyError):
 
 
 @dataclass(frozen=True)
+class TapRequant:
+    """Tap-wise requantization of the integer Winograd forward.
+
+    ``in_ratio = S_act / S_B`` maps the integer ``BT x B`` taps onto the
+    ``[qmin, qmax]`` grid (``rint`` then ``clip``); ``out_scale = S_BG``
+    rescales the integer accumulator before ``AT y A``.  Both are
+    ``(alpha, alpha)`` arrays.
+    """
+
+    in_ratio: np.ndarray
+    qmin: int
+    qmax: int
+    out_scale: np.ndarray
+
+
+@dataclass(frozen=True)
 class KernelBackend:
     """Bundle of kernel primitives sharing one implementation strategy.
 
     All members are plain functions over numpy arrays (no autograd); the
     autograd layer wires them into forward/backward closures.  Integer inputs
     must be handled exactly (the tap contraction models the accelerator's
-    integer Cube Unit), so every member is dtype-preserving.
+    integer Cube Unit), so every member is dtype-preserving -- except
+    ``winograd_forward(quant=...)``, which takes integer operands and returns
+    the rescaled float64 output.
     """
 
     name: str
@@ -103,10 +124,19 @@ class KernelBackend:
 
     # Fused Winograd forward on the padded input, without bias:
     # ``winograd_forward(x_padded, weight, transform, out_h, out_w, w_r=None,
-    # out=None)``.  ``w_r`` supplies the transformed weights in the tap-major
-    # ``(a², Cout, Cin)`` layout (bit-identical to passing none); ``out`` the
-    # uncropped ``(N, Cout, n_h*m, n_w*m)`` output buffer, which is filled and
-    # returned when ``(out_h, out_w)`` is its full size.
+    # out=None, quant=None, stats=None)``.  ``w_r`` supplies the transformed
+    # weights in the tap-major ``(a², Cout, Cin)`` layout (bit-identical to
+    # passing none); ``out`` the uncropped ``(N, Cout, n_h*m, n_w*m)`` output
+    # buffer, which is filled and returned when ``(out_h, out_w)`` is its full
+    # size.  With a :class:`TapRequant` ``quant``, ``x_padded`` holds integers,
+    # ``w_r`` (required) the integer-valued requantized weights, and the
+    # integer ``BT x B`` taps are requantized, contracted exactly and rescaled
+    # by ``quant.out_scale`` before ``AT y A``; the output is float64.
+    # ``stats``, a dict, then receives the integer maxima
+    # ``input_tile_int_max`` (``|BT x B|``), ``accumulator_int_max`` and
+    # ``input_q_max`` (the requantized taps).  The transform's ``BT`` must be
+    # integral and every accumulator below 2**53; ``engine.lower_winograd``
+    # checks both for the integer path.
     winograd_forward: Callable
 
     # Fused Winograd forward+backward for training: called as

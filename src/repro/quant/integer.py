@@ -7,18 +7,23 @@ out with integer arithmetic only, which is the whole point of the paper:
     AT [ S_BG ⊙ Σ_Cin ⌊BT x̂ B ⊘ S_B⌉_intb ⊙ ⌊G f̂ GT ⊘ S_G⌉_intb ] A
 
 The element-wise multiply–accumulate over input channels happens on int
-values (int8/int10 operands, int32 accumulation — modelled with int64 for
-headroom), and the only real-valued step is the single rescale with
-``S_BG = S_B ⊙ S_G`` before the back-transformation, which collapses to a
-shift when the scales are powers of two.
+values (int8/int10 operands, int32 accumulation on the accelerator), and the
+only real-valued step is the single rescale with ``S_BG = S_B ⊙ S_G`` before
+the back-transformation, which collapses to a shift when the scales are
+powers of two.
 
-The integer path is integral end-to-end: padding and tile extraction are
-dtype-preserving, and the input transform uses the cached integer ``BT``
-(:func:`repro.winograd.transforms.integer_transform_matrices`), so no float64
-detour happens before the single rescale.  All tensor contractions dispatch
-through :mod:`repro.kernels` (the ``fast`` backend runs the tap-wise
-accumulation as ``alpha²`` batched integer GEMMs, bit-exact with respect to
-the reference einsum).
+:func:`integer_winograd_conv2d` quantizes and pads the input, binds the
+requantized tap-major weights, and makes one call into the kernel backend's
+fused forward, ``winograd_forward(..., quant=TapRequant(...))``.  The
+``reference`` backend runs that forward as staged int64 passes (integer
+``BT x B``, requantization, int64 tap contraction) and is the bit-exact
+oracle.  The ``fast`` backend carries the same integers in float64 through
+its blocked, cache-resident tap-major pipeline, so the contraction runs on
+BLAS; float64 represents every integer below 2**53 exactly, so as long as
+every accumulator stays below that bound its result is bit-identical to the
+int64 one.  :func:`repro.engine.lower_winograd` enforces the bound for the
+integer path (``Cin · max(|qmin|, qmax)² < 2**53`` at ``wino_bits``), and
+also rejects transforms whose ``BT`` is not integral (e.g. F6).
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import KernelBackend, get_backend
-from ..winograd.tiling import assemble_output_tiles, pad_for_tiling
-from ..winograd.transforms import WinogradTransform, integer_transform_matrices
+from ..kernels import KernelBackend, TapRequant, get_backend
+from ..winograd.tiling import pad_for_tiling
+from ..winograd.transforms import WinogradTransform
 from .quantizer import compute_scale, quant_range
 
 __all__ = ["TapwiseScales", "calibrate_tapwise_scales", "integer_winograd_conv2d",
@@ -135,9 +140,10 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
     precedence over ``transform``/``padding``/``backend``), or let the
     function lower/look one up in the shared plan cache keyed by this layer's
     quantization parameters.  Either way repeated same-shape calls — the
-    accelerator simulation sweeps — reuse interned geometry and the cached
-    integer ``BT`` matrices instead of re-deriving them, and the arithmetic
-    is bit-identical to the historical unplanned path.
+    accelerator simulation sweeps — reuse interned geometry instead of
+    re-deriving it.  Lowering raises ``ValueError`` when the transform's
+    ``BT`` is not integral or an accumulator could reach 2**53 (see the
+    module docstring).
     """
     from .. import engine
 
@@ -148,59 +154,44 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
                    "wino_bits": wino_bits})
     be = plan.backend
     transform = plan.transform
-    m, r = transform.m, transform.r
-    cout = weight.shape[0]
+    a = transform.alpha
+    cout, cin = weight.shape[:2]
     qmin_s, qmax_s = quant_range(spatial_bits)
     qmin_w, qmax_w = quant_range(wino_bits)
 
     # Spatial-domain quantization (Eq. 2) — these are the int8 tensors that
-    # live in DDR / L1 on the accelerator.
-    x_int = np.clip(np.rint(x / scales.act_spatial), qmin_s, qmax_s).astype(np.int64)
-    w_int = np.clip(np.rint(weight / scales.weight_spatial), qmin_s, qmax_s).astype(np.int64)
-
-    # Input transform: BT x B computed exactly on integers (BT is integer for
-    # F2/F4; the cached int64 variant keeps the path integral end-to-end),
-    # then requantized tap-wise to `wino_bits`.  The pad spec and the output
-    # crop come straight off the plan (dtype-preserving: int stays int).
-    out_h, out_w = plan.out_h, plan.out_w
+    # live in DDR / L1 on the accelerator, padded as the plan says.
+    x_q = x / scales.act_spatial
+    np.rint(x_q, out=x_q)
+    x_int = np.clip(x_q, qmin_s, qmax_s, out=x_q).astype(np.min_scalar_type(qmin_s))
     padded = np.pad(x_int, plan.pad_width) if plan.pad_width is not None else x_int
-    tiles = be.extract_tiles(padded, m, r)
-    bt_int = integer_transform_matrices(transform).BT
-    if bt_int is None:
-        raise ValueError(
-            f"transform {transform.name or transform} has a non-integer BT; "
-            "the integer simulation supports F2/F4-style integral input transforms")
-    tiles_w_exact = be.apply_transform_pair(tiles, bt_int, bt_int.T)
-    # Requantization: value_real = tiles_w_exact * act_spatial; divide by S_B.
-    requant_ratio = scales.act_spatial / scales.input_wino
-    tiles_w_q = np.clip(np.rint(tiles_w_exact * requant_ratio), qmin_w, qmax_w).astype(np.int64)
 
     # Weight transform: G f GT evaluated on the dequantized int8 weights, then
-    # requantized tap-wise (this is what the WT_XFORM engine produces).
-    w_hat = w_int.astype(np.float64) * scales.weight_spatial
+    # laid out tap-major, (a², Cout, Cin), and requantized tap-wise (this is
+    # what the WT_XFORM engine produces).
+    w_hat = np.clip(np.rint(weight / scales.weight_spatial), qmin_s, qmax_s
+                    ) * scales.weight_spatial
     weight_w_real = be.apply_transform_pair(w_hat, transform.G, transform.G.T)
-    weight_w_q = np.clip(np.rint(weight_w_real / scales.weight_wino), qmin_w, qmax_w
-                         ).astype(np.int64)
+    w_r = np.ascontiguousarray(weight_w_real.transpose(2, 3, 0, 1)).reshape(a * a, cout, cin)
+    w_r /= scales.weight_wino.reshape(a * a, 1, 1)
+    np.rint(w_r, out=w_r)
+    np.clip(w_r, qmin_w, qmax_w, out=w_r)
 
-    # Tap-wise batched MatMul with integer accumulation (the Cube Unit).
-    acc = be.tile_contract(tiles_w_q, weight_w_q)
-
-    # Single rescale with S_BG, then the output back-transformation.
-    prod_real = acc.astype(np.float64) * scales.output_wino
-    out_tiles = be.apply_transform_pair(prod_real, transform.AT, transform.A)
-    out = assemble_output_tiles(out_tiles, out_h, out_w)
+    # Integer BT x B, tap-wise requantization, the integer tap-wise MatMul
+    # (the Cube Unit), the single S_BG rescale and AT y A: one backend call.
+    quant = TapRequant(in_ratio=scales.act_spatial / scales.input_wino,
+                       qmin=qmin_w, qmax=qmax_w, out_scale=scales.output_wino)
+    stats = {} if return_stats else None
+    out = be.winograd_forward(padded, weight, transform, plan.out_h, plan.out_w,
+                              w_r=w_r, quant=quant, stats=stats)
     if bias is not None:
-        out = out + bias.reshape(1, cout, 1, 1)
+        out += bias.reshape(1, cout, 1, 1)
 
     if not return_stats:
         return out
-    stats = {
-        "input_tile_int_max": int(np.abs(tiles_w_exact).max()),
-        "accumulator_int_max": int(np.abs(acc).max()),
-        "accumulator_bits": accumulator_bits_required(int(np.abs(acc).max())),
-        "input_utilisation": float(np.abs(tiles_w_q).max() / max(qmax_w, 1)),
-        "weight_utilisation": float(np.abs(weight_w_q).max() / max(qmax_w, 1)),
-    }
+    stats["accumulator_bits"] = accumulator_bits_required(stats["accumulator_int_max"])
+    stats["input_utilisation"] = float(stats.pop("input_q_max") / max(qmax_w, 1))
+    stats["weight_utilisation"] = float(np.abs(w_r).max() / max(qmax_w, 1))
     return out, stats
 
 

@@ -1,0 +1,148 @@
+"""Differential tests of the integer tap-wise Winograd path against ``reference``.
+
+A seeded generator draws layer geometries the fixed-shape tests never reach
+(odd and prime spatial sizes that do not tile evenly, batch 1, ``Cin = 1``,
+up to 64 channels, padding 0/1/2, F2 and F4, scales calibrated on a damped
+input so the requantization saturates, plus one layer whose single row of F4
+tiles overflows ``fast``'s block budget).  ``fast`` must reproduce the
+int64 ``reference`` bit for bit whenever the tap-wise scales are powers of
+two.  With arbitrary scales the two backends' float weight transforms
+(``apply_transform_pair(w, G, Gᵀ)``) can round exact ``.5`` ties of
+``G f Gᵀ / S_G`` apart -- int8-grid weights make such ties common -- so there
+the fused ``fast`` forward is fed the ``reference`` weight binding and only
+its float ``AT y A`` may differ in the last ulps.  The integer statistics
+must be identical either way.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+
+from repro import engine
+from repro.kernels import fast, get_backend
+from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
+from repro.winograd import get_transform, winograd_f6
+from repro.winograd.tiling import tile_counts
+
+# fast's fused integer forward with reference's weight binding.
+FAST_KERNEL = replace(get_backend("fast"), name="fast-forward",
+                      apply_transform_pair=get_backend("reference").apply_transform_pair)
+
+ODD_SIZES = (3, 5, 7, 9, 11, 13, 15, 17, 19, 21)
+PRIME_SIZES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@dataclass(frozen=True)
+class Case:
+    """One drawn layer; its repr is a valid constructor call."""
+
+    transform: str
+    n: int
+    cin: int
+    cout: int
+    h: int
+    w: int
+    padding: int
+    power_of_two: bool
+    seed: int
+    saturate: bool = False
+
+    def run(self, backend):
+        rng = np.random.default_rng(self.seed)
+        t = get_transform(self.transform)
+        x = np.maximum(rng.normal(size=(self.n, self.cin, self.h, self.w)), 0.0)
+        weight = rng.normal(size=(self.cout, self.cin, 3, 3))
+        bias = rng.normal(size=self.cout)
+        x_cal = 0.5 * x if self.saturate else x
+        scales = calibrate_tapwise_scales(x_cal, weight, t, power_of_two=self.power_of_two,
+                                          padding=self.padding)
+        return integer_winograd_conv2d(x, weight, t, scales, bias=bias,
+                                       padding=self.padding, return_stats=True,
+                                       backend=backend)
+
+
+def draw_cases(seed: int, count: int) -> list[Case]:
+    """``count`` seeded geometries cycling through the edge cases."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        sizes = (ODD_SIZES, PRIME_SIZES, tuple(range(3, 23)))[k % 3]
+        cases.append(Case(
+            transform=("F2", "F4")[k % 2],
+            n=1 if k % 4 == 0 else int(rng.integers(1, 4)),
+            cin=1 if k % 5 == 0 else int(rng.integers(1, 65)),
+            cout=int(rng.integers(1, 17)),
+            h=int(rng.choice(sizes)),
+            w=int(rng.choice(sizes)),
+            padding=k % 3,
+            power_of_two=k % 4 != 3,
+            seed=int(rng.integers(2 ** 31)),
+            saturate=k % 6 == 1,
+        ))
+    return cases
+
+
+# One row of F4 tiles at Cin = 64 and 9 tiles per row is 166 KB of float64,
+# more than fast's block budget, so the fused forward runs one row per block.
+ROW_OVERFLOW = Case("F4", n=1, cin=64, cout=3, h=5, w=35, padding=1,
+                    power_of_two=True, seed=11)
+CASES = draw_cases(seed=2022, count=40) + [
+    ROW_OVERFLOW,
+    Case("F4", n=1, cin=1, cout=1, h=3, w=3, padding=0, power_of_two=True, seed=1),
+    Case("F2", n=1, cin=1, cout=2, h=23, w=3, padding=2, power_of_two=True, seed=2),
+]
+
+
+def test_generator_covers_the_edge_cases():
+    assert {c.transform for c in CASES} == {"F2", "F4"}
+    assert {c.padding for c in CASES} == {0, 1, 2}
+    assert any(c.n == 1 for c in CASES) and any(c.cin == 1 for c in CASES)
+    assert any(c.h in PRIME_SIZES and c.w % 2 for c in CASES)
+    assert max(c.cin for c in CASES) <= 64
+    assert {c.power_of_two for c in CASES} == {True, False}
+    assert any(c.saturate for c in CASES)
+    c = ROW_OVERFLOW
+    _, n_w = tile_counts(c.h + 2 * c.padding - 2, c.w + 2 * c.padding - 2, 4)
+    assert 36 * c.cin * n_w * 8 > fast._BLOCK_BYTES
+    assert fast._rows_per_block(6, c.cin, 2, n_w, 8) == 1
+
+
+@pytest.mark.parametrize("case", CASES, ids=repr)
+def test_fast_matches_reference(case):
+    out_ref, stats_ref = case.run("reference")
+    out_fast, stats_fast = case.run("fast" if case.power_of_two else FAST_KERNEL)
+    assert stats_fast == stats_ref
+    assert out_fast.dtype == out_ref.dtype == np.float64
+    if case.power_of_two:
+        np.testing.assert_array_equal(out_fast, out_ref)
+    else:
+        np.testing.assert_allclose(out_fast, out_ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(out_ref).max())
+
+
+# --------------------------------------------------------------------------- #
+# Exactness guard at lowering
+# --------------------------------------------------------------------------- #
+def _lower_integer(cin: int, wino_bits: int, transform="F4"):
+    return engine.lower_winograd(
+        (1, cin, 8, 8), (1, cin, 3, 3), transform, 1,
+        quant={"path": "integer", "spatial_bits": 8, "wino_bits": wino_bits})
+
+
+def test_guard_rejects_accumulators_reaching_2_53():
+    # 2 * (2**26)**2 == 2**53: the first bound float64 cannot carry exactly.
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        _lower_integer(cin=2, wino_bits=27)
+
+
+def test_guard_accepts_realistic_layers():
+    plan = _lower_integer(cin=4096, wino_bits=10)
+    assert plan.quant["wino_bits"] == 10
+
+
+def test_guard_rejects_fractional_bt():
+    with pytest.raises(ValueError, match="non-integer BT"):
+        _lower_integer(cin=2, wino_bits=8, transform=winograd_f6())
