@@ -295,10 +295,7 @@ def serve_cases(repeats: int, warmup: int) -> dict:
     * ``served_model_f4`` — a fully-optimised CompiledModel (BN folding,
       ReLU fusion, workspace arena, bound weights) against the same network
       served as **per-layer CompiledConv calls** (bound convolutions inside
-      the eager module graph — the pre-serve serving strategy).  The
-      ``per_layer_steps_s`` column is a tougher strawman: the same unfused
-      per-layer pipeline but with all the elementwise ops already in plain
-      numpy (``fold_bn=False, fuse_relu=False, use_arena=False``).
+      the eager module graph — the pre-serve serving strategy).
     * ``shm_pool_batch{4,8}`` — the shared-memory pool head to head with a
       plain pickling ``multiprocessing.Pool`` on one bound F4 layer,
       persistent pools, same chunking.
@@ -316,8 +313,6 @@ def serve_cases(repeats: int, warmup: int) -> dict:
     model.eval()
     batch = _RNG.normal(size=(8, 3, 32, 32))
     served = compile_model(model, (8, 3, 32, 32))
-    steps_baseline = compile_model(model, (8, 3, 32, 32), fold_bn=False,
-                                   fuse_relu=False, use_arena=False)
     per_layer_model = resnet_tiny(seed=0)        # same weights (same seed)
     per_layer_model.eval()
     _bind_per_layer_compiledconv(per_layer_model)
@@ -329,12 +324,6 @@ def serve_cases(repeats: int, warmup: int) -> dict:
     case = _paired_case(lambda: served.infer(batch), run_per_layer,
                         repeats, warmup, "served_s", "per_layer_s",
                         "speedup_served_vs_per_layer")
-    steps_case = _paired_case(lambda: served.infer(batch),
-                              lambda: steps_baseline.infer(batch),
-                              repeats, warmup, "served_s", "per_layer_steps_s",
-                              "speedup_served_vs_steps")
-    case["per_layer_steps_s"] = steps_case["per_layer_steps_s"]
-    case["speedup_served_vs_steps"] = steps_case["speedup_served_vs_steps"]
     results["served_model_f4"] = case
     _print_case("served_model_f4", case)
 

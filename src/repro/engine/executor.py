@@ -5,9 +5,15 @@ Three execution styles, all driven by the immutable plans of
 points (``winograd_forward`` / ``winograd_autograd``), which every
 :class:`~repro.kernels.KernelBackend` implements:
 
-* :func:`execute` — plain numpy forward (no autograd), used by the inference
-  entry points (:func:`repro.winograd.conv.winograd_conv2d`,
-  :func:`repro.nn.functional.conv2d_numpy`).
+* :func:`execute` — the one forward-only executor (no autograd), for both
+  plan kinds: the inference entry points
+  (:func:`repro.winograd.conv.winograd_conv2d`,
+  :func:`repro.nn.functional.conv2d_numpy`), every convolution step of a
+  compiled serving model (which passes its leased workspace arena, so
+  steady-state calls allocate nothing large), and the integer tap-wise path
+  (:func:`repro.quant.integer_winograd_conv2d`, which passes ``quant=``).
+  Every call opens one ``layer_span`` and, when profiling, runs through the
+  plan's profiled backend.
 
 * :func:`execute_tensor` — the **fused autograd fast path** for the
   no-quantization-hook case: the whole convolution is a *single* autograd
@@ -125,27 +131,63 @@ def bind_tap_major_weights(be: KernelBackend, weight: np.ndarray,
 # Plain numpy execution
 # --------------------------------------------------------------------------- #
 def execute(plan: LayerPlan, x: np.ndarray, weight: np.ndarray,
-            bias: np.ndarray | None = None,
-            w_r: np.ndarray | None = None) -> np.ndarray:
+            bias: np.ndarray | None = None, *, w_r: np.ndarray | None = None,
+            arena=None, slot=None, quant=None, stats: dict | None = None
+            ) -> np.ndarray:
     """Forward-only execution of ``plan`` on plain numpy arrays.
 
     ``w_r`` optionally supplies Winograd weights already in the tap-major
     layout (:func:`bind_tap_major_weights`), so bound layers skip the
-    weight transform.
+    weight transform.  With a :class:`~repro.engine.WorkspaceArena` the
+    Winograd padded input, the kernel output and the cropped result live in
+    ``(slot, stage)`` buffers of ``arena`` that are reused every call (the
+    result is then an arena buffer, valid until the next call with the same
+    ``slot``).  ``quant``/``stats`` are passed to the Winograd kernel for
+    the integer tap-wise path (a :class:`~repro.kernels.TapRequant` spec and
+    the dict it fills).  The bias is added in place.
     """
     be, cout = _plan_backend(plan), plan.weight_shape[0]
     with layer_span(plan):
         if plan.kind == "winograd":
-            out = be.winograd_forward(_pad_input_workspace(plan, x), weight,
-                                      plan.transform, plan.out_h, plan.out_w,
-                                      w_r=w_r)
+            out = _winograd_execute(plan, be, x, weight, w_r, arena, slot,
+                                    quant, stats)
         else:
+            # im2col pads inside its window copy, which is transient; an
+            # arena-held padded input would only add a persistent buffer.
             kh, kw = plan.weight_shape[2], plan.weight_shape[3]
             cols = be.im2col(x, (kh, kw), plan.stride, plan.padding)
-            out = be.conv2d_gemm(weight.reshape(cout, -1), cols
+            gemm_out = None if arena is None else arena.get(
+                plan, "gemm_out", shape=(x.shape[0], cout,
+                                         plan.out_h * plan.out_w), slot=slot)
+            out = be.conv2d_gemm(weight.reshape(cout, -1), cols, out=gemm_out
                                  ).reshape(plan.out_shape)
         if bias is not None:
-            out = out + bias.reshape(1, cout, 1, 1)
+            out += bias.reshape(1, cout, 1, 1)
+    return out
+
+
+def _winograd_execute(plan: LayerPlan, be: KernelBackend, x: np.ndarray,
+                      weight: np.ndarray, w_r, arena, slot, quant,
+                      stats) -> np.ndarray:
+    t = plan.transform
+    padded = _pad_input_workspace(plan, x, arena, slot)
+    kwargs = {"w_r": w_r}
+    if quant is not None:            # float calls keep the plain signature
+        kwargs.update(quant=quant, stats=stats)
+    if arena is None:
+        return be.winograd_forward(padded, weight, t, plan.out_h, plan.out_w,
+                                   **kwargs)
+    # Ask the kernel for the uncropped output so it writes straight into the
+    # arena buffer; crop into a second buffer when the tiles overhang.
+    full_h, full_w = plan.n_h * t.m, plan.n_w * t.m
+    full = arena.get(plan, "out_full", slot=slot,
+                     shape=(plan.in_shape[0], plan.weight_shape[0], full_h, full_w))
+    full = be.winograd_forward(padded, weight, t, full_h, full_w, out=full,
+                               **kwargs)
+    if (full_h, full_w) == (plan.out_h, plan.out_w):
+        return full
+    out = arena.get(plan, "out", slot=slot)
+    np.copyto(out, full[:, :, :plan.out_h, :plan.out_w])
     return out
 
 

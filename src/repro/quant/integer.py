@@ -12,29 +12,35 @@ only real-valued step is the single rescale with ``S_BG = S_B ⊙ S_G`` before
 the back-transformation, which collapses to a shift when the scales are
 powers of two.
 
-:func:`integer_winograd_conv2d` quantizes and pads the input, binds the
-requantized tap-major weights, and makes one call into the kernel backend's
-fused forward, ``winograd_forward(..., quant=TapRequant(...))``.  The
-``reference`` backend runs that forward as staged int64 passes (integer
-``BT x B``, requantization, int64 tap contraction) and is the bit-exact
-oracle.  The ``fast`` backend carries the same integers in float64 through
-its blocked, cache-resident tap-major pipeline, so the contraction runs on
-BLAS; float64 represents every integer below 2**53 exactly, so as long as
-every accumulator stays below that bound its result is bit-identical to the
-int64 one.  :func:`repro.engine.lower_winograd` enforces the bound for the
-integer path (``Cin · max(|qmin|, qmax)² < 2**53`` at ``wino_bits``), and
-also rejects transforms whose ``BT`` is not integral (e.g. F6).
+:func:`integer_winograd_conv2d` quantizes the input, binds the requantized
+tap-major weights, and makes one :func:`repro.engine.execute` call with a
+:class:`~repro.kernels.TapRequant` spec, so the path gets the same padding,
+trace span and per-plan profile as every other convolution.  The weights are
+bound exactly: the int8 weights are transformed with the integral ``k·G``
+(``k`` = 2 for F2, 24 for F4), whose products are exact integers on every
+backend, and then scaled once per tap by ``s_w / (k² · S_G)`` before
+rounding, so every backend binds the same integers.  The ``reference``
+backend runs the fused forward as staged int64 passes (integer ``BT x B``,
+requantization, int64 tap contraction) and is the bit-exact oracle.  The
+``fast`` backend carries the same integers in float64 through its blocked,
+cache-resident tap-major pipeline, so the contraction runs on BLAS; float64
+represents every integer below 2**53 exactly, so as long as every
+accumulator stays below that bound its result is bit-identical to the int64
+one.  :func:`repro.engine.lower_winograd` enforces the bound for the integer
+path (``Cin · max(|qmin|, qmax)² < 2**53`` at ``wino_bits``), and also
+rejects transforms whose ``BT`` is not integral (e.g. F6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..kernels import KernelBackend, TapRequant, get_backend
 from ..winograd.tiling import pad_for_tiling
-from ..winograd.transforms import WinogradTransform
+from ..winograd.transforms import WinogradTransform, _fractional_lcm
 from .quantizer import compute_scale, quant_range
 
 __all__ = ["TapwiseScales", "calibrate_tapwise_scales", "integer_winograd_conv2d",
@@ -152,7 +158,6 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
             x.shape, weight.shape, transform, padding, backend=backend,
             quant={"path": "integer", "spatial_bits": spatial_bits,
                    "wino_bits": wino_bits})
-    be = plan.backend
     transform = plan.transform
     a = transform.alpha
     cout, cin = weight.shape[:2]
@@ -160,32 +165,29 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
     qmin_w, qmax_w = quant_range(wino_bits)
 
     # Spatial-domain quantization (Eq. 2) — these are the int8 tensors that
-    # live in DDR / L1 on the accelerator, padded as the plan says.
+    # live in DDR / L1 on the accelerator.
     x_q = x / scales.act_spatial
     np.rint(x_q, out=x_q)
     x_int = np.clip(x_q, qmin_s, qmax_s, out=x_q).astype(np.min_scalar_type(qmin_s))
-    padded = np.pad(x_int, plan.pad_width) if plan.pad_width is not None else x_int
 
-    # Weight transform: G f GT evaluated on the dequantized int8 weights, then
-    # laid out tap-major, (a², Cout, Cin), and requantized tap-wise (this is
-    # what the WT_XFORM engine produces).
-    w_hat = np.clip(np.rint(weight / scales.weight_spatial), qmin_s, qmax_s
-                    ) * scales.weight_spatial
-    weight_w_real = be.apply_transform_pair(w_hat, transform.G, transform.G.T)
-    w_r = np.ascontiguousarray(weight_w_real.transpose(2, 3, 0, 1)).reshape(a * a, cout, cin)
-    w_r /= scales.weight_wino.reshape(a * a, 1, 1)
+    # Weight transform on the int8 weights with the integral k·G, laid out
+    # tap-major, (a², Cout, Cin), then requantized tap-wise with one factor
+    # s_w / (k² · S_G) (this is what the WT_XFORM engine produces).
+    k, g_int = _integral_g(transform)
+    w_int = np.clip(np.rint(weight / scales.weight_spatial), qmin_s, qmax_s)
+    w_wino = plan.backend.apply_transform_pair(w_int, g_int, g_int.T)
+    w_r = np.ascontiguousarray(w_wino.transpose(2, 3, 0, 1)).reshape(a * a, cout, cin)
+    w_r *= (scales.weight_spatial / (k * k * scales.weight_wino)).reshape(a * a, 1, 1)
     np.rint(w_r, out=w_r)
     np.clip(w_r, qmin_w, qmax_w, out=w_r)
 
     # Integer BT x B, tap-wise requantization, the integer tap-wise MatMul
-    # (the Cube Unit), the single S_BG rescale and AT y A: one backend call.
+    # (the Cube Unit), the single S_BG rescale and AT y A: one fused call.
     quant = TapRequant(in_ratio=scales.act_spatial / scales.input_wino,
                        qmin=qmin_w, qmax=qmax_w, out_scale=scales.output_wino)
     stats = {} if return_stats else None
-    out = be.winograd_forward(padded, weight, transform, plan.out_h, plan.out_w,
-                              w_r=w_r, quant=quant, stats=stats)
-    if bias is not None:
-        out += bias.reshape(1, cout, 1, 1)
+    out = engine.execute(plan, x_int, weight, bias, w_r=w_r, quant=quant,
+                         stats=stats)
 
     if not return_stats:
         return out
@@ -193,6 +195,15 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
     stats["input_utilisation"] = float(stats.pop("input_q_max") / max(qmax_w, 1))
     stats["weight_utilisation"] = float(np.abs(w_r).max() / max(qmax_w, 1))
     return out, stats
+
+
+@lru_cache(maxsize=16)
+def _integral_g(transform: WinogradTransform) -> tuple[int, np.ndarray]:
+    """``(k, k·G)`` for the smallest ``k`` that makes ``k·G`` integral."""
+    k = _fractional_lcm(transform.G)
+    g_int = np.rint(k * transform.G)
+    g_int.setflags(write=False)
+    return k, g_int
 
 
 def accumulator_bits_required(max_abs_value: int) -> int:

@@ -13,19 +13,23 @@ What compilation buys over calling the module graph layer by layer:
   once into the tap-major ``w_r`` layout the fused kernel executes, exactly
   like :class:`~repro.engine.CompiledConv` but for the whole network.
 * **BatchNorm folding** — in eval mode a ``Conv2d -> BatchNorm2d`` pair
-  collapses into one convolution with rescaled weights and a fused bias
-  (``fold_bn=True``), deleting the BN pass entirely.
-* **ReLU fusion** — a ReLU following a convolution / BN / residual add is
-  applied in place on the producer's output buffer (``fuse_relu=True``).
-* **Workspace arena** — per-step pipeline buffers come from a plan-keyed
-  :class:`~repro.engine.WorkspaceArena`, so steady-state inference does zero
-  fresh large allocations.  Concurrent ``infer`` calls lease distinct arenas
-  from an :class:`~repro.engine.ArenaPool` (in-flight batches never share
+  collapses into one convolution with rescaled weights and a fused bias,
+  deleting the BN pass entirely.
+* **ReLU fusion** — a ReLU following a convolution / BN / linear / residual
+  add is applied in place on the producer's output buffer.
+* **Workspace arena** — every convolution step runs through
+  :func:`repro.engine.execute` with the leased
+  :class:`~repro.engine.WorkspaceArena`, so its output (and a Winograd
+  step's padded input) live in buffers keyed by the step and steady-state
+  inference does zero fresh large allocations.  Concurrent ``infer`` calls lease distinct arenas from
+  an :class:`~repro.engine.ArenaPool` (in-flight batches never share
   buffers).
-* **Quantized layers** — calibrated :class:`~repro.quant.QuantConv2d` /
-  :class:`~repro.quant.QuantWinogradConv2d` layers compile to steps that
-  replay the eager fake-quantized pipeline bit-exactly from frozen scales
-  and pre-quantized Winograd-domain weights.
+* **Quantized layers** — a calibrated :class:`~repro.quant.QuantConv2d`
+  lowers to its activation fake-quant step plus an ordinary convolution step
+  over its fake-quantized weights, so BN folding and ReLU fusion apply to it
+  too; a calibrated :class:`~repro.quant.QuantWinogradConv2d` replays the
+  eager tap-wise pipeline from frozen scales and pre-quantized
+  Winograd-domain weights.  Both are bit-identical to the eval-mode layer.
 
 The compiled model follows the process-wide kernel backend dynamically: when
 :func:`repro.kernels.set_backend` switches backends mid-serve, the shared
@@ -44,8 +48,7 @@ import numpy as np
 
 from .. import engine
 from ..engine.arena import ArenaPool, WorkspaceArena
-from ..engine.executor import (_pad_input_workspace, _plan_backend,
-                               bind_tap_major_weights, layer_span)
+from ..engine.executor import bind_tap_major_weights
 from ..kernels import KernelBackend, get_backend
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
@@ -71,13 +74,14 @@ def _relu_(x: np.ndarray, in_place: bool) -> np.ndarray:
 class _Step:
     """One unit of compiled execution: ``run(x, arena) -> ndarray``.
 
-    ``arena`` is ``None`` when the model was compiled with ``use_arena=False``
-    (steps then allocate fresh outputs, like the eager per-layer path).
+    ``arena`` is the :class:`~repro.engine.WorkspaceArena` leased for the
+    current batch, never ``None``.  A step may return one of its arena
+    buffers; :meth:`CompiledModel.infer` copies a final one out.
     """
 
     fused_relu = False
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -85,7 +89,9 @@ class _Step:
 
 
 class _ConvStep(_Step):
-    """A float convolution bound to plan + pre-transformed weights.
+    """A convolution bound to plan + pre-transformed weights, run by
+    :func:`repro.engine.execute` in the leased arena (float layers, and the
+    fake-quantized weights of a calibrated :class:`~repro.quant.QuantConv2d`).
 
     ``backend_arg`` of ``None`` means *follow the process-wide backend*: the
     step re-resolves it per call and re-binds its weights whenever the
@@ -128,58 +134,13 @@ class _ConvStep(_Step):
                                    self.padding, backend=be)
 
     # -- execution -------------------------------------------------------- #
-    def _finish(self, out: np.ndarray, owned: bool) -> np.ndarray:
-        if self.bias is not None:
-            if owned:
-                out += self.bias.reshape(1, -1, 1, 1)
-            else:
-                out = out + self.bias.reshape(1, -1, 1, 1)
-                owned = True
-        if self.fused_relu:
-            out = _relu_(out, in_place=owned)
-        return out
-
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
-        be = self._backend()
-        plan = self.plan_for(x.shape, be)
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
+        plan = self.plan_for(x.shape, self._backend())
         if _obs_profile._ENABLED:
             self._profiled_labels.add(_obs_profile.plan_label(plan))
-        if arena is None:
-            out = engine.execute(plan, x, self.weight, w_r=self._w_r)
-            return self._finish(out, owned=True)
-        with layer_span(plan):
-            if self.kind == "winograd":
-                return self._winograd_arena(plan, x, _plan_backend(plan), arena)
-            return self._im2col_arena(plan, x, _plan_backend(plan), arena)
-
-    def _winograd_arena(self, plan, x: np.ndarray, be: KernelBackend,
-                        arena: WorkspaceArena) -> np.ndarray:
-        t = plan.transform
-        padded = _pad_input_workspace(plan, x, arena, slot=self)
-        full_h, full_w = plan.n_h * t.m, plan.n_w * t.m
-        n, cout = plan.in_shape[0], plan.weight_shape[0]
-        full = arena.get(plan, "out_full", shape=(n, cout, full_h, full_w),
-                         slot=self)
-        # Ask the kernel for the uncropped output (out_h == full_h) so it
-        # writes straight into the arena buffer; crop here if needed.
-        full = be.winograd_forward(padded, self.weight, t, full_h, full_w,
-                                   w_r=self._w_r, out=full)
-        if (full_h, full_w) == (plan.out_h, plan.out_w):
-            out = full
-        else:
-            out = arena.get(plan, "out", slot=self)
-            np.copyto(out, full[:, :, :plan.out_h, :plan.out_w])
-        return self._finish(out, owned=True)
-
-    def _im2col_arena(self, plan, x: np.ndarray, be: KernelBackend,
-                      arena: WorkspaceArena) -> np.ndarray:
-        kh, kw = plan.weight_shape[2], plan.weight_shape[3]
-        cols = be.im2col(x, (kh, kw), plan.stride, plan.padding)
-        cout = plan.weight_shape[0]
-        gemm_out = arena.get(plan, "gemm_out", shape=plan.workspace["cols"][:1]
-                             + (cout, plan.out_h * plan.out_w), slot=self)
-        out = be.conv2d_gemm(self.weight.reshape(cout, -1), cols, out=gemm_out)
-        return self._finish(out.reshape(plan.out_shape), owned=True)
+        out = engine.execute(plan, x, self.weight, self.bias, w_r=self._w_r,
+                             arena=arena, slot=self)
+        return _relu_(out, in_place=True) if self.fused_relu else out
 
     def describe(self) -> str:
         tname = self.transform.name if self.transform is not None else "im2col"
@@ -195,15 +156,15 @@ class _BNStep(_Step):
         self.shift = np.asarray(shift, dtype=np.float64).reshape(1, -1, 1, 1)
         self.fused_relu = relu
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         out = x * self.scale
         out += self.shift
         return _relu_(out, in_place=True) if self.fused_relu else out
 
 
 class _ReluStep(_Step):
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
-        return _relu_(x, in_place=arena is not None and arena.owns(x))
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
+        return _relu_(x, in_place=arena.owns(x))
 
 
 def _pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -222,7 +183,7 @@ class _PoolStep(_Step):
         self.kernel = kernel
         self.stride = stride
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         windows = _pool_windows(x, self.kernel, self.stride)
         if self.kind == "max":
             return windows.max(axis=(-1, -2))
@@ -233,7 +194,7 @@ class _PoolStep(_Step):
 
 
 class _GlobalAvgPoolStep(_Step):
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         return x.mean(axis=(2, 3))
 
 
@@ -241,7 +202,7 @@ class _FlattenStep(_Step):
     def __init__(self, start_dim: int = 1):
         self.start_dim = start_dim
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         return np.ascontiguousarray(x).reshape(x.shape[:self.start_dim] + (-1,))
 
 
@@ -252,13 +213,10 @@ class _LinearStep(_Step):
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         self.fused_relu = relu
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
-        if arena is not None:
-            out = arena.get(self, "out", shape=(x.shape[0], self.w_t.shape[1]),
-                            dtype=np.result_type(x.dtype, self.w_t.dtype))
-            np.matmul(x, self.w_t, out=out)
-        else:
-            out = x @ self.w_t
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
+        out = arena.get(self, "out", shape=(x.shape[0], self.w_t.shape[1]),
+                        dtype=np.result_type(x.dtype, self.w_t.dtype))
+        np.matmul(x, self.w_t, out=out)
         if self.bias is not None:
             out += self.bias
         return _relu_(out, in_place=True) if self.fused_relu else out
@@ -276,14 +234,14 @@ class _ResidualStep(_Step):
         self.shortcut = tuple(shortcut)
         self.fused_relu = relu
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         identity = x
         for step in self.shortcut:
             identity = step.run(identity, arena)
         out = x
         for step in self.body:
             out = step.run(out, arena)
-        if arena is not None and arena.owns(out):
+        if arena.owns(out):
             out += identity
         else:
             out = out + identity
@@ -305,7 +263,7 @@ class _OpaqueStep(_Step):
     def __init__(self, module: Module):
         self.module = module
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         was_training = self.module.training
         if was_training:
             self.module.eval()
@@ -331,19 +289,21 @@ class _QuantWinogradStep(_Step):
     same order*, so the output is bit-identical to the eval-mode module.
     """
 
-    def __init__(self, layer: QuantWinogradConv2d):
+    def __init__(self, layer: QuantWinogradConv2d,
+                 backend_arg: str | KernelBackend | None = None):
         self.layer = layer
+        self.backend_arg = backend_arg
         self._be: KernelBackend | None = None
         self._weight_w_q = None
 
     def _backend(self) -> KernelBackend:
-        be = get_backend(self.layer.backend)
+        be = get_backend(self.backend_arg)
         if be is not self._be:
             _, self._weight_w_q = self.layer.bind_inference_weights(be)
             self._be = be
         return be
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
         layer, be = self.layer, self._backend()
         t = layer.transform
         if layer.act_quant is not None:
@@ -364,34 +324,17 @@ class _QuantWinogradStep(_Step):
                 f"bits={self.layer.spatial_bits}/{self.layer.wino_bits}")
 
 
-class _QuantConv2dStep(_Step):
-    """Calibrated int8 im2col conv, replayed bit-exactly from frozen scales."""
+class _ActQuantStep(_Step):
+    """A quantized layer's eval-mode activation fake-quant, frozen scale."""
 
-    def __init__(self, layer: QuantConv2d):
-        self.layer = layer
-        self._be: KernelBackend | None = None
-        self._wq2d = None
+    def __init__(self, quantizer):
+        self.quantizer = quantizer
 
-    def _backend(self) -> KernelBackend:
-        be = get_backend(self.layer.backend)
-        if be is not self._be:
-            wq = self.layer.bind_inference_weights(be)
-            self._wq2d = np.ascontiguousarray(wq.reshape(wq.shape[0], -1))
-            self._be = be
-        return be
+    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
+        return self.quantizer.fake_quantize_array(x)
 
-    def run(self, x: np.ndarray, arena: WorkspaceArena | None) -> np.ndarray:
-        layer, be = self.layer, self._backend()
-        xq = layer.act_quant.fake_quantize_array(x)
-        kh = kw = layer.kernel_size
-        cols = be.im2col(xq, (kh, kw), layer.stride, layer.padding)
-        out_h = (x.shape[2] + 2 * layer.padding - kh) // layer.stride + 1
-        out_w = (x.shape[3] + 2 * layer.padding - kw) // layer.stride + 1
-        out = be.conv2d_gemm(self._wq2d, cols).reshape(
-            x.shape[0], layer.out_channels, out_h, out_w)
-        if layer.bias is not None:
-            out = out + layer.bias.data.reshape(1, -1, 1, 1)
-        return out
+    def describe(self) -> str:
+        return f"act_quant bits={self.quantizer.n_bits}"
 
 
 # --------------------------------------------------------------------------- #
@@ -415,11 +358,8 @@ def register_compiler(module_type: type):
 
 
 class _CompileCtx:
-    def __init__(self, transform: WinogradTransform | None, fold_bn: bool,
-                 fuse_relu: bool, backend_arg):
+    def __init__(self, transform: WinogradTransform | None, backend_arg):
         self.transform = transform
-        self.fold_bn = fold_bn
-        self.fuse_relu = fuse_relu
         self.backend_arg = backend_arg
 
 
@@ -464,14 +404,14 @@ def _compile_linear_list(entries: list, ctx: _CompileCtx) -> list[_Step]:
     """Peephole-fuse and compile a linearised module list into steps."""
     steps: list[_Step] = []
     for entry in entries:
-        if isinstance(entry, L.BatchNorm2d) and ctx.fold_bn and steps and \
+        if isinstance(entry, L.BatchNorm2d) and steps and \
                 isinstance(steps[-1], _ConvStep) and not steps[-1].fused_relu:
             steps[-1] = _fold_bn_into_conv(steps[-1], entry)
             continue
         step = entry if isinstance(entry, _Step) else _compile_leaf(entry, ctx)
         if step is None:                                   # identity / dropout
             continue
-        if isinstance(step, _ReluStep) and ctx.fuse_relu and steps and \
+        if isinstance(step, _ReluStep) and steps and \
                 isinstance(steps[-1], (_ConvStep, _BNStep, _LinearStep,
                                        _ResidualStep)) \
                 and not steps[-1].fused_relu:
@@ -508,15 +448,22 @@ def _compile_leaf(module: Module, ctx: _CompileCtx) -> _Step | None:
     if isinstance(module, L.Linear):
         bias = None if module.bias is None else module.bias.data
         return _LinearStep(module.weight.data, bias)
-    if isinstance(module, QuantWinogradConv2d):
-        if module.is_calibrated():
-            return _QuantWinogradStep(module)
-        return _OpaqueStep(module)                         # stateful observers
-    if isinstance(module, QuantConv2d):
-        if module.is_calibrated():
-            return _QuantConv2dStep(module)
-        return _OpaqueStep(module)
-    return _OpaqueStep(module)
+    if isinstance(module, QuantWinogradConv2d) and module.is_calibrated():
+        return _QuantWinogradStep(module, module.backend or ctx.backend_arg)
+    return _OpaqueStep(module)          # incl. uncalibrated (stateful) layers
+
+
+@register_compiler(QuantConv2d)
+def _compile_quant_conv(layer: QuantConv2d, ctx: _CompileCtx):
+    """Activation fake-quant, then a plain im2col conv on the quantized
+    weights: bit-identical to the eval-mode layer's ``F.conv2d``."""
+    if not layer.is_calibrated():
+        return [_OpaqueStep(layer)]
+    bias = None if layer.bias is None else layer.bias.data
+    return [_ActQuantStep(layer.act_quant),
+            _ConvStep(layer.bind_inference_weights(), bias, stride=layer.stride,
+                      padding=layer.padding,
+                      backend_arg=layer.backend or ctx.backend_arg)]
 
 
 # Structural compilers for the reference model classes: each returns the
@@ -560,9 +507,9 @@ class CompiledModel:
     arenas from the internal pool.
     """
 
-    def __init__(self, steps: list[_Step], *, use_arena: bool = True):
+    def __init__(self, steps: list[_Step]):
         self.steps: tuple[_Step, ...] = tuple(steps)
-        self.arena_pool: ArenaPool | None = ArenaPool() if use_arena else None
+        self.arena_pool = ArenaPool()
 
     def infer(self, x: np.ndarray, deadline: float | None = None) -> np.ndarray:
         """Run one batch through the compiled pipeline.
@@ -585,11 +532,6 @@ class CompiledModel:
         out = np.asarray(x, dtype=np.float64)
         with _obs_trace.span("model.infer", cat="serve",
                              batch=int(out.shape[0]) if out.ndim else 0):
-            if self.arena_pool is None:
-                for step in self.steps:
-                    out = step.run(out, None)
-                    check_deadline()
-                return out
             with self.arena_pool.lease() as arena:
                 for step in self.steps:
                     out = step.run(out, arena)
@@ -608,7 +550,7 @@ class CompiledModel:
     @property
     def workspace_nbytes(self) -> int:
         """Bytes currently held across all leased-out/pooled arenas."""
-        return 0 if self.arena_pool is None else self.arena_pool.nbytes
+        return self.arena_pool.nbytes
 
     def describe(self) -> list[str]:
         """One human-readable line per compiled step."""
@@ -640,9 +582,7 @@ class CompiledModel:
 
 def compile_model(model: Module, input_shape: tuple | None = None, *,
                   transform: WinogradTransform | str | None = "F4",
-                  backend: str | KernelBackend | None = None,
-                  fold_bn: bool = True, fuse_relu: bool = True,
-                  use_arena: bool = True) -> CompiledModel:
+                  backend: str | KernelBackend | None = None) -> CompiledModel:
     """Lower ``model`` into a :class:`CompiledModel` (eval-mode semantics).
 
     Parameters
@@ -661,15 +601,12 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
     backend:
         Pin the compiled model to one kernel backend; ``None`` (default)
         follows the process-wide selection dynamically — a mid-serve
-        ``set_backend`` evicts the plan cache and the steps re-bind.
-    fold_bn / fuse_relu / use_arena:
-        Toggles for the whole-model optimisations (all on by default; turning
-        them all off yields the plain per-layer ``CompiledConv`` behaviour,
-        which is the baseline the serving benchmark measures against).
+        ``set_backend`` evicts the plan cache and the steps re-bind.  A
+        layer's own ``backend`` still takes precedence.
     """
     if isinstance(transform, str):
         transform = get_transform(transform)
-    ctx = _CompileCtx(transform, fold_bn, fuse_relu, backend)
+    ctx = _CompileCtx(transform, backend)
 
     was_training = getattr(model, "training", False)
     model.eval()     # fold_scale_shift & quantized snapshots need eval stats
@@ -679,7 +616,7 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
         if was_training:
             model.train()
 
-    compiled = CompiledModel(steps, use_arena=use_arena)
+    compiled = CompiledModel(steps)
     if input_shape is not None:
         compiled.warmup(input_shape)
     return compiled

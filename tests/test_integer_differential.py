@@ -6,30 +6,24 @@ up to 64 channels, padding 0/1/2, F2 and F4, scales calibrated on a damped
 input so the requantization saturates, plus one layer whose single row of F4
 tiles overflows ``fast``'s block budget).  ``fast`` must reproduce the
 int64 ``reference`` bit for bit whenever the tap-wise scales are powers of
-two.  With arbitrary scales the two backends' float weight transforms
-(``apply_transform_pair(w, G, Gᵀ)``) can round exact ``.5`` ties of
-``G f Gᵀ / S_G`` apart -- int8-grid weights make such ties common -- so there
-the fused ``fast`` forward is fed the ``reference`` weight binding and only
-its float ``AT y A`` may differ in the last ulps.  The integer statistics
-must be identical either way.
+two.  With arbitrary scales the weights still bind to the same integers on
+both backends (they are transformed exactly with the integral ``k·G``), so
+only the float ``S_BG`` rescale and ``AT y A`` may differ in the last ulps.
+The integer statistics must be identical either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro import engine
-from repro.kernels import fast, get_backend
+from repro.kernels import fast
 from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
 from repro.winograd import get_transform, winograd_f6
 from repro.winograd.tiling import tile_counts
-
-# fast's fused integer forward with reference's weight binding.
-FAST_KERNEL = replace(get_backend("fast"), name="fast-forward",
-                      apply_transform_pair=get_backend("reference").apply_transform_pair)
 
 ODD_SIZES = (3, 5, 7, 9, 11, 13, 15, 17, 19, 21)
 PRIME_SIZES = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -113,7 +107,7 @@ def test_generator_covers_the_edge_cases():
 @pytest.mark.parametrize("case", CASES, ids=repr)
 def test_fast_matches_reference(case):
     out_ref, stats_ref = case.run("reference")
-    out_fast, stats_fast = case.run("fast" if case.power_of_two else FAST_KERNEL)
+    out_fast, stats_fast = case.run("fast")
     assert stats_fast == stats_ref
     assert out_fast.dtype == out_ref.dtype == np.float64
     if case.power_of_two:

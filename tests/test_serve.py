@@ -26,7 +26,8 @@ from repro.models.resnet_cifar import resnet_tiny
 from repro.models.vgg import vgg_nagadomi_tiny
 from repro.nn.module import Module, Sequential
 from repro.nn.tensor import Tensor, no_grad
-from repro.quant import (QuantConv2d, QuantWinogradConv2d,
+from repro.quant import (QatConfig, QuantConv2d, QuantWinogradConv2d,
+                         convert_model,
                          calibrate_tapwise_scales, integer_winograd_conv2d)
 from repro.serve import (CompiledModel, MicroBatcher, Server, ShmWorkerPool,
                          compile_model)
@@ -61,15 +62,6 @@ class TestCompiledModel:
         model = vgg_nagadomi_tiny(seed=5)
         x = rng.normal(size=(2, 3, 32, 32))
         compiled = compile_model(model, (2, 3, 32, 32))
-        np.testing.assert_allclose(compiled.infer(x), _eager(model, x),
-                                   rtol=1e-9, atol=1e-10)
-
-    def test_unfused_compile_matches_too(self, rng):
-        """fold_bn/fuse_relu/arena off == the per-layer CompiledConv path."""
-        model = resnet_tiny(seed=7)
-        x = rng.normal(size=(2, 3, 32, 32))
-        compiled = compile_model(model, fold_bn=False, fuse_relu=False,
-                                 use_arena=False)
         np.testing.assert_allclose(compiled.infer(x), _eager(model, x),
                                    rtol=1e-9, atol=1e-10)
 
@@ -160,6 +152,50 @@ class TestCompiledQuantized:
         x = rng.normal(size=(2, 3, 16, 16))
         compiled = compile_model(model)
         np.testing.assert_array_equal(compiled.infer(x), _eager(model, x))
+
+    def test_pinned_backend_reaches_quant_steps(self, rng):
+        """``compile_model(backend=...)`` binds the quant steps to the pinned
+        backend too, not to the process-wide one."""
+        calls = {}
+
+        def wrap(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        qconv = QuantConv2d(4, 5, 3, stride=2, padding=1)
+        qconv.weight.data = rng.normal(size=(5, 4, 3, 3)) * 0.2
+        model = Sequential(self._calibrated_qwino(rng), qconv)
+        model(Tensor(rng.normal(size=(2, 3, 16, 16))))     # calibrate qconv
+        x = rng.normal(size=(2, 3, 16, 16))
+        with use_backend("fast"):
+            pinned = compile_model(model, backend=get_backend(
+                "reference").instrumented(wrap))
+            out = pinned.infer(x)
+        assert calls.get("tile_contract", 0) > 0        # the Winograd quant step
+        assert calls.get("conv2d_gemm", 0) > 0          # the QuantConv2d step
+        with use_backend("reference"):
+            np.testing.assert_array_equal(out, _eager(model, x))
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_quantized_resnet_tiny_matches_eager(self, rng, backend):
+        """A calibrated tap-wise QAT network compiles with every conv bound
+        (no opaque steps) and matches the eager eval model, including the
+        BN folded after each ``QuantConv2d``."""
+        qmodel = convert_model(resnet_tiny(seed=6), QatConfig(
+            algorithm="F4", tapwise=True, power_of_two=True))
+        qmodel.train()
+        with no_grad():
+            qmodel(Tensor(rng.normal(size=(4, 3, 32, 32))))    # calibrate
+        x = rng.normal(size=(2, 3, 32, 32))
+        compiled = compile_model(qmodel, (2, 3, 32, 32), backend=backend)
+        lines = "\n".join(compiled.describe())
+        assert "opaque" not in lines and "qwino" in lines and "act_quant" in lines
+        with use_backend(backend):
+            expected = _eager(qmodel, x)
+        np.testing.assert_allclose(compiled.infer(x), expected,
+                                   rtol=1e-9, atol=1e-10)
 
     def test_uncalibrated_quant_layer_falls_back_opaque(self, rng):
         model = Sequential(QuantWinogradConv2d(3, 4, transform="F4"))
