@@ -21,9 +21,12 @@ Acceptance numbers (same 4x32x32x32 input, 32 output channels, F4):
 * ``planned_f4_forward``: the planned executor (bound CompiledConv streaming
   repeated same-shape batches through a cached LayerPlan) must be >= 1.3x
   faster than the eager composed tensor path — the per-stage autograd graph
-  every forward used before :mod:`repro.engine` existed, and which the
-  quantization-hook layers still run.  Both measurements are interleaved
-  round by round (paired ratios) for robustness on loaded machines.
+  every forward used before :mod:`repro.engine` existed, rebuilt here from
+  the backend primitives.  Both measurements are interleaved round by round
+  (paired ratios) for robustness on loaded machines.
+* ``qat_f4_fused_autograd``: one tap-wise QAT F4 layer's fused
+  forward+backward node against the same layer on the composed graph with
+  its Winograd-domain quantizers as separate nodes (recorded, not gated).
 
 Serving-layer numbers (PR 5, written to ``BENCH_serve.json``):
 
@@ -86,13 +89,14 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.kernels import available_backends, use_backend  # noqa: E402
+from repro.kernels import available_backends, get_backend, use_backend  # noqa: E402
 from repro.nn.functional import conv2d_numpy  # noqa: E402
 from repro.nn.tensor import Tensor  # noqa: E402
 from repro.quant import (calibrate_tapwise_scales,  # noqa: E402
                          integer_winograd_conv2d)
-from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor,  # noqa: E402
-                            winograd_f2, winograd_f4)
+from repro.winograd import (assemble_output_tiles,  # noqa: E402
+                            pad_for_tiling, winograd_conv2d,
+                            winograd_conv2d_tensor, winograd_f2, winograd_f4)
 
 # Acceptance workload: 4x32x32x32 input, 32 output channels, 3x3 kernels.
 _RNG = np.random.default_rng(0)
@@ -135,8 +139,65 @@ CASES = {
 # --------------------------------------------------------------------------- #
 # Planned executor vs eager composed path
 # --------------------------------------------------------------------------- #
-def _identity(t):
-    return t
+def _composed_winograd(x, w, transform, padding=1, input_hook=None,
+                       weight_hook=None):
+    """The eager baseline: every Winograd stage its own autograd node.
+
+    Tile extraction, the ``BT x B`` / ``G f GT`` / ``AT y A`` pair
+    transforms, the tap contraction and the output assembly over the active
+    backend's primitives — the graph every forward ran before
+    :mod:`repro.engine`, and the tap-wise QAT layer ran with its
+    Winograd-domain quantizers as the two hooks until they moved into the
+    fused kernel.
+    """
+    be, t = get_backend(), transform
+    m, r = t.m, t.r
+    padded, out_h, out_w = pad_for_tiling(x.data, m, r, padding)
+    h, wd = x.shape[2], x.shape[3]
+
+    def untile(g):
+        dx = be.scatter_tiles_add(g, padded.shape, m, r)
+        return (dx[:, :, padding:padding + h, padding:padding + wd],)
+
+    def pair(tt, left, right):
+        return Tensor.from_op(
+            be.apply_transform_pair(tt.data, left, right), (tt,),
+            lambda g: (be.apply_transform_pair(g, left.T, right.T),))
+
+    tiles_w = pair(Tensor.from_op(be.extract_tiles(padded, m, r), (x,), untile),
+                   t.BT, t.B)
+    weight_w = pair(w, t.G, t.G.T)
+    if input_hook is not None:
+        tiles_w = input_hook(tiles_w)
+    if weight_hook is not None:
+        weight_w = weight_hook(weight_w)
+    xw, ww = tiles_w.data, weight_w.data
+    prod = Tensor.from_op(
+        be.tile_contract(xw, ww), (tiles_w, weight_w),
+        lambda g: (be.tile_contract_dx(g, ww), be.tile_contract_dw(g, xw)))
+    out_tiles = pair(prod, t.AT, t.A)
+    n, cout, n_h, n_w = out_tiles.shape[:4]
+
+    def tile(g):
+        full = np.zeros((n, cout, n_h * m, n_w * m))
+        full[:, :, :out_h, :out_w] = g
+        return (np.ascontiguousarray(full.reshape(
+            n, cout, n_h, m, n_w, m).transpose(0, 1, 2, 4, 3, 5)),)
+
+    return Tensor.from_op(assemble_output_tiles(out_tiles.data, out_h, out_w),
+                          (out_tiles,), tile)
+
+
+def _calibrated_qat_layer():
+    """A tap-wise power-of-two F4 QAT layer with the acceptance weights,
+    calibrated on the acceptance input."""
+    from repro.quant import QuantWinogradConv2d
+
+    layer = QuantWinogradConv2d(W.shape[1], W.shape[0], bias=False,
+                                transform="F4", power_of_two=True)
+    layer.weight.data = W.copy()
+    layer(Tensor(X))
+    return layer
 
 
 def planned_vs_eager_cases(repeats: int, warmup: int) -> dict:
@@ -144,11 +205,13 @@ def planned_vs_eager_cases(repeats: int, warmup: int) -> dict:
 
     * ``planned_f4_forward`` — a :class:`repro.engine.CompiledConv` (weights
       pre-transformed once, plan interned in the shared cache) streaming the
-      acceptance workload, vs the composed tensor forward (an identity hook
-      forces the per-stage graph, i.e. the pre-engine behaviour and today's
-      quantization-hook path).
+      acceptance workload, vs the composed tensor forward
+      (:func:`_composed_winograd`, the pre-engine behaviour).
     * ``planned_f4_fused_autograd`` — the engine's fused single-node
       forward+backward vs the composed five-node graph's forward+backward.
+    * ``qat_f4_fused_autograd`` — a tap-wise QAT layer's forward+backward
+      (one fused node with the fake quantization inside) vs the same layer
+      on the composed graph with its quantizers as hooks.
     """
     from repro.engine import CompiledConv, clear_plan_cache
 
@@ -159,8 +222,7 @@ def planned_vs_eager_cases(repeats: int, warmup: int) -> dict:
         compiled(X)
 
     def eager_forward():
-        winograd_conv2d_tensor(Tensor(X), Tensor(W), winograd_f4(), padding=1,
-                               input_tile_hook=_identity)
+        _composed_winograd(Tensor(X), Tensor(W), winograd_f4())
 
     def planned_autograd():
         x = Tensor(X, requires_grad=True)
@@ -171,14 +233,25 @@ def planned_vs_eager_cases(repeats: int, warmup: int) -> dict:
     def eager_autograd():
         x = Tensor(X, requires_grad=True)
         w = Tensor(W, requires_grad=True)
-        out = winograd_conv2d_tensor(x, w, winograd_f4(), padding=1,
-                                     input_tile_hook=_identity)
-        out.backward(GRAD)
+        _composed_winograd(x, w, winograd_f4()).backward(GRAD)
+
+    fused_layer, composed_layer = _calibrated_qat_layer(), _calibrated_qat_layer()
+
+    def fused_qat():
+        fused_layer(Tensor(X, requires_grad=True)).backward(GRAD)
+
+    def composed_qat():
+        layer = composed_layer
+        x = layer.act_quant(Tensor(X, requires_grad=True))
+        _composed_winograd(x, layer.weight_quant(layer.weight), layer.transform,
+                           input_hook=layer.input_wino_quant,
+                           weight_hook=layer.weight_wino_quant).backward(GRAD)
 
     results = {}
     pairs = {
         "planned_f4_forward": (planned_forward, eager_forward),
         "planned_f4_fused_autograd": (planned_autograd, eager_autograd),
+        "qat_f4_fused_autograd": (fused_qat, composed_qat),
     }
     for case_name, (planned_fn, eager_fn) in pairs.items():
         for _ in range(warmup):
@@ -600,7 +673,6 @@ def main(argv=None) -> int:
 
     from repro import obs
     from repro.engine import plan_cache_stats
-    from repro.kernels import get_backend
 
     if args.trace:
         global _TRACE_DIR

@@ -11,8 +11,8 @@ batches through the fixed plan:
   (cache stats via :func:`plan_cache_stats`; the cache is evicted when the
   active kernel backend changes).
 * :func:`execute` / :func:`execute_tensor` — run a plan;
-  the tensor form is a *single fused autograd node* (fused forward+backward
-  fast path for the no-quant-hook case).
+  the tensor form is a *single fused autograd node* (fused forward+backward,
+  with the tap-wise fake quantization inside it for QAT layers).
 * :class:`CompiledConv` — a plan with bound (pre-transformed) weights, for
   inference streams.
 * :class:`BatchRunner` / :class:`ConvJob` — shard input streams across
@@ -23,8 +23,7 @@ batches through the fixed plan:
 
 The eager entry points in :mod:`repro.nn.functional`,
 :mod:`repro.winograd.conv` and :mod:`repro.quant.qconv` lower-then-execute
-through this package by default; only the quantization hooks, which must
-see the Winograd-domain intermediates, keep their composed implementations.
+through this package.
 """
 
 from __future__ import annotations

@@ -15,17 +15,16 @@ points (``winograd_forward`` / ``winograd_autograd``), which every
   Every call opens one ``layer_span`` and, when profiling, runs through the
   plan's profiled backend.
 
-* :func:`execute_tensor` — the **fused autograd fast path** for the
-  no-quantization-hook case: the whole convolution is a *single* autograd
-  node.  The forward runs the backend's fused whole-layer kernel (tap-major,
-  cache-blocked on the ``fast`` backend) without materialising any
-  Winograd-domain intermediate as a graph node; the backward closure the
-  kernel returns applies the adjoint pipeline directly.  Compared with
-  the composed path (five autograd nodes, every intermediate kept alive and
-  copied contiguously) this does strictly less Python/graph work and runs the
-  forward in the accelerator's fused dataflow.  The composed graph of
-  :mod:`repro.winograd.conv` is used only when hooks need to intercept the
-  Winograd domain.
+* :func:`execute_tensor` — the **fused autograd path**: the whole
+  convolution is a *single* autograd node.  The forward runs the backend's
+  fused whole-layer kernel (tap-major on the ``fast`` backend) without
+  materialising any Winograd-domain intermediate as a graph node; the
+  backward closure the kernel returns applies the adjoint pipeline directly.
+  With a :class:`~repro.kernels.TapFakeQuant` (the tap-wise QAT layer) the
+  Winograd-domain fake quantization, its STE and the learned-scale
+  gradients run inside the same node.  Compared with a composed graph (five
+  autograd nodes plus two per quantizer, every intermediate kept alive and
+  copied contiguously) this does strictly less Python/graph work.
 
 * :class:`CompiledConv` — a layer with its weights *bound*: the Winograd
   weight transform is done once at bind time, and every subsequent call
@@ -195,35 +194,45 @@ def _winograd_execute(plan: LayerPlan, be: KernelBackend, x: np.ndarray,
 # Fused autograd execution
 # --------------------------------------------------------------------------- #
 def _winograd_tensor(plan: LayerPlan, x: Tensor, weight: Tensor,
-                     bias: Tensor | None) -> Tensor:
+                     bias: Tensor | None, quant) -> Tensor:
     be, t = _plan_backend(plan), plan.transform
     parents = (x, weight) if bias is None else (x, weight, bias)
-    needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
+    learned = ()
+    if quant is not None:
+        learned = tuple(p for p in (quant.input_log2_t, quant.weight_log2_t)
+                        if p is not None)
+    needs_grad = is_grad_enabled() and any(
+        p.requires_grad for p in parents + learned)
     padded = _pad_input_workspace(plan, x.data, current_arena(), slot=weight)
+    kwargs = {} if quant is None else {"quant": quant}
 
     if not needs_grad:
         # Inference: the backend's fused forward kernel, no graph at all.
         out_data = be.winograd_forward(padded, weight.data, t, plan.out_h,
-                                       plan.out_w)
+                                       plan.out_w, **kwargs)
         backward = None
     else:
-        # Fused training step: forward + both adjoints stay in the backend's
-        # internal layout, with the forward's transformed operands saved for
-        # the adjoint contractions.
+        # Fused training step: forward + both adjoints (and, with ``quant``,
+        # the fake-quant STE and the learned-scale gradients) stay in the
+        # backend's internal layout.
         out_data, kernel_backward = be.winograd_autograd(
-            padded, weight.data, t, plan.out_h, plan.out_w)
+            padded, weight.data, t, plan.out_h, plan.out_w, **kwargs)
         h, w, p = plan.in_shape[2], plan.in_shape[3], plan.padding
 
         def backward(grad: np.ndarray):
-            dpadded, dw = kernel_backward(grad)
-            dx = dpadded[:, :, p:p + h, p:p + w]
-            if bias is None:
-                return (dx, dw)
-            return (dx, dw, grad.sum(axis=(0, 2, 3)))
+            dpadded, dw, *dlog2 = kernel_backward(grad)
+            grads = (dpadded[:, :, p:p + h, p:p + w], dw)
+            if bias is not None:
+                grads += (grad.sum(axis=(0, 2, 3)),)
+            if dlog2:
+                grads += tuple(d for d, log2_t in zip(
+                    dlog2, (quant.input_log2_t, quant.weight_log2_t))
+                    if log2_t is not None)
+            return grads
 
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
-    return Tensor.from_op(out_data, parents, backward)
+    return Tensor.from_op(out_data, parents + learned, backward)
 
 
 def _im2col_tensor(plan: LayerPlan, x: Tensor, weight: Tensor,
@@ -258,15 +267,24 @@ def _im2col_tensor(plan: LayerPlan, x: Tensor, weight: Tensor,
     return Tensor.from_op(out_data, parents, _backward)
 
 
-def execute_tensor(plan: LayerPlan, x, weight, bias=None) -> Tensor:
-    """Differentiable execution of ``plan`` as a single fused autograd node."""
+def execute_tensor(plan: LayerPlan, x, weight, bias=None, *,
+                   quant=None) -> Tensor:
+    """Differentiable execution of ``plan`` as a single fused autograd node.
+
+    ``quant``, a :class:`~repro.kernels.TapFakeQuant` (Winograd plans only),
+    fake-quantizes the Winograd-domain taps inside the node; its learned
+    ``log2 t`` parameters become parents of the node and receive the
+    Eq. (3) gradient.
+    """
     x = as_tensor(x)
     weight = as_tensor(weight)
     if bias is not None:
         bias = as_tensor(bias)
     with layer_span(plan, "conv_autograd"):
         if plan.kind == "winograd":
-            return _winograd_tensor(plan, x, weight, bias)
+            return _winograd_tensor(plan, x, weight, bias, quant)
+        if quant is not None:
+            raise ValueError("quant= needs a Winograd plan")
         return _im2col_tensor(plan, x, weight, bias)
 
 

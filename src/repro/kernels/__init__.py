@@ -25,13 +25,14 @@ compute module can depend on it without import cycles.
 
 from . import fast, reference
 from .einsum_cache import cached_einsum
-from .registry import (DEFAULT_BACKEND, ENV_VAR, KernelBackend, TapRequant,
-                       UnknownBackendError, add_backend_listener,
+from .registry import (DEFAULT_BACKEND, ENV_VAR, KernelBackend, TapFakeQuant,
+                       TapRequant, UnknownBackendError, add_backend_listener,
                        available_backends, get_backend, register_backend,
                        reset_backend, set_backend, use_backend)
 
 __all__ = [
     "KernelBackend",
+    "TapFakeQuant",
     "TapRequant",
     "UnknownBackendError",
     "available_backends",

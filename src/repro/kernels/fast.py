@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .registry import KernelBackend, TapRequant
+from .fake_quant import fake_quantize, learned_scale_grad, signed_range
+from .registry import KernelBackend, TapFakeQuant, TapRequant
 
 __all__ = ["BACKEND", "transform_weights_tap_major"]
 
@@ -254,7 +255,14 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     ``out`` optionally supplies the *uncropped* ``(N, Cout, n_h*m, n_w*m)``
     output workspace (e.g. from a :class:`repro.engine.WorkspaceArena`), so
     steady-state serving loops do zero fresh large allocations here.
+
+    With a :class:`TapFakeQuant` ``quant`` the forward of the tap-wise
+    training step runs instead (:func:`_fake_quant_forward`).
     """
+    if isinstance(quant, TapFakeQuant):
+        out, _ = _fake_quant_forward(x_padded, weight, transform, out_h, out_w,
+                                     quant, w_r=w_r, out=out)
+        return out
     m, r, a = transform.m, transform.r, transform.alpha
     n, cin, hp, wp = x_padded.shape
     cout = weight.shape[0]
@@ -344,8 +352,172 @@ def _separable_pair(t3: np.ndarray, left: np.ndarray, right: np.ndarray
     return (left @ s1.reshape(a0, o1 * k)).reshape(left.shape[0], o1, k)
 
 
+# --------------------------------------------------------------------------- #
+# Tap-wise fake-quantized training step (batch folded into the tile axis)
+# --------------------------------------------------------------------------- #
+# The canonical Winograd-domain layouts the scale callbacks see, as
+# permutations of the kernel's tap-major ones: inputs (N, Cin, nH, nW, a, a)
+# <-> (a, a, Cin, N, nH, nW), weights (Cout, Cin, a, a) <-> (a, a, Cout, Cin).
+_INPUT_FROM_TAPS, _INPUT_TO_TAPS = (3, 2, 4, 5, 0, 1), (4, 5, 1, 0, 2, 3)
+_WEIGHT_PERM = (2, 3, 0, 1)                   # its own inverse
+
+
+def _tap_kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``kron(L, Rᵀ)``: ``left @ t @ right`` on the flattened leading tap axes
+    of a tap-major ``(p·q, K)`` operand, as one GEMM (``(o·s, p·q) @ t``).
+
+    On the whole-layer operands of the training step one BLAS call beats
+    the two skinny GEMMs of :func:`_separable_pair` despite its ~3x MACs.
+    """
+    return _pair_kron(left, right).T
+
+
+def _scatter_taps(dt: np.ndarray, padded_shape: tuple, m: int) -> np.ndarray:
+    """Overlap scatter-add of tap-major tile gradients ``(a, a, C, N, nH, nW)``.
+
+    The adjoint of the tile gather: one strided add per tap, each reading a
+    contiguous ``(C, N, nH, nW)`` slab.  Returns an ``(N, C, Hp, Wp)`` view
+    of a channel-major buffer.
+    """
+    a, _, c = dt.shape[:3]
+    n, _, hp, wp = padded_shape
+    n_h, n_w = dt.shape[4], dt.shape[5]
+    out = np.zeros((c, n, hp, wp), dtype=dt.dtype)
+    for u in range(a):
+        for v in range(a):
+            out[:, :, u:u + m * n_h:m, v:v + m * n_w:m] += dt[u, v]
+    return out.transpose(1, 0, 2, 3)
+
+
+def _fake_quant_taps(taps: np.ndarray, from_taps, to_taps, scale_fn,
+                     bits: int, log2_t, owned: bool):
+    """Fake-quantize one tap-major side; returns ``(quantized, backward)``.
+
+    ``scale_fn`` sees the canonical view and returns the canonical scale,
+    which is laid out tap-major to broadcast against ``taps``.  ``taps`` is
+    quantized in place when ``owned`` and no learned scale needs the
+    unquantized values later.  ``backward(grad)`` applies the clipped STE
+    (in place on ``grad``) and returns ``(grad, dlog2_t or None)``.
+    """
+    scale = scale_fn(taps.transpose(from_taps))
+    if scale is None:
+        return taps, lambda grad: (grad, None)
+    scale = np.asarray(scale)
+    scale_taps = scale.reshape((1,) * (taps.ndim - scale.ndim) + scale.shape
+                               ).transpose(to_taps)
+    qmin, qmax = signed_range(bits)
+    learned = log2_t is not None
+    quantized, inside = fake_quantize(
+        taps, scale_taps, qmin, qmax,
+        out=taps if owned and not learned else None)
+
+    def backward(grad: np.ndarray):
+        dlog2 = None
+        if learned:
+            dlog2 = learned_scale_grad(grad, taps, scale_taps, qmin, qmax
+                                       ).transpose(from_taps).reshape(scale.shape)
+        grad *= inside
+        return grad, dlog2
+
+    return quantized, backward
+
+
+def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
+                        out_h: int, out_w: int, quant: TapFakeQuant,
+                        w_r: np.ndarray | None = None,
+                        out: np.ndarray | None = None):
+    """Tap-wise fake-quantized Winograd forward; returns ``(out, backward)``.
+
+    Winograd-aware training (Sec. III-A) runs with the batch folded into the
+    GEMM tile axis: the whole layer is one tap-major ``(a², C, N·nH·nW)``
+    block, so a small training shard runs each stage as one numpy call
+    instead of one per image and row block.  The input taps must all exist
+    before the first is quantized (the scale callback observes all of them),
+    and the backward needs them again, so nothing is gained by streaming.
+    The stages:
+
+    1. gather the overlapping tiles tap-major and apply ``BT x B`` as one
+       Kronecker GEMM;
+    2. fake-quantize the input taps and the (given or transformed) ``G f GT``
+       weight taps with the spec's scales;
+    3. ``a²`` batched ``(Cout, Cin) @ (Cin, N·nH·nW)`` GEMMs;
+    4. ``AT y A`` as one Kronecker GEMM and one scatter into the NCHW
+       output.
+
+    ``backward(grad)`` returns ``(dx_padded, dweight, dlog2_t_input,
+    dlog2_t_weight)``.
+    """
+    m, r, a = transform.m, transform.r, transform.alpha
+    n, cin, hp, wp = x_padded.shape
+    cout = weight.shape[0]
+    n_h = (hp - (r - 1)) // m
+    n_w = (wp - (r - 1)) // m
+    tiles = n * n_h * n_w
+    bt, at = transform.BT, transform.AT
+
+    s0, s1, s2, s3 = x_padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        x_padded, shape=(a, a, cin, n, n_h, n_w),
+        strides=(s2, s3, s1, s0, s2 * m, s3 * m), writeable=False)
+    f = np.ascontiguousarray(view).reshape(a * a, cin * tiles)
+    v = (_tap_kron(bt, bt.T) @ f).reshape(a, a, cin, n, n_h, n_w)
+    v_q, input_backward = _fake_quant_taps(
+        v, _INPUT_FROM_TAPS, _INPUT_TO_TAPS, quant.input_scale,
+        quant.input_bits, quant.input_log2_t, owned=True)
+    owned = w_r is None
+    if owned:
+        # ``G f GT`` exactly as the reference backend computes it: the
+        # observer's scale puts each tap's largest weight on the clip
+        # boundary, so its STE mask bit depends on the last ulp.
+        w_r = np.ascontiguousarray(
+            (transform.G @ weight @ transform.G.T).transpose(2, 3, 0, 1))
+    w_q, weight_backward = _fake_quant_taps(
+        w_r.reshape(a, a, cout, cin), _WEIGHT_PERM, _WEIGHT_PERM,
+        quant.weight_scale, quant.weight_bits, quant.weight_log2_t, owned)
+    v_q = v_q.reshape(a * a, cin, tiles)
+    w_q = w_q.reshape(a * a, cout, cin)
+    acc = np.matmul(w_q, v_q)                                # (a², Cout, T)
+    ot = _tap_kron(at, at.T) @ acc.reshape(a * a, cout * tiles)
+    full_shape = (n, cout, n_h * m, n_w * m)
+    if out is None:
+        out = np.empty(full_shape, dtype=ot.dtype)
+    elif out.shape != full_shape or out.dtype != ot.dtype:
+        raise ValueError(f"out workspace must be {full_shape} of {ot.dtype}, "
+                         f"got {out.shape} of {out.dtype}")
+    np.copyto(out.reshape(n, cout, n_h, m, n_w, m),
+              ot.reshape(m, m, cout, n, n_h, n_w).transpose(3, 2, 4, 0, 5, 1))
+    if full_shape[2:] != (out_h, out_w):
+        out = np.ascontiguousarray(out[:, :, :out_h, :out_w])
+
+    def backward(grad: np.ndarray) -> tuple:
+        if full_shape[2:] == (out_h, out_w):
+            g_full = grad
+        else:
+            g_full = np.zeros(full_shape, dtype=grad.dtype)
+            g_full[:, :, :out_h, :out_w] = grad
+        g = np.ascontiguousarray(
+            g_full.reshape(n, cout, n_h, m, n_w, m).transpose(3, 5, 1, 0, 2, 4)
+        ).reshape(m * m, cout * tiles)
+        dacc = (_tap_kron(at.T, at) @ g).reshape(a * a, cout, tiles)
+        # The Cube Unit's two transposed GEMMs, then the STE (and Eq. 3).
+        dv, dlog2_in = input_backward(
+            np.matmul(w_q.transpose(0, 2, 1), dacc).reshape(v.shape))
+        dw, dlog2_w = weight_backward(
+            np.matmul(dacc, v_q.transpose(0, 2, 1)).reshape(a, a, cout, cin))
+        dt = (_tap_kron(bt.T, bt) @ dv.reshape(a * a, cin * tiles)
+              ).reshape(v.shape)
+        dx_padded = _scatter_taps(dt, x_padded.shape, m)
+        kmat = _pair_kron(transform.G, transform.G.T)         # (r², a²)
+        dweight = (kmat @ dw.reshape(a * a, cout * cin)).T.reshape(
+            cout, cin, r, r)
+        return dx_padded, dweight, dlog2_in, dlog2_w
+
+    return out, backward
+
+
 def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
-                      out_h: int, out_w: int):
+                      out_h: int, out_w: int,
+                      quant: TapFakeQuant | None = None):
     """Fused Winograd training step: blocked forward now, blocked adjoints later.
 
     Returns ``(out, backward)`` where ``backward(grad)`` yields
@@ -365,7 +537,13 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
     whole-layer tensors through memory (plus two layout copies per
     contraction call), while here nothing larger than the block leaves cache
     between stages.
+
+    With a :class:`TapFakeQuant` ``quant`` the tap-wise fake-quantized step
+    of :func:`_fake_quant_forward` runs instead.
     """
+    if quant is not None:
+        return _fake_quant_forward(x_padded, weight, transform, out_h, out_w,
+                                   quant)
     m, r, a = transform.m, transform.r, transform.alpha
     n, cin, hp, wp = x_padded.shape
     cout = weight.shape[0]

@@ -13,9 +13,12 @@ The einsum contraction paths are memoised (:mod:`repro.kernels.einsum_cache`)
 operand signature instead of on every call.  The fused entry points every
 backend provides (:func:`winograd_forward`, :func:`winograd_autograd`) are
 composed here from the seed primitives, in the order of the seed's composed
-autograd graph, so their results are bit-identical to it.  The integer
-tap-wise forward (``winograd_forward(quant=...)``) is composed the same way,
-with int64 arithmetic throughout, and is the oracle for that path.
+autograd graph, so their results are bit-identical to it — including the
+tap-wise fake-quantized training step (``quant=TapFakeQuant``), whose
+quantizers sat in that graph between the transforms and the contraction.
+The integer tap-wise forward (``winograd_forward(quant=TapRequant)``) is
+composed the same way, with int64 arithmetic throughout, and is the oracle
+for that path.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .einsum_cache import cached_einsum
-from .registry import KernelBackend, TapRequant
+from .fake_quant import fake_quantize, learned_scale_grad, signed_range
+from .registry import KernelBackend, TapFakeQuant, TapRequant
 
 __all__ = ["BACKEND"]
 
@@ -147,17 +151,40 @@ def conv2d_gemm_dcols(w2d: np.ndarray, grad2d: np.ndarray) -> np.ndarray:
 # Fused Winograd entry points, composed from the primitives above
 # (seed: repro/winograd/conv.py's composed graph)
 # --------------------------------------------------------------------------- #
-def _winograd_stages(x_padded: np.ndarray, weight_wino: np.ndarray, transform
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``BT x B`` tiles and the uncropped ``(N, Cout, n_h*m, n_w*m)`` output."""
+def _fake_quant_side(values: np.ndarray, scale_fn, bits: int):
+    """``(quantized, mask, scale)`` of one :class:`TapFakeQuant` side.
+
+    ``scale_fn`` returning ``None`` leaves the side unquantized (no mask)."""
+    scale = scale_fn(values)
+    if scale is None:
+        return values, None, None
+    q, inside = fake_quantize(values, scale, *signed_range(bits))
+    return q, inside, scale
+
+
+def _winograd_stages(x_padded: np.ndarray, weight_wino: np.ndarray, transform,
+                     quant: TapFakeQuant | None = None):
+    """``BT x B`` tiles, the two contraction operands and the uncropped
+    ``(N, Cout, n_h*m, n_w*m)`` output.
+
+    Each operand is a ``(values, mask, scale)`` triple: with ``quant`` the
+    fake-quantized tap side (input first, then weight, as the layer's
+    quantizers ran in the seed's composed graph), else the plain values.
+    """
     t = transform
     tiles_w = apply_transform_pair(extract_tiles(x_padded, t.m, t.r), t.BT, t.B)
-    prod = tile_contract(tiles_w, weight_wino)
+    if quant is None:
+        sides = ((tiles_w, None, None), (weight_wino, None, None))
+    else:
+        sides = (_fake_quant_side(tiles_w, quant.input_scale, quant.input_bits),
+                 _fake_quant_side(weight_wino, quant.weight_scale,
+                                  quant.weight_bits))
+    prod = tile_contract(sides[0][0], sides[1][0])
     out_tiles = apply_transform_pair(prod, t.AT, t.A)
     n, cout, n_h, n_w, m, _ = out_tiles.shape
     full = out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(
         n, cout, n_h * m, n_w * m)
-    return tiles_w, full
+    return tiles_w, sides, full
 
 
 def _integer_winograd_forward(x_padded: np.ndarray, weight_wino: np.ndarray,
@@ -190,13 +217,15 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
                      out_h: int, out_w: int,
                      w_r: np.ndarray | None = None,
                      out: np.ndarray | None = None,
-                     quant: TapRequant | None = None,
+                     quant: TapRequant | TapFakeQuant | None = None,
                      stats: dict | None = None) -> np.ndarray:
     """Whole Winograd pipeline on the already-padded input, without bias.
 
     A given tap-major ``w_r`` is only re-laid out, and a given uncropped
     ``out`` buffer is filled, so both leave the result bit-identical.  With
-    ``quant`` the integer pipeline of :func:`_integer_winograd_forward` runs.
+    a :class:`TapRequant` ``quant`` the integer pipeline of
+    :func:`_integer_winograd_forward` runs; with a :class:`TapFakeQuant` the
+    fake-quantized forward of :func:`winograd_autograd`.
     """
     t = transform
     if w_r is None:
@@ -205,10 +234,10 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         a = t.alpha
         weight_wino = np.ascontiguousarray(
             w_r.reshape((a, a) + w_r.shape[1:]).transpose(2, 3, 0, 1))
-    if quant is None:
-        _, full = _winograd_stages(x_padded, weight_wino, t)
-    else:
+    if isinstance(quant, TapRequant):
         full = _integer_winograd_forward(x_padded, weight_wino, t, quant, stats)
+    else:
+        _, _, full = _winograd_stages(x_padded, weight_wino, t, quant)
     if out is not None:
         if out.shape != full.shape or out.dtype != full.dtype:
             raise ValueError(f"out workspace must be {full.shape} of "
@@ -219,17 +248,38 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     return np.ascontiguousarray(full[:, :, :out_h, :out_w])
 
 
+def _side_grads(grad: np.ndarray, values: np.ndarray, side, log2_t,
+                bits: int):
+    """Adjoint of one fake-quant side of ``values``: ``(d values, d log2 t
+    or None)``."""
+    _, mask, scale = side
+    if mask is None:
+        return grad, None
+    dlog2 = None
+    if log2_t is not None:
+        dlog2 = learned_scale_grad(grad, values, scale, *signed_range(bits))
+    return grad * mask, dlog2
+
+
 def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
-                      out_h: int, out_w: int):
+                      out_h: int, out_w: int,
+                      quant: TapFakeQuant | None = None):
     """Forward plus ``backward(grad) -> (dx_padded, dweight)``: the adjoints
-    of the composed graph's stages in reverse order."""
+    of the composed graph's stages in reverse order.
+
+    With ``quant`` the fake-quant nodes sit between the transforms and the
+    contraction exactly where the seed's composed graph put them, and the
+    backward returns ``(dx_padded, dweight, dlog2_t_input,
+    dlog2_t_weight)``, bit-identical to that graph.
+    """
     t = transform
     weight_wino = apply_transform_pair(weight, t.G, t.G.T)
-    tiles_w, full = _winograd_stages(x_padded, weight_wino, t)
+    tiles_w, sides, full = _winograd_stages(x_padded, weight_wino, t, quant)
     out = np.ascontiguousarray(full[:, :, :out_h, :out_w])
     full_shape = full.shape
+    (tiles_q, _, _), (weight_q, _, _) = sides
 
-    def backward(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(grad: np.ndarray) -> tuple:
         # Adjoint of the output assembly: zero-extend, then cut m x m tiles.
         n, cout, full_h, full_w = full_shape
         m = t.m
@@ -239,11 +289,21 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
             n, cout, full_h // m, m, full_w // m, m
         ).transpose(0, 1, 2, 4, 3, 5))
         dprod = apply_transform_pair(g_tiles, t.AT.T, t.A.T)
-        dtiles_w = tile_contract_dx(dprod, weight_wino)
-        dweight_w = tile_contract_dw(dprod, tiles_w)
+        dtiles_w = tile_contract_dx(dprod, weight_q)
+        dweight_w = tile_contract_dw(dprod, tiles_q)
+        if quant is not None:
+            dtiles_w, dlog2_in = _side_grads(dtiles_w, tiles_w, sides[0],
+                                             quant.input_log2_t,
+                                             quant.input_bits)
+            dweight_w, dlog2_w = _side_grads(dweight_w, weight_wino, sides[1],
+                                             quant.weight_log2_t,
+                                             quant.weight_bits)
         dtiles = apply_transform_pair(dtiles_w, t.BT.T, t.B.T)
-        return (scatter_tiles_add(dtiles, x_padded.shape, t.m, t.r),
-                apply_transform_pair(dweight_w, t.G.T, t.G))
+        grads = (scatter_tiles_add(dtiles, x_padded.shape, t.m, t.r),
+                 apply_transform_pair(dweight_w, t.G.T, t.G))
+        if quant is None:
+            return grads
+        return grads + (dlog2_in, dlog2_w)
 
     return out, backward
 

@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "KernelBackend",
+    "TapFakeQuant",
     "TapRequant",
     "UnknownBackendError",
     "register_backend",
@@ -88,6 +89,36 @@ class TapRequant:
 
 
 @dataclass(frozen=True)
+class TapFakeQuant:
+    """Tap-wise fake quantization inside the float Winograd training step.
+
+    Winograd-aware training (Sec. III-A) quantize-dequantizes the ``BT x B``
+    input taps and the ``G f GT`` weight taps between the transforms and the
+    tap contraction (Eq. 2, clipped straight-through gradients).  Per side:
+
+    * ``*_bits`` — the signed bit width of the side's grid;
+    * ``*_scale(values)`` — called once per forward with the side's
+      Winograd-domain values, laid out ``(N, Cin, nH, nW, a, a)`` (input) or
+      ``(Cout, Cin, a, a)`` (weight), possibly as a read-only view.  It may
+      observe them (a calibration observer reduces them to its own
+      granularity) and returns the scale broadcastable against them, or
+      ``None`` to leave that side unquantized;
+    * ``*_log2_t`` — the side's learned ``log2 t`` parameter when its scale is
+      the learned ``2^⌈log2 t⌉``, else ``None``.  Kernels only test it
+      against ``None``: the backward then also returns the Eq. (3) gradient
+      w.r.t. ``log2 t``, summed to the scale's shape, and the engine's
+      autograd node routes it to the parameter.
+    """
+
+    input_bits: int
+    weight_bits: int
+    input_scale: Callable
+    weight_scale: Callable
+    input_log2_t: object = None
+    weight_log2_t: object = None
+
+
+@dataclass(frozen=True)
 class KernelBackend:
     """Bundle of kernel primitives sharing one implementation strategy.
 
@@ -95,8 +126,8 @@ class KernelBackend:
     autograd layer wires them into forward/backward closures.  Integer inputs
     must be handled exactly (the tap contraction models the accelerator's
     integer Cube Unit), so every member is dtype-preserving -- except
-    ``winograd_forward(quant=...)``, which takes integer operands and returns
-    the rescaled float64 output.
+    ``winograd_forward(quant=TapRequant(...))``, which takes integer operands
+    and returns the rescaled float64 output.
     """
 
     name: str
@@ -136,15 +167,21 @@ class KernelBackend:
     # ``input_tile_int_max`` (``|BT x B|``), ``accumulator_int_max`` and
     # ``input_q_max`` (the requantized taps).  The transform's ``BT`` must be
     # integral and every accumulator below 2**53; ``engine.lower_winograd``
-    # checks both for the integer path.
+    # checks both for the integer path.  With a :class:`TapFakeQuant`
+    # ``quant`` the float forward fake-quantizes both tap sides (``w_r``
+    # then stands for the transformed weights the weight side quantizes);
+    # it is the forward of ``winograd_autograd(quant=...)``, bit for bit.
     winograd_forward: Callable
 
     # Fused Winograd forward+backward for training: called as
     # ``out, backward = winograd_autograd(x_padded, weight, transform,
-    # out_h, out_w)`` where ``backward(grad) -> (dx_padded, dweight)``.
-    # Lets a backend keep the whole autograd step in its internal layout
-    # (the fast backend stays tap-major end to end, skipping the layout
-    # round-trips of the composed adjoint primitives).
+    # out_h, out_w, quant=None)`` where ``backward(grad) -> (dx_padded,
+    # dweight)``; with a :class:`TapFakeQuant` ``quant`` it returns
+    # ``(dx_padded, dweight, dlog2_t_input, dlog2_t_weight)``, the last two
+    # ``None`` for a side without a learned scale.  Lets a backend keep the
+    # whole autograd step in its internal layout (the fast backend stays
+    # tap-major end to end, skipping the layout round-trips of the composed
+    # adjoint primitives).
     winograd_autograd: Callable
 
     def primitives(self) -> list[str]:

@@ -12,7 +12,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "Conv2d",
@@ -91,24 +91,55 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        axes = (0, 2, 3)
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            with np.errstate(all="ignore"):
-                new_mean = ((1 - self.momentum) * self.running_mean
-                            + self.momentum * mean.data.reshape(-1))
-                new_var = ((1 - self.momentum) * self.running_var
-                           + self.momentum * var.data.reshape(-1))
-            self.set_buffer("running_mean", new_mean)
-            self.set_buffer("running_var", new_var)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
+            return self._train_forward(as_tensor(x))
+        mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
+        var = Tensor(self.running_var.reshape(1, -1, 1, 1))
         x_hat = (x - mean) / (var + self.eps).sqrt()
         gamma = self.weight.reshape(1, self.num_features, 1, 1)
         beta = self.bias.reshape(1, self.num_features, 1, 1)
         return x_hat * gamma + beta
+
+    def _train_forward(self, x: Tensor) -> Tensor:
+        """Batch statistics as one autograd node with the closed-form backward.
+
+        The forward keeps the operation order of the composed graph it
+        replaces (mean as sum/count, variance of the centred values,
+        ``(x - μ) / sqrt(var + eps) · γ + β``), so outputs and running
+        statistics are bit-identical to it; the backward is the textbook
+        ``dx = γ/σ · (g - mean(g) - x̂·mean(g·x̂))``.
+        """
+        axes = (0, 2, 3)
+        data = x.data
+        count = float(data.shape[0] * data.shape[2] * data.shape[3])
+        mean = data.sum(axis=axes, keepdims=True) / count
+        x_hat = data - mean
+        out = x_hat * x_hat
+        var = out.sum(axis=axes, keepdims=True) / count
+        with np.errstate(all="ignore"):
+            new_mean = ((1 - self.momentum) * self.running_mean
+                        + self.momentum * mean.reshape(-1))
+            new_var = ((1 - self.momentum) * self.running_var
+                       + self.momentum * var.reshape(-1))
+        self.set_buffer("running_mean", new_mean)
+        self.set_buffer("running_var", new_var)
+        std = np.sqrt(var + self.eps)
+        x_hat /= std
+        gamma = self.weight.data.reshape(1, -1, 1, 1)
+        np.multiply(x_hat, gamma, out=out)
+        out += self.bias.data.reshape(1, -1, 1, 1)
+
+        def backward(grad: np.ndarray):
+            dbeta = grad.sum(axis=axes)
+            dx = grad * x_hat
+            dgamma = dx.sum(axis=axes)
+            np.multiply(x_hat, (dgamma / -count).reshape(1, -1, 1, 1), out=dx)
+            dx += grad
+            dx -= (dbeta / count).reshape(1, -1, 1, 1)
+            dx *= gamma / std
+            return dx, dgamma, dbeta
+
+        return Tensor.from_op(out, (x, self.weight, self.bias), backward)
 
     def fold_scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the affine (scale, shift) equivalent of this BN in eval mode.

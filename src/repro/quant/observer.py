@@ -63,6 +63,20 @@ def reduction_axes(granularity: Granularity | str, ndim: int,
     raise ValueError(f"unknown granularity {granularity}")
 
 
+def abs_max(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``|values|.max(axes)`` with kept dims, as ``max(max, -min)``.
+
+    Two read-only reductions instead of an ``abs`` temporary the size of
+    ``values`` plus a third pass; equal to the ``abs`` form except that a
+    group of zeros may give ``-0.0``, which the observers' ``1e-12`` floor
+    absorbs.
+    """
+    if not axes:
+        return np.abs(values)
+    return np.maximum(values.max(axis=axes, keepdims=True),
+                      -values.min(axis=axes, keepdims=True))
+
+
 def scale_shape(granularity: Granularity | str, shape: tuple[int, ...],
                 channel_axis: int = 0) -> tuple[int, ...]:
     """Shape of the scale tensor, broadcastable against ``shape``."""
@@ -94,8 +108,7 @@ class RunningMaxObserver:
         """Observe a new tensor and return the current running max."""
         values = np.asarray(values)
         axes = reduction_axes(self.granularity, values.ndim, self.channel_axis)
-        batch_max = np.abs(values).max(axis=axes, keepdims=True) if axes else np.abs(values)
-        batch_max = np.maximum(batch_max, 1e-12)
+        batch_max = np.maximum(abs_max(values, axes), 1e-12)
         if self.running_max is None:
             self.running_max = batch_max.astype(np.float64)
         else:
@@ -119,8 +132,7 @@ class MinMaxObserver(RunningMaxObserver):
     def update(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         axes = reduction_axes(self.granularity, values.ndim, self.channel_axis)
-        batch_max = np.abs(values).max(axis=axes, keepdims=True) if axes else np.abs(values)
-        batch_max = np.maximum(batch_max, 1e-12)
+        batch_max = np.maximum(abs_max(values, axes), 1e-12)
         if self.running_max is None:
             self.running_max = batch_max.astype(np.float64)
         else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.fake_quant import fake_quantize, learned_scale_grad
 from ..nn.module import Parameter
 from ..nn.tensor import Tensor, as_tensor
 
@@ -87,30 +88,12 @@ def learned_pow2_fake_quantize(x: Tensor, log2_t: Parameter, n_bits: int,
         qmin, qmax = 0, (1 << n_bits) - 1
 
     scale = pow2_gradient_scale(log2_t.data)
-    ratio = x.data / scale
-    rounded = np.rint(ratio)
-    clipped = np.clip(rounded, qmin, qmax)
-    out = clipped * scale
-    inside = (ratio >= qmin) & (ratio <= qmax)
-
-    param_shape = log2_t.shape
+    out, inside = fake_quantize(x.data, scale, qmin, qmax)
 
     def _backward(grad: np.ndarray):
-        # Gradient w.r.t. the data: clipped straight-through.
-        dx = grad * inside
-        # Gradient w.r.t. log2(t), Eq. (3): inside the range the derivative is
-        # the (signed) rounding residual; outside it is the saturation level.
-        residual = np.where(inside, rounded - ratio, clipped)
-        dscale_log = scale * np.log(2.0) * residual
-        dlog2 = grad * dscale_log
-        # Reduce over broadcast axes down to the parameter shape.
-        extra = dlog2.ndim - len(param_shape)
-        if extra > 0:
-            dlog2 = dlog2.sum(axis=tuple(range(extra)))
-        sum_axes = tuple(ax for ax, dim in enumerate(param_shape)
-                         if dim == 1 and dlog2.shape[ax] != 1)
-        if sum_axes:
-            dlog2 = dlog2.sum(axis=sum_axes, keepdims=True)
-        return (dx, dlog2.reshape(param_shape))
+        # Gradient w.r.t. the data: clipped straight-through; w.r.t. log2(t):
+        # Eq. (3), reduced over the broadcast axes to the parameter shape.
+        return (grad * inside,
+                learned_scale_grad(grad, x.data, scale, qmin, qmax))
 
     return Tensor.from_op(out, (x, log2_t), _backward)

@@ -5,19 +5,22 @@ a Winograd F2/F4 convolution whose Winograd-domain inputs and weights are
 quantized *per tap*, with optional power-of-two and learned (∇ log2 t) scale
 factors.  Training through this layer is "Winograd-aware" in the sense of
 Section III-A — the gradients flow through the transforms and through the
-fake-quantization STE nodes.
+fake-quantization STE.  The layer's Winograd convolution is one fused
+autograd node (:func:`repro.engine.execute_tensor`): its quantizers reach
+the kernel as a :class:`repro.kernels.TapFakeQuant` spec, and the kernel
+fake-quantizes the ``BT x B`` and ``G f GT`` taps between the transforms and
+the tap contraction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import KernelBackend, get_backend
+from ..kernels import KernelBackend, TapFakeQuant
 from ..nn import functional as F
 from ..nn import init
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor, as_tensor
-from ..winograd.conv import winograd_conv2d_tensor
 from ..winograd.transforms import WinogradTransform, get_transform
 from .observer import Granularity
 from .quantizer import Quantizer
@@ -208,18 +211,20 @@ class QuantWinogradConv2d(Module):
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def plan_for(self, in_shape: tuple):
+    def plan_for(self, in_shape: tuple,
+                 backend: str | KernelBackend | None = None):
         """The layer's cached :class:`~repro.engine.LayerPlan` for one shape.
 
         The plan records this layer's quantization parameters alongside the
         resolved backend and tiling geometry (and they are part of the cache
         key, so differently-quantized twins of the same shape do not share).
+        ``backend`` overrides the layer's own backend.
         """
         from .. import engine
 
         return engine.lower_winograd(
             in_shape, self.weight.shape, self.transform, self.padding,
-            backend=self.backend,
+            backend=backend if backend is not None else self.backend,
             quant={
                 "spatial_bits": self.spatial_bits,
                 "wino_bits": self.wino_bits,
@@ -239,12 +244,25 @@ class QuantWinogradConv2d(Module):
             return F.conv2d(x, weight, self.bias, stride=1, padding=self.padding,
                             backend=self.backend)
 
-        return winograd_conv2d_tensor(
-            x, weight, bias=self.bias, padding=self.padding,
-            input_tile_hook=self.input_wino_quant,
-            weight_tile_hook=self.weight_wino_quant,
-            plan=self.plan_for(x.shape),
-        )
+        from .. import engine
+
+        return engine.execute_tensor(self.plan_for(x.shape), x, weight,
+                                     self.bias, quant=self.tap_fake_quant())
+
+    def tap_fake_quant(self) -> TapFakeQuant:
+        """The kernel spec of this layer's Winograd-domain quantizers.
+
+        The kernel calls each quantizer's :meth:`Quantizer.observe` with the
+        taps it is about to fake-quantize, so calibration, frozen and learned
+        scales behave exactly as in the quantizer's own forward.
+        """
+        qi, qw = self.input_wino_quant, self.weight_wino_quant
+        for q in (qi, qw):
+            if not q.signed or q.ste != "clip":
+                raise ValueError("Winograd-domain quantizers must be signed "
+                                 "with the clipped STE")
+        return TapFakeQuant(qi.n_bits, qw.n_bits, qi.observe, qw.observe,
+                            qi.log2_t, qw.log2_t)
 
     # ------------------------------------------------------------------ #
     # Serving support (repro.serve compiled models)
@@ -256,22 +274,15 @@ class QuantWinogradConv2d(Module):
             quants += [self.act_quant, self.weight_quant]
         return all(q.has_scale() for q in quants)
 
-    def bind_inference_weights(self, backend: str | KernelBackend | None = None
-                               ) -> tuple[np.ndarray, np.ndarray]:
-        """Quantized spatial and Winograd-domain weights for serving.
+    def bind_inference_weights(self) -> np.ndarray:
+        """Eval-mode spatially fake-quantized weights, snapshot for serving.
 
-        Returns ``(w_hat, weight_wino_q)`` — the fake-quantized spatial
-        weights and their tap-wise fake-quantized ``G f GT`` image, computed
-        with the same backend primitives (and the same frozen scales) the
-        eval-mode forward uses, so a compiled model replaying the pipeline
-        from this snapshot is bit-identical to the live layer.
+        Bit-identical to what the eval forward feeds the fused Winograd
+        kernel, which transforms and tap-wise quantizes them itself.
         """
-        be = get_backend(backend if backend is not None else self.backend)
-        w = self.weight.data
-        if self.weight_quant is not None:
-            w = self.weight_quant.fake_quantize_array(w)
-        w_wino = be.apply_transform_pair(w, self.transform.G, self.transform.G.T)
-        return w, self.weight_wino_quant.fake_quantize_array(w_wino)
+        if self.weight_quant is None:
+            return self.weight.data
+        return self.weight_quant.fake_quantize_array(self.weight.data)
 
     # ------------------------------------------------------------------ #
     # Conversion

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.fake_quant import fake_quantize as kernel_fake_quantize
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor, as_tensor
 from .observer import Granularity, RunningMaxObserver, scale_shape
@@ -70,17 +71,12 @@ def fake_quantize(x: Tensor, scale: np.ndarray, n_bits: int,
     """
     x = as_tensor(x)
     scale = np.asarray(scale, dtype=np.float64)
-    qmin, qmax = quant_range(n_bits, signed)
-    ratio = x.data / scale
-    q = np.clip(np.rint(ratio), qmin, qmax)
-    out = q * scale
+    out, inside = kernel_fake_quantize(x.data, scale, *quant_range(n_bits, signed))
 
     if ste == "pass":
         def _backward(grad):
             return (grad,)
     else:
-        inside = (ratio >= qmin) & (ratio <= qmax)
-
         def _backward(grad):
             return (grad * inside,)
 
@@ -179,9 +175,24 @@ class Quantizer(Module):
         if self.is_learned():
             return learned_pow2_fake_quantize(x, self.log2_t, self.n_bits,
                                               signed=self.signed)
-        if self.collect_stats and self.training or not self.observer.has_data():
-            self.observer.update(x.data)
-        return fake_quantize(x, self.scale(), self.n_bits, self.signed, self.ste)
+        return fake_quantize(x, self.observe(x.data), self.n_bits, self.signed,
+                             self.ste)
+
+    def observe(self, values: np.ndarray) -> np.ndarray | None:
+        """The forward's observer update, then the current scale.
+
+        This is the scale callback a fused kernel calls with the values it
+        is about to fake-quantize (:class:`repro.kernels.TapFakeQuant`):
+        the observer sees them while calibrating (training mode with
+        ``collect_stats``, or before any data); a learned scale is never
+        observed.  ``None`` when the quantizer is disabled.
+        """
+        if not self.enabled:
+            return None
+        if not self.is_learned() and (self.collect_stats and self.training
+                                      or not self.observer.has_data()):
+            self.observer.update(values)
+        return self.scale()
 
     def fake_quantize_array(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode fake quantization on a plain ndarray (no graph, no stats).

@@ -27,9 +27,9 @@ What compilation buys over calling the module graph layer by layer:
 * **Quantized layers** — a calibrated :class:`~repro.quant.QuantConv2d`
   lowers to its activation fake-quant step plus an ordinary convolution step
   over its fake-quantized weights, so BN folding and ReLU fusion apply to it
-  too; a calibrated :class:`~repro.quant.QuantWinogradConv2d` replays the
-  eager tap-wise pipeline from frozen scales and pre-quantized
-  Winograd-domain weights.  Both are bit-identical to the eval-mode layer.
+  too; a calibrated :class:`~repro.quant.QuantWinogradConv2d` runs the
+  backend's fused fake-quantized forward through the same executor.  Both
+  are bit-identical to the eval-mode layer.
 
 The compiled model follows the process-wide kernel backend dynamically: when
 :func:`repro.kernels.set_backend` switches backends mid-serve, the shared
@@ -56,7 +56,6 @@ from ..nn import layers as L
 from ..nn.module import Module, ModuleList, Sequential
 from ..nn.tensor import Tensor, no_grad
 from ..quant.qconv import QuantConv2d, QuantWinogradConv2d
-from ..winograd.tiling import assemble_output_tiles, pad_for_tiling
 from ..winograd.transforms import WinogradTransform, get_transform
 
 __all__ = ["CompiledModel", "compile_model", "register_compiler"]
@@ -282,42 +281,29 @@ class _OpaqueStep(_Step):
 class _QuantWinogradStep(_Step):
     """Calibrated tap-wise quantized Winograd conv, replayed bit-exactly.
 
-    Binds the quantized Winograd-domain weights once (via
-    :meth:`QuantWinogradConv2d.bind_inference_weights`) and replays the eager
-    composed pipeline — pad, tile, ``BT x B``, fake-quant, tap contraction,
-    ``AT y A``, assemble, bias — with the *same backend primitives in the
-    same order*, so the output is bit-identical to the eval-mode module.
+    Binds the spatially fake-quantized weights once (via
+    :meth:`QuantWinogradConv2d.bind_inference_weights`) and runs what the
+    eval-mode module runs: the activation fake-quant, then the backend's
+    fused fake-quantized forward through :func:`repro.engine.execute` with
+    the layer's :class:`~repro.kernels.TapFakeQuant`.  The output is
+    bit-identical to the module's.
     """
 
     def __init__(self, layer: QuantWinogradConv2d,
                  backend_arg: str | KernelBackend | None = None):
         self.layer = layer
         self.backend_arg = backend_arg
-        self._be: KernelBackend | None = None
-        self._weight_w_q = None
-
-    def _backend(self) -> KernelBackend:
-        be = get_backend(self.backend_arg)
-        if be is not self._be:
-            _, self._weight_w_q = self.layer.bind_inference_weights(be)
-            self._be = be
-        return be
+        self._weight = layer.bind_inference_weights()
+        self._quant = layer.tap_fake_quant()
 
     def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
-        layer, be = self.layer, self._backend()
-        t = layer.transform
+        layer = self.layer
         if layer.act_quant is not None:
             x = layer.act_quant.fake_quantize_array(x)
-        padded, out_h, out_w = pad_for_tiling(x, t.m, t.r, layer.padding)
-        tiles = be.extract_tiles(padded, t.m, t.r)
-        tiles_w = be.apply_transform_pair(tiles, t.BT, t.B)
-        tiles_w = layer.input_wino_quant.fake_quantize_array(tiles_w)
-        prod = be.tile_contract(tiles_w, self._weight_w_q)
-        out_tiles = be.apply_transform_pair(prod, t.AT, t.A)
-        out = assemble_output_tiles(out_tiles, out_h, out_w)
-        if layer.bias is not None:
-            out = out + layer.bias.data.reshape(1, -1, 1, 1)
-        return out
+        bias = None if layer.bias is None else layer.bias.data
+        plan = layer.plan_for(x.shape, get_backend(self.backend_arg))
+        return engine.execute(plan, x, self._weight, bias, arena=arena,
+                              slot=self, quant=self._quant)
 
     def describe(self) -> str:
         return (f"qwino[{self.layer.transform.name}] {self.layer.weight.shape} "

@@ -1,58 +1,39 @@
-"""Winograd convolution: numpy reference and autograd-composed implementations.
-
-Two entry points are provided:
+"""Winograd convolution entry points: numpy forward and one autograd node.
 
 * :func:`winograd_conv2d` — a pure-numpy forward pass used as the reference in
   tests and analyses.  For unit-stride 3x3 convolutions it matches the im2col
   convolution to floating-point precision.
 
-* :func:`winograd_conv2d_tensor` — an autograd-friendly version where the
-  Winograd-domain intermediates are exposed through *hooks*.  The tap-wise
-  quantized layer (:class:`repro.quant.qconv.QuantWinogradConv2d`) injects its
-  fake-quantization nodes through these hooks, so gradients propagate through
-  the Winograd domain exactly as in the paper's Winograd-aware training
-  (Section III-A).
-
-All numerically heavy steps (tile extraction, the ``BT/G/AT`` pair
-transforms, the tap-wise contraction, and the scatter-add adjoint) dispatch
-through :mod:`repro.kernels`.  Every public entry point takes an optional
-``backend=`` argument (``"fast"``/``"reference"``/a
-:class:`~repro.kernels.KernelBackend`) for per-call opt-out; by default the
-process-wide backend is used (``fast`` unless overridden).
+* :func:`winograd_conv2d_tensor` — the differentiable version: the whole
+  convolution is a single autograd node around the backend's fused
+  forward+backward kernel (:func:`repro.engine.execute_tensor`).  The
+  tap-wise quantized layer (:class:`repro.quant.qconv.QuantWinogradConv2d`)
+  reaches the same node with a :class:`repro.kernels.TapFakeQuant` spec, so
+  the Winograd-domain fake quantization of the paper's Winograd-aware
+  training (Section III-A) runs inside the kernel.
 
 Both entry points *lower-then-execute*: the layer shape is compiled once into
 a cached :class:`~repro.engine.LayerPlan` (transform, padding/tiling
-geometry, workspace shapes) and executed through :mod:`repro.engine`.  For
-the no-hook case :func:`winograd_conv2d_tensor` runs the engine's **fused
-forward+backward fast path** — a single autograd node around the backend's
-whole-layer kernel.  When hooks intercept the Winograd domain (the tap-wise
-quantized layers), the composed primitive-by-primitive graph below remains
-the execution strategy, since the hooks must see (and differentiate through)
-the intermediate tensors.
+geometry, workspace shapes) and executed through :mod:`repro.engine`, whose
+kernels dispatch through :mod:`repro.kernels`.  Every public entry point
+takes an optional ``backend=`` argument (``"fast"``/``"reference"``/a
+:class:`~repro.kernels.KernelBackend`) for per-call opt-out; by default the
+process-wide backend is used (``fast`` unless overridden).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from ..kernels import KernelBackend, get_backend
 from ..nn.tensor import Tensor, as_tensor
-from .tiling import assemble_output_tiles, pad_for_tiling
 from .transforms import WinogradTransform, winograd_f4
 
 __all__ = [
     "winograd_conv2d",
     "winograd_conv2d_tensor",
     "winograd_output_shape",
-    "extract_input_tiles_tensor",
-    "tile_contract_tensor",
-    "transform_pair_tensor",
-    "assemble_output_tensor",
 ]
-
-Hook = Callable[[Tensor], Tensor]
 
 
 def winograd_output_shape(h: int, w: int, r: int = 3, padding: int = 1,
@@ -98,168 +79,21 @@ def winograd_conv2d(x: np.ndarray, weight: np.ndarray,
     return engine.execute(plan, x, weight, bias)
 
 
-# --------------------------------------------------------------------------- #
-# Autograd building blocks
-# --------------------------------------------------------------------------- #
-def extract_input_tiles_tensor(x: Tensor, transform: WinogradTransform,
-                               padding: int = 1,
-                               backend: str | KernelBackend | None = None,
-                               ) -> tuple[Tensor, int, int]:
-    """Differentiable tile extraction.
-
-    Returns the tiles tensor ``(N, Cin, nH, nW, alpha, alpha)`` together with
-    the true convolution output size for the later crop.
-    """
-    be = get_backend(backend)
-    x = as_tensor(x)
-    m, r = transform.m, transform.r
-    padded, out_h, out_w = pad_for_tiling(x.data, m, r, padding)
-    padded_shape = padded.shape
-    tiles = be.extract_tiles(padded, m, r)
-    orig_shape = x.shape
-
-    def _backward(grad: np.ndarray):
-        grad_padded = be.scatter_tiles_add(grad, padded_shape, m, r)
-        h, w = orig_shape[2], orig_shape[3]
-        dx = grad_padded[:, :, padding:padding + h, padding:padding + w]
-        return (dx,)
-
-    return Tensor.from_op(tiles, (x,), _backward), out_h, out_w
-
-
-def tile_contract_tensor(input_tiles: Tensor, weight_tiles: Tensor,
-                         backend: str | KernelBackend | None = None) -> Tensor:
-    """Tap-wise multiply-accumulate over input channels.
-
-    ``input_tiles``: ``(N, Cin, nH, nW, alpha, alpha)``
-    ``weight_tiles``: ``(Cout, Cin, alpha, alpha)``
-    returns ``(N, Cout, nH, nW, alpha, alpha)``.
-
-    This is the operation the accelerator maps onto the Cube Unit as a batched
-    MatMul (one independent MatMul per tap); the ``fast`` backend executes it
-    exactly that way — ``alpha²`` batched GEMMs — for the forward pass and
-    both adjoints.
-    """
-    be = get_backend(backend)
-    input_tiles = as_tensor(input_tiles)
-    weight_tiles = as_tensor(weight_tiles)
-    xw, ww = input_tiles.data, weight_tiles.data
-    out = be.tile_contract(xw, ww)
-
-    def _backward(grad: np.ndarray):
-        dx = be.tile_contract_dx(grad, ww)
-        dw = be.tile_contract_dw(grad, xw)
-        return (dx, dw)
-
-    return Tensor.from_op(out, (input_tiles, weight_tiles), _backward)
-
-
-def transform_pair_tensor(t: Tensor, left: np.ndarray, right: np.ndarray,
-                          backend: str | KernelBackend | None = None) -> Tensor:
-    """Differentiable ``left @ t @ right`` over the trailing tile axes.
-
-    ``left`` and ``right`` are constant (non-trainable) transform matrices;
-    the adjoint of ``y = L t R`` is ``dt = Lᵀ g Rᵀ``.  Dispatching through
-    the backend lets the fast path fold the whole batch into two GEMMs
-    instead of one tiny matmul per tile.
-    """
-    be = get_backend(backend)
-    t = as_tensor(t)
-    data = be.apply_transform_pair(t.data, left, right)
-
-    def _backward(grad: np.ndarray):
-        return (be.apply_transform_pair(grad, left.T, right.T),)
-
-    return Tensor.from_op(data, (t,), _backward)
-
-
-def assemble_output_tensor(out_tiles: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Differentiable assembly of ``m x m`` output tiles into the feature map."""
-    out_tiles = as_tensor(out_tiles)
-    n, cout, n_h, n_w, m, _ = out_tiles.shape
-    data = assemble_output_tiles(out_tiles.data, out_h, out_w)
-
-    def _backward(grad: np.ndarray):
-        full_h, full_w = n_h * m, n_w * m
-        padded = np.zeros((n, cout, full_h, full_w), dtype=grad.dtype)
-        padded[:, :, :out_h, :out_w] = grad
-        tiles = padded.reshape(n, cout, n_h, m, n_w, m).transpose(0, 1, 2, 4, 3, 5)
-        return (np.ascontiguousarray(tiles),)
-
-    return Tensor.from_op(data, (out_tiles,), _backward)
-
-
 def winograd_conv2d_tensor(x: Tensor, weight: Tensor,
                            transform: WinogradTransform | None = None,
                            bias: Tensor | None = None,
                            padding: int = 1,
-                           input_tile_hook: Hook | None = None,
-                           weight_tile_hook: Hook | None = None,
-                           product_hook: Hook | None = None,
-                           backend: str | KernelBackend | None = None,
-                           plan=None) -> Tensor:
-    """Differentiable Winograd convolution with quantization hooks.
+                           backend: str | KernelBackend | None = None) -> Tensor:
+    """Differentiable Winograd convolution as one fused autograd node.
 
-    The hooks receive the Winograd-domain tensors and must return tensors of
-    the same shape:
-
-    * ``input_tile_hook``  — applied to ``BT x B``  (shape ``N,Cin,nH,nW,a,a``)
-    * ``weight_tile_hook`` — applied to ``G f GT``   (shape ``Cout,Cin,a,a``)
-    * ``product_hook``     — applied to the accumulated products before the
-      output back-transform (shape ``N,Cout,nH,nW,a,a``); this is where the
-      tap-wise rescaling ``S_BG`` of the paper's quantization scheme lives.
-
-    ``backend`` selects the kernel backend for every step of this call (the
-    forward *and* the recorded backward closures).  ``plan`` optionally
-    supplies an already-lowered :class:`~repro.engine.LayerPlan` (it takes
-    precedence over ``transform``/``backend``/``padding`` on every path);
-    otherwise one is looked up in the shared plan cache.
-
-    When no hook is installed (and the data is float), the call executes as
-    the engine's fused single-node autograd op instead of the composed graph.
+    The layer shape is lowered through the shared plan cache; ``backend``
+    selects the kernel backend for the forward *and* the backward.
     """
     from .. import engine
 
     x = as_tensor(x)
     weight = as_tensor(weight)
-    cout = weight.shape[0]
-
-    if plan is not None:
-        be = plan.backend
-        transform = plan.transform
-        padding = plan.padding
-    else:
-        be = get_backend(backend)
-        transform = transform or winograd_f4()
-
-    no_hooks = (input_tile_hook is None and weight_tile_hook is None
-                and product_hook is None)
-    is_float = (x.data.dtype in (np.float32, np.float64)
-                and weight.data.dtype in (np.float32, np.float64))
-    if no_hooks and is_float:
-        if plan is None:
-            plan = engine.lower_winograd(x.shape, weight.shape, transform,
-                                         padding, backend=be)
-        return engine.execute_tensor(plan, x, weight, bias)
-
-    # Composed fallback: the hooks must see (and differentiate through) the
-    # Winograd-domain intermediates, so each stage stays its own graph node.
-
-    tiles, out_h, out_w = extract_input_tiles_tensor(x, transform, padding, backend=be)
-    tiles_w = transform_pair_tensor(tiles, transform.BT, transform.B, backend=be)
-    weight_w = transform_pair_tensor(weight, transform.G, transform.G.T, backend=be)
-
-    if input_tile_hook is not None:
-        tiles_w = input_tile_hook(tiles_w)
-    if weight_tile_hook is not None:
-        weight_w = weight_tile_hook(weight_w)
-
-    prod = tile_contract_tensor(tiles_w, weight_w, backend=be)
-    if product_hook is not None:
-        prod = product_hook(prod)
-
-    out_tiles = transform_pair_tensor(prod, transform.AT, transform.A, backend=be)
-    out = assemble_output_tensor(out_tiles, out_h, out_w)
-    if bias is not None:
-        out = out + bias.reshape(1, cout, 1, 1)
-    return out
+    plan = engine.lower_winograd(x.shape, weight.shape,
+                                 transform or winograd_f4(), padding,
+                                 backend=get_backend(backend))
+    return engine.execute_tensor(plan, x, weight, bias)

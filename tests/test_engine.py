@@ -9,6 +9,7 @@ bit-exact for integer accumulation), the bound :class:`CompiledConv`, the
 
 import numpy as np
 import pytest
+from composed_winograd import composed_winograd
 
 import repro.engine as engine
 from repro.engine import (BatchRunner, CompiledConv, ConvJob,
@@ -131,15 +132,19 @@ class TestPlanCache:
 # Planned execution equivalence
 # --------------------------------------------------------------------------- #
 def _fused_and_composed(x, w, b, seed_grad, transform, backend):
-    """(out, dx, dw, db) from the fused node and the hook-composed graph."""
-    identity = lambda t: t  # a hook forces the composed graph # noqa: E731
+    """(out, dx, dw, db) from the fused node on ``backend`` and from the
+    composed graph on ``reference``'s primitives (the oracle)."""
     results = []
-    for hook in (None, identity):
+    for fused in (True, False):
         xt = Tensor(x.copy(), requires_grad=True)
         wt = Tensor(w.copy(), requires_grad=True)
         bt = Tensor(b.copy(), requires_grad=True)
-        out = winograd_conv2d_tensor(xt, wt, transform, bias=bt, padding=1,
-                                     input_tile_hook=hook, backend=backend)
+        if fused:
+            out = winograd_conv2d_tensor(xt, wt, transform, bias=bt, padding=1,
+                                         backend=backend)
+        else:
+            out = composed_winograd(xt, wt, transform, bias=bt, padding=1,
+                                    backend="reference")
         out.backward(seed_grad)
         results.append((out.data, xt.grad, wt.grad, bt.grad))
     return results
@@ -180,7 +185,8 @@ class TestPlannedEquivalence:
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])
     def test_fused_autograd_matches_composed(self, rng, backend, factory):
-        """The single-node fused path == the composed five-node graph."""
+        """The single-node fused path == the composed five-node graph on
+        the reference primitives."""
         x = rng.normal(size=(2, 3, 9, 9))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))

@@ -189,3 +189,55 @@ class TestTraining:
             opt.step()
         preds = np.argmax(net(Tensor(x)).data, axis=-1)
         assert (preds == labels).mean() > 0.9
+
+
+def _composed_batchnorm(bn, x: Tensor) -> Tensor:
+    """Training-mode BatchNorm2d as the original graph of Tensor ops."""
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    with np.errstate(all="ignore"):
+        bn.set_buffer("running_mean", (1 - bn.momentum) * bn.running_mean
+                      + bn.momentum * mean.data.reshape(-1))
+        bn.set_buffer("running_var", (1 - bn.momentum) * bn.running_var
+                      + bn.momentum * var.data.reshape(-1))
+    x_hat = (x - mean) / (var + bn.eps).sqrt()
+    c = bn.num_features
+    return x_hat * bn.weight.reshape(1, c, 1, 1) + bn.bias.reshape(1, c, 1, 1)
+
+
+class TestFusedBatchNorm:
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 6), (2, 16, 5, 7), (1, 3, 1, 9)])
+    def test_training_node_matches_composed_graph(self, rng, shape):
+        gamma, beta = rng.normal(size=shape[1]) + 1.0, rng.normal(size=shape[1])
+        fused, composed = BatchNorm2d(shape[1]), BatchNorm2d(shape[1])
+        for bn in (fused, composed):
+            bn.weight.data, bn.bias.data = gamma.copy(), beta.copy()
+        for _ in range(2):                       # running stats accumulate
+            x = rng.normal(loc=2.0, scale=3.0, size=shape)
+            grad = rng.normal(size=shape)
+            xs = [Tensor(x, requires_grad=True) for _ in range(2)]
+            for bn in (fused, composed):
+                bn.zero_grad()
+            out_f = fused(xs[0])
+            out_c = _composed_batchnorm(composed, xs[1])
+            out_f.backward(grad)
+            out_c.backward(grad)
+            np.testing.assert_array_equal(out_f.data, out_c.data)
+            np.testing.assert_array_equal(fused.running_mean, composed.running_mean)
+            np.testing.assert_array_equal(fused.running_var, composed.running_var)
+            for got, want in ((xs[0].grad, xs[1].grad),
+                              (fused.weight.grad, composed.weight.grad),
+                              (fused.bias.grad, composed.bias.grad)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_eval_branch_is_the_composed_graph(self, rng):
+        bn = BatchNorm2d(3)
+        bn.set_buffer("running_mean", rng.normal(size=3))
+        bn.set_buffer("running_var", rng.random(size=3) + 0.5)
+        bn.eval()
+        x = rng.normal(size=(2, 3, 4, 4))
+        want = ((x - bn.running_mean.reshape(1, 3, 1, 1))
+                / np.sqrt(bn.running_var.reshape(1, 3, 1, 1) + bn.eps)
+                * bn.weight.data.reshape(1, 3, 1, 1) + bn.bias.data.reshape(1, 3, 1, 1))
+        np.testing.assert_array_equal(bn(Tensor(x)).data, want)

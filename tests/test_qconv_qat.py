@@ -108,6 +108,12 @@ class TestQuantWinogradConv2d:
         # to the float reference but not identical to each other.
         assert out_train.shape == out_eval.shape
 
+    def test_winograd_quantizers_need_the_clipped_ste(self, rng):
+        layer = QuantWinogradConv2d(2, 4, transform="F4")
+        layer.input_wino_quant.ste = "pass"
+        with pytest.raises(ValueError):
+            layer(Tensor(rng.normal(size=(1, 2, 8, 8))))
+
     def test_channel_and_tap_granularity(self, rng):
         layer = QuantWinogradConv2d(2, 4, transform="F4",
                                     granularity=Granularity.PER_CHANNEL_AND_TAP)

@@ -1,5 +1,6 @@
 """Tests for observers, quantizers, and power-of-two scale learning."""
 
+import composed_winograd as composed
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,3 +208,56 @@ class TestQuantizerModule:
         fake = quantizer(Tensor(x)).data
         ints = quantizer.quantize_int(x)
         np.testing.assert_allclose(quantizer.dequantize(ints), fake, atol=1e-12)
+
+
+class TestInPlaceFakeQuant:
+    """The one-buffer fake quantization is bit-identical to the original
+    four-temporary formulas (kept in ``composed_winograd``)."""
+
+    @pytest.mark.parametrize("scale_shape", [(), (1, 1, 6, 6), (3, 1, 1, 1)])
+    def test_fake_quantize_matches_original(self, rng, scale_shape):
+        x = rng.normal(size=(3, 2, 6, 6)) * 4.0
+        scale = np.abs(rng.normal(size=scale_shape)) * 0.02 + 0.005
+        grad = rng.normal(size=x.shape)
+        got_x, want_x = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        got = fake_quantize(got_x, scale, 6)
+        want = composed.fake_quantize(want_x, scale, 6)
+        got.backward(grad)
+        want.backward(grad)
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(got_x.grad, want_x.grad)
+        assert (np.abs(x / scale) > 31).any()       # the clip is exercised
+
+    def test_learned_pow2_matches_original(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4, 6, 6)) * 3.0
+        log2_t = rng.normal(size=(1, 1, 1, 1, 6, 6)) - 5.0
+        grad = rng.normal(size=x.shape)
+        results = []
+        for fn in (learned_pow2_fake_quantize, composed.learned_pow2_fake_quantize):
+            xt, pt = Tensor(x, requires_grad=True), Parameter(log2_t.copy())
+            out = fn(xt, pt, 8)
+            out.backward(grad)
+            results.append((out.data, xt.grad, pt.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_quantizer_forward_matches_original(self, rng, granularity):
+        new, old = (Quantizer(8, granularity, power_of_two=True) for _ in range(2))
+        for _ in range(3):
+            x = rng.normal(size=(2, 3, 4, 4, 6, 6))
+            x[0] = 0.0                                    # an all-zero group
+            np.testing.assert_array_equal(
+                new(Tensor(x)).data, composed.quantizer_forward(old, Tensor(x)).data)
+            np.testing.assert_array_equal(new.observer.running_max,
+                                          old.observer.running_max)
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_observer_matches_abs_max(self, rng, granularity):
+        x = rng.normal(size=(3, 2, 5, 6, 6))
+        x[1] = 0.0
+        observer = RunningMaxObserver(granularity)
+        observer.update(x)
+        axes = reduction_axes(granularity, x.ndim)
+        want = np.maximum(np.abs(x).max(axis=axes, keepdims=True), 1e-12)
+        np.testing.assert_array_equal(observer.running_max, want)

@@ -173,7 +173,7 @@ class TestCompiledQuantized:
             pinned = compile_model(model, backend=get_backend(
                 "reference").instrumented(wrap))
             out = pinned.infer(x)
-        assert calls.get("tile_contract", 0) > 0        # the Winograd quant step
+        assert calls.get("winograd_forward", 0) > 0     # the Winograd quant step
         assert calls.get("conv2d_gemm", 0) > 0          # the QuantConv2d step
         with use_backend("reference"):
             np.testing.assert_array_equal(out, _eager(model, x))

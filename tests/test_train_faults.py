@@ -34,6 +34,8 @@ from repro.datasets.synthetic import make_shapes_dataset
 from repro.models.small import MicroNet
 from repro.nn.data import ArrayDataset, DataLoader
 from repro.nn.optim import SGD
+from repro.quant import (QatConfig, calibrate_model, convert_model,
+                         enable_learned_scales, freeze_calibration)
 from repro.serve import FaultPlan
 from repro.train import CheckpointStore, DataParallelTrainer, Trainer
 from repro.utils import seed_everything
@@ -51,8 +53,20 @@ def _make_parts(seed=0):
     return model, optimizer, loader
 
 
-def _dp_trainer(expect_degraded=False, **kwargs):
-    model, optimizer, loader = _make_parts()
+def _make_qat_parts(seed=0):
+    """A calibrated tap-wise F4 QAT MicroNet with frozen observers and
+    learned power-of-two Winograd-domain scales."""
+    model, _, loader = _make_parts(seed)
+    model = convert_model(model, QatConfig(algorithm="F4", tapwise=True,
+                                           power_of_two=True))
+    calibrate_model(model, loader, max_batches=2)
+    freeze_calibration(model)
+    enable_learned_scales(model)
+    return model, SGD(model.parameters(), lr=0.05, momentum=0.9), loader
+
+
+def _dp_trainer(expect_degraded=False, parts=_make_parts, **kwargs):
+    model, optimizer, loader = parts()
     trainer = DataParallelTrainer(model, optimizer, loader, num_workers=2,
                                   **kwargs)
     if trainer.degraded and not expect_degraded:  # pragma: no cover
@@ -83,6 +97,22 @@ class TestShardChaos:
         assert stats["restarts"] >= 1
         assert stats["retried_jobs"] >= 2
         assert stats["corrupt_replies"] >= 1
+        assert _state_equal(clean_model.state_dict(), chaos_model.state_dict())
+        assert clean.history == chaos.history
+
+    def test_qat_worker_kill_and_corrupt_bit_exact(self):
+        """The fused tap-wise QAT node (STE masks, learned-scale gradients)
+        is as deterministic across retried shards as a float conv."""
+        clean, clean_model = _dp_trainer(parts=_make_qat_parts)
+        with clean:
+            clean.fit(epochs=2)
+
+        plan = FaultPlan().kill(worker=0, step=1).corrupt(worker=1, step=2)
+        chaos, chaos_model = _dp_trainer(parts=_make_qat_parts, faults=plan)
+        with chaos:
+            chaos.fit(epochs=2)
+            stats = chaos.pool_stats()
+        assert stats["deaths"] >= 1 and stats["corrupt_replies"] >= 1
         assert _state_equal(clean_model.state_dict(), chaos_model.state_dict())
         assert clean.history == chaos.history
 

@@ -1,17 +1,21 @@
-"""Tests for the Winograd convolution (float and autograd paths)."""
+"""Tests for the Winograd convolution (float, autograd and tap-wise QAT paths)."""
+
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from composed_winograd import composed_qat_forward
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kernels import use_backend
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.quant import QuantWinogradConv2d
 from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor, winograd_f2,
                             winograd_f4, winograd_f6)
-from repro.winograd.conv import (assemble_output_tensor,
-                                 extract_input_tiles_tensor, tile_contract_tensor,
-                                 winograd_output_shape)
+from repro.winograd.conv import winograd_output_shape
 
 
 class TestFloatEquivalence:
@@ -90,40 +94,113 @@ class TestAutogradPath:
         np.testing.assert_allclose(w1.grad, w2.grad, atol=1e-8)
         np.testing.assert_allclose(b1.grad, b2.grad, atol=1e-8)
 
-    def test_hooks_are_applied(self, rng):
-        """A hook that zeroes the weight tiles must zero the output."""
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        w = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        out = winograd_conv2d_tensor(x, w, winograd_f4(), padding=1,
-                                     weight_tile_hook=lambda t: t * 0.0)
-        np.testing.assert_allclose(out.data, 0.0)
 
-    def test_product_hook_scales_output(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        w = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        base = winograd_conv2d_tensor(x, w, winograd_f4(), padding=1)
-        doubled = winograd_conv2d_tensor(x, w, winograd_f4(), padding=1,
-                                         product_hook=lambda t: t * 2.0)
-        np.testing.assert_allclose(doubled.data, 2.0 * base.data, atol=1e-10)
+# --------------------------------------------------------------------------- #
+# Tap-wise QAT: one fused node per layer vs the composed graph
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class QatCase:
+    transform: str
+    n: int
+    cin: int
+    cout: int
+    h: int
+    w: int
+    padding: int
+    learned: bool
+    granularity: str
+    spatial_bits: int | None
+    seed: int
 
-    def test_tile_extraction_gradient_is_multiplicity(self, rng):
-        """Each input pixel's gradient equals the number of tiles it belongs to."""
-        x = Tensor(rng.normal(size=(1, 1, 8, 8)), requires_grad=True)
-        tiles, _, _ = extract_input_tiles_tensor(x, winograd_f4(), padding=1)
-        tiles.sum().backward()
-        center = x.grad[0, 0, 4, 4]
-        corner = x.grad[0, 0, 0, 0]
-        assert center >= corner  # interior pixels are shared by more tiles
+    def __str__(self) -> str:
+        return (f"{self.transform}-n{self.n}-c{self.cin}x{self.cout}-"
+                f"{self.h}x{self.w}-p{self.padding}-"
+                f"{'learned' if self.learned else 'observed'}-"
+                f"{self.granularity}-s{self.spatial_bits}")
 
-    def test_tile_contract_matches_einsum(self, rng):
-        xw = rng.normal(size=(2, 3, 2, 2, 6, 6))
-        ww = rng.normal(size=(4, 3, 6, 6))
-        out = tile_contract_tensor(Tensor(xw), Tensor(ww))
-        ref = np.einsum("ncijab,ocab->noijab", xw, ww)
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
-    def test_assemble_output_gradient_roundtrip(self, rng):
-        tiles = Tensor(rng.normal(size=(1, 2, 2, 2, 4, 4)), requires_grad=True)
-        out = assemble_output_tensor(tiles, 8, 8)
-        out.sum().backward()
-        np.testing.assert_allclose(tiles.grad, np.ones_like(tiles.data))
+def _qat_cases() -> list[QatCase]:
+    """Seeded geometries: F2/F4, padding 0-2, odd and prime sizes, Cin 1..32,
+    learned and observed scales, every granularity."""
+    gen = np.random.default_rng(20261018)
+    granularities = ["per_tap", "per_tap", "per_tensor", "per_channel",
+                     "per_channel_and_tap"]
+    cases = []
+    for i in range(16):
+        learned = i % 4 >= 2
+        cases.append(QatCase(
+            transform=("F2", "F4")[i % 2],
+            n=int(gen.integers(1, 4)),
+            cin=[1, 32][i] if i < 2 else int(gen.integers(1, 33)),
+            cout=int(gen.integers(1, 9)),
+            h=int(gen.choice([5, 7, 9, 11, 13, 15, 17])),
+            w=int(gen.choice([5, 7, 9, 11, 13, 15, 17])),
+            padding=int(gen.integers(0, 3)),
+            learned=learned,
+            granularity=granularities[i % len(granularities)],
+            spatial_bits=None if i % 5 == 4 else 8,
+            seed=int(gen.integers(2 ** 31))))
+    return cases
+
+
+def _qat_layer(case: QatCase) -> tuple[QuantWinogradConv2d, np.ndarray, np.ndarray]:
+    """A calibrated layer (learned scales enabled when asked), an input and
+    an upstream gradient."""
+    rng = np.random.default_rng(case.seed)
+    layer = QuantWinogradConv2d(
+        case.cin, case.cout, transform=case.transform, padding=case.padding,
+        spatial_bits=case.spatial_bits, granularity=case.granularity,
+        power_of_two=case.learned or case.seed % 2 == 0, rng=rng)
+    layer.bias.data = rng.normal(size=case.cout)
+    with use_backend("reference"):
+        composed_qat_forward(layer, Tensor(rng.normal(size=(
+            case.n, case.cin, case.h, case.w))), backend="reference")
+    if case.learned:
+        layer.enable_learned_scales()
+    x = rng.normal(size=(case.n, case.cin, case.h, case.w))
+    out_h, out_w = winograd_output_shape(case.h, case.w, padding=case.padding)
+    return layer, x, rng.normal(size=(case.n, case.cout, out_h, out_w))
+
+
+def _qat_step(layer: QuantWinogradConv2d, x: np.ndarray, grad: np.ndarray,
+              backend: str, composed: bool) -> dict:
+    """One fwd+bwd on a copy of ``layer``: output, gradients, observer state."""
+    layer = copy.deepcopy(layer)
+    xt = Tensor(x, requires_grad=True)
+    with use_backend(backend):
+        out = (composed_qat_forward(layer, xt, backend=backend) if composed
+               else layer(xt))
+    out.backward(grad)
+    result = {"out": out.data, "dx": xt.grad, "dw": layer.weight.grad,
+              "db": layer.bias.grad}
+    for name, q in (("input", layer.input_wino_quant),
+                    ("weight", layer.weight_wino_quant),
+                    ("act", layer.act_quant), ("spatial", layer.weight_quant)):
+        if q is None:
+            continue
+        if q.log2_t is not None:
+            result[f"dlog2_{name}"] = q.log2_t.grad
+        result[f"running_max_{name}"] = q.observer.running_max
+    return result
+
+
+@pytest.mark.parametrize("case", _qat_cases(), ids=str)
+class TestQatConv:
+    def test_reference_is_the_composed_graph(self, case):
+        layer, x, grad = _qat_layer(case)
+        fused = _qat_step(layer, x, grad, "reference", composed=False)
+        composed = _qat_step(layer, x, grad, "reference", composed=True)
+        assert fused.keys() == composed.keys()
+        for key, want in composed.items():
+            assert fused[key].shape == want.shape, key
+            np.testing.assert_array_equal(fused[key], want, err_msg=key)
+
+    def test_fast_matches_reference(self, case):
+        layer, x, grad = _qat_layer(case)
+        fast = _qat_step(layer, x, grad, "fast", composed=False)
+        ref = _qat_step(layer, x, grad, "reference", composed=False)
+        assert fast.keys() == ref.keys()
+        for key, want in ref.items():
+            assert fast[key].shape == want.shape, key
+            err = np.abs(fast[key] - want).max()
+            assert err <= 1e-10 * max(np.abs(want).max(), 1e-300), (key, err)
