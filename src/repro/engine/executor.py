@@ -82,9 +82,10 @@ def _pad_input_workspace(plan: LayerPlan, x: np.ndarray, arena=None,
     (:func:`repro.engine.use_arena`); the padded copy — the one large
     per-call allocation in front of the fused kernels — then lives in a
     buffer that is reused every call.  Only the halo is zeroed (the interior
-    is overwritten).  Without an arena this is a plain ``np.pad``.  Works
-    for both plan kinds: im2col plans carry no ``pad_width`` spec, so the
-    symmetric one is derived from ``padding``.
+    is overwritten).  Without an arena the copy goes into a fresh zeroed
+    buffer, which is cheaper than ``np.pad``.  Works for both plan kinds:
+    im2col plans carry no ``pad_width`` spec, so the symmetric one is
+    derived from ``padding``.
     """
     pad_width = plan.pad_width
     if pad_width is None and plan.padding:
@@ -92,21 +93,22 @@ def _pad_input_workspace(plan: LayerPlan, x: np.ndarray, arena=None,
         pad_width = ((0, 0), (0, 0), (p, p), (p, p))
     if pad_width is None or not any(p for pair in pad_width for p in pair):
         return x
-    if arena is None:
-        return np.pad(x, pad_width)
     (_, _), (_, _), (pt, pb), (pl, pr) = pad_width
-    h, w = plan.in_shape[2], plan.in_shape[3]
-    padded = arena.get(plan, "padded",
-                       shape=(x.shape[0], x.shape[1], pt + h + pb, pl + w + pr),
-                       dtype=x.dtype, slot=slot)
-    if pt:
-        padded[:, :, :pt].fill(0)
-    if pb:
-        padded[:, :, pt + h:].fill(0)
-    if pl:
-        padded[:, :, pt:pt + h, :pl].fill(0)
-    if pr:
-        padded[:, :, pt:pt + h, pl + w:].fill(0)
+    n, c, h, w = x.shape
+    shape = (n, c, pt + h + pb, pl + w + pr)
+    if arena is None:
+        padded = np.zeros(shape, dtype=x.dtype)
+    else:
+        padded = arena.get(plan, "padded", shape=shape, dtype=x.dtype,
+                           slot=slot)
+        if pt:
+            padded[:, :, :pt].fill(0)
+        if pb:
+            padded[:, :, pt + h:].fill(0)
+        if pl:
+            padded[:, :, pt:pt + h, :pl].fill(0)
+        if pr:
+            padded[:, :, pt:pt + h, pl + w:].fill(0)
     padded[:, :, pt:pt + h, pl:pl + w] = x
     return padded
 

@@ -15,10 +15,16 @@ so ``np.matmul`` dispatches each tap to BLAS (floats) or to numpy's exact
 integer loop.  The integer tap-wise path does not use that loop: its fused
 forward (``winograd_forward(quant=...)``) carries the integers in float64,
 which BLAS multiplies exactly while every partial sum stays below 2**53.
-The same treatment is applied to both adjoints, to the pair transforms (two
-``tensordot`` GEMMs instead of thousands of broadcast ``alpha x alpha``
+The same treatment is applied to both adjoints, to the pair transforms (one
+Kronecker GEMM instead of thousands of broadcast ``alpha x alpha``
 matmuls), to the im2col convolution GEMMs, and to :func:`scatter_tiles_add`
 (a handful of strided block adds instead of an ``n_h x n_w`` Python loop).
+
+There are two fused Winograd pipelines.  Inference (``winograd_forward``, float
+and integer) streams per image in cache-sized blocks of tile rows.  Training
+(``winograd_autograd``, float and tap-wise QAT alike) folds the batch into
+the tile axis and runs each stage of the whole layer, and of its backward,
+as one numpy call.
 
 ``extract_tiles`` returns the read-only strided *view* instead of forcing an
 ``ascontiguousarray`` copy: every consumer in this backend is a GEMM that
@@ -243,7 +249,9 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
 
     with one gather (the tile view) in front and one scatter (the output
     permutation) behind.  The pipeline is blocked over rows of Winograd
-    tiles so the whole working set stays cache-resident.
+    tiles so the whole working set stays cache-resident; on F4 serving
+    shapes the training step's whole-layer forward was slower on four of
+    six, by up to 1.7x.
 
     With ``quant`` (the integer tap-wise path) the gather casts the integer
     input to float64, the ``BT x B`` taps are requantized in place (scale,
@@ -256,12 +264,12 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
     output workspace (e.g. from a :class:`repro.engine.WorkspaceArena`), so
     steady-state serving loops do zero fresh large allocations here.
 
-    With a :class:`TapFakeQuant` ``quant`` the forward of the tap-wise
-    training step runs instead (:func:`_fake_quant_forward`).
+    With a :class:`TapFakeQuant` ``quant`` the forward of the whole-layer
+    training step runs instead (:func:`_whole_layer_step`).
     """
     if isinstance(quant, TapFakeQuant):
-        out, _ = _fake_quant_forward(x_padded, weight, transform, out_h, out_w,
-                                     quant, w_r=w_r, out=out)
+        out, _ = _whole_layer_step(x_padded, weight, transform, out_h, out_w,
+                                   quant, w_r=w_r, out=out)
         return out
     m, r, a = transform.m, transform.r, transform.alpha
     n, cin, hp, wp = x_padded.shape
@@ -336,24 +344,7 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
 
 
 # --------------------------------------------------------------------------- #
-# Fused Winograd forward+backward (training fast path, tap-major end to end)
-# --------------------------------------------------------------------------- #
-def _separable_pair(t3: np.ndarray, left: np.ndarray, right: np.ndarray
-                    ) -> np.ndarray:
-    """``left @ t @ right`` on the two leading tap axes of ``(a0, a1, K)``.
-
-    Two skinny GEMMs (a³ MACs per tile per stage) instead of the a⁴ one-shot
-    Kronecker formulation — the same separable trick :func:`winograd_forward`
-    uses, shared here with the fused backward.
-    """
-    a0, _a1, k = t3.shape
-    s1 = np.matmul(right.T, t3)                   # applies ``right`` on axis 1
-    o1 = s1.shape[1]
-    return (left @ s1.reshape(a0, o1 * k)).reshape(left.shape[0], o1, k)
-
-
-# --------------------------------------------------------------------------- #
-# Tap-wise fake-quantized training step (batch folded into the tile axis)
+# Whole-layer Winograd training step (batch folded into the tile axis)
 # --------------------------------------------------------------------------- #
 # The canonical Winograd-domain layouts the scale callbacks see, as
 # permutations of the kernel's tap-major ones: inputs (N, Cin, nH, nW, a, a)
@@ -361,13 +352,18 @@ def _separable_pair(t3: np.ndarray, left: np.ndarray, right: np.ndarray
 _INPUT_FROM_TAPS, _INPUT_TO_TAPS = (3, 2, 4, 5, 0, 1), (4, 5, 1, 0, 2, 3)
 _WEIGHT_PERM = (2, 3, 0, 1)                   # its own inverse
 
+# The float step's spec: both scale callbacks leave their side unquantized.
+_UNQUANTIZED = TapFakeQuant(input_bits=0, weight_bits=0,
+                            input_scale=lambda taps: None,
+                            weight_scale=lambda taps: None)
+
 
 def _tap_kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``kron(L, Rᵀ)``: ``left @ t @ right`` on the flattened leading tap axes
     of a tap-major ``(p·q, K)`` operand, as one GEMM (``(o·s, p·q) @ t``).
 
     On the whole-layer operands of the training step one BLAS call beats
-    the two skinny GEMMs of :func:`_separable_pair` despite its ~3x MACs.
+    two skinny separable GEMMs (one per tap axis) despite its ~3x MACs.
     """
     return _pair_kron(left, right).T
 
@@ -422,11 +418,11 @@ def _fake_quant_taps(taps: np.ndarray, from_taps, to_taps, scale_fn,
     return quantized, backward
 
 
-def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
-                        out_h: int, out_w: int, quant: TapFakeQuant,
-                        w_r: np.ndarray | None = None,
-                        out: np.ndarray | None = None):
-    """Tap-wise fake-quantized Winograd forward; returns ``(out, backward)``.
+def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
+                      out_h: int, out_w: int, quant: TapFakeQuant | None,
+                      w_r: np.ndarray | None = None,
+                      out: np.ndarray | None = None):
+    """Batch-folded Winograd training step; returns ``(out, backward)``.
 
     Winograd-aware training (Sec. III-A) runs with the batch folded into the
     GEMM tile axis: the whole layer is one tap-major ``(a², C, N·nH·nW)``
@@ -438,15 +434,18 @@ def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
 
     1. gather the overlapping tiles tap-major and apply ``BT x B`` as one
        Kronecker GEMM;
-    2. fake-quantize the input taps and the (given or transformed) ``G f GT``
-       weight taps with the spec's scales;
+    2. with a :class:`TapFakeQuant` ``quant``, fake-quantize the input taps
+       and the (given or transformed) ``G f GT`` weight taps with the spec's
+       scales; with ``None`` both sides stay float;
     3. ``a²`` batched ``(Cout, Cin) @ (Cin, N·nH·nW)`` GEMMs;
     4. ``AT y A`` as one Kronecker GEMM and one scatter into the NCHW
        output.
 
-    ``backward(grad)`` returns ``(dx_padded, dweight, dlog2_t_input,
-    dlog2_t_weight)``.
+    ``backward(grad)`` runs the adjoints in reverse, on the same layouts,
+    and returns ``(dx_padded, dweight)``, followed by ``(dlog2_t_input,
+    dlog2_t_weight)`` when ``quant`` is given.
     """
+    spec = _UNQUANTIZED if quant is None else quant
     m, r, a = transform.m, transform.r, transform.alpha
     n, cin, hp, wp = x_padded.shape
     cout = weight.shape[0]
@@ -461,9 +460,13 @@ def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         strides=(s2, s3, s1, s0, s2 * m, s3 * m), writeable=False)
     f = np.ascontiguousarray(view).reshape(a * a, cin * tiles)
     v = (_tap_kron(bt, bt.T) @ f).reshape(a, a, cin, n, n_h, n_w)
+    # Each whole-layer temporary is dropped as soon as it is dead, so the
+    # next one reuses its memory instead of faulting in fresh pages (a
+    # quarter fewer page faults per F4 step on a (4, 32, 32, 32) layer).
+    del f
     v_q, input_backward = _fake_quant_taps(
-        v, _INPUT_FROM_TAPS, _INPUT_TO_TAPS, quant.input_scale,
-        quant.input_bits, quant.input_log2_t, owned=True)
+        v, _INPUT_FROM_TAPS, _INPUT_TO_TAPS, spec.input_scale,
+        spec.input_bits, spec.input_log2_t, owned=True)
     owned = w_r is None
     if owned:
         # ``G f GT`` exactly as the reference backend computes it: the
@@ -473,11 +476,12 @@ def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
             (transform.G @ weight @ transform.G.T).transpose(2, 3, 0, 1))
     w_q, weight_backward = _fake_quant_taps(
         w_r.reshape(a, a, cout, cin), _WEIGHT_PERM, _WEIGHT_PERM,
-        quant.weight_scale, quant.weight_bits, quant.weight_log2_t, owned)
+        spec.weight_scale, spec.weight_bits, spec.weight_log2_t, owned)
     v_q = v_q.reshape(a * a, cin, tiles)
     w_q = w_q.reshape(a * a, cout, cin)
     acc = np.matmul(w_q, v_q)                                # (a², Cout, T)
     ot = _tap_kron(at, at.T) @ acc.reshape(a * a, cout * tiles)
+    del acc
     full_shape = (n, cout, n_h * m, n_w * m)
     if out is None:
         out = np.empty(full_shape, dtype=ot.dtype)
@@ -499,17 +503,22 @@ def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
             g_full.reshape(n, cout, n_h, m, n_w, m).transpose(3, 5, 1, 0, 2, 4)
         ).reshape(m * m, cout * tiles)
         dacc = (_tap_kron(at.T, at) @ g).reshape(a * a, cout, tiles)
+        del g
         # The Cube Unit's two transposed GEMMs, then the STE (and Eq. 3).
         dv, dlog2_in = input_backward(
             np.matmul(w_q.transpose(0, 2, 1), dacc).reshape(v.shape))
         dw, dlog2_w = weight_backward(
             np.matmul(dacc, v_q.transpose(0, 2, 1)).reshape(a, a, cout, cin))
+        del dacc
         dt = (_tap_kron(bt.T, bt) @ dv.reshape(a * a, cin * tiles)
               ).reshape(v.shape)
+        del dv
         dx_padded = _scatter_taps(dt, x_padded.shape, m)
         kmat = _pair_kron(transform.G, transform.G.T)         # (r², a²)
         dweight = (kmat @ dw.reshape(a * a, cout * cin)).T.reshape(
             cout, cin, r, r)
+        if quant is None:
+            return dx_padded, dweight
         return dx_padded, dweight, dlog2_in, dlog2_w
 
     return out, backward
@@ -518,98 +527,17 @@ def _fake_quant_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
 def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
                       out_h: int, out_w: int,
                       quant: TapFakeQuant | None = None):
-    """Fused Winograd training step: blocked forward now, blocked adjoints later.
+    """Fused Winograd training step: :func:`_whole_layer_step`.
 
     Returns ``(out, backward)`` where ``backward(grad)`` yields
-    ``(dx_padded, dweight)``.  The forward is exactly
-    :func:`winograd_forward` (cache-blocked, tap-major) with the transformed
-    weights hoisted so they are shared with the backward.  The backward runs
-    the same block structure in reverse: per block of Winograd tile rows it
-    *recomputes* the separable input transform from the checkpointed padded
-    input (a³ work, cache-resident — cheaper than storing and re-streaming
-    the 2.25x-larger Winograd-domain activations), then applies the
-    output-transform adjoint, both channel-GEMM adjoints (accumulating the
-    tap-major ``dW``), the input-transform adjoint, and a block-local
-    overlap scatter-add.
-
-    Keeping every stage inside one ~:data:`_BLOCK_BYTES` working set is what
-    beats the composed graph: the composed adjoint primitives each stream
-    whole-layer tensors through memory (plus two layout copies per
-    contraction call), while here nothing larger than the block leaves cache
-    between stages.
-
-    With a :class:`TapFakeQuant` ``quant`` the tap-wise fake-quantized step
-    of :func:`_fake_quant_forward` runs instead.
+    ``(dx_padded, dweight)``, plus ``(dlog2_t_input, dlog2_t_weight)`` with
+    a :class:`TapFakeQuant` ``quant``.  Float and tap-wise QAT training run
+    the same batch-folded, whole-layer tap-major pipeline; the float step
+    only skips the two fake-quant stages.  The forward keeps the layer's
+    Winograd-domain input taps alive until the backward, which reuses them
+    for the weight gradient instead of recomputing them.
     """
-    if quant is not None:
-        return _fake_quant_forward(x_padded, weight, transform, out_h, out_w,
-                                   quant)
-    m, r, a = transform.m, transform.r, transform.alpha
-    n, cin, hp, wp = x_padded.shape
-    cout = weight.shape[0]
-    n_h = (hp - (r - 1)) // m
-    n_w = (wp - (r - 1)) // m
-    bt, at, g = transform.BT, transform.AT, transform.G
-
-    w_r = transform_weights_tap_major(weight, transform)             # (a²,O,I)
-    out = winograd_forward(x_padded, weight, transform, out_h, out_w, w_r=w_r)
-
-    full_h, full_w = n_h * m, n_w * m
-    rows_per_block = _rows_per_block(a, cin, n_h, n_w, x_padded.itemsize)
-
-    def backward(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if full_h == out_h and full_w == out_w:
-            g_full = grad
-        else:
-            g_full = np.zeros((n, cout, full_h, full_w), dtype=grad.dtype)
-            g_full[:, :, :out_h, :out_w] = grad
-        acc_dtype = np.result_type(grad.dtype, x_padded.dtype, np.float64)
-        dw_r = np.zeros((a * a, cout, cin), dtype=acc_dtype)
-        dx_padded = np.zeros((n, cin, hp, wp), dtype=acc_dtype)
-        w_rt = np.ascontiguousarray(w_r.transpose(0, 2, 1))          # (a²,I,O)
-
-        for nn in range(n):
-            image = x_padded[nn]
-            s1, s2, s3 = image.strides
-            view = np.lib.stride_tricks.as_strided(
-                image,
-                shape=(a, a, cin, n_h, n_w),
-                strides=(s2, s3, s1, s2 * m, s3 * m),
-                writeable=False,
-            )
-            g_img = g_full[nn].reshape(cout, n_h, m, n_w, m)
-            dx_img = dx_padded[nn]
-            for i0 in range(0, n_h, rows_per_block):
-                rb = min(rows_per_block, n_h - i0)
-                tiles = rb * n_w
-                # Recompute the block's Winograd-domain input (checkpointing).
-                f3 = np.ascontiguousarray(view[:, :, :, i0:i0 + rb]
-                                          ).reshape(a, a, cin * tiles)
-                x_r = _separable_pair(f3, bt, bt.T).reshape(a * a, cin, tiles)
-                # Output-transform adjoint: dacc = ATᵀ g AT.
-                g3 = np.ascontiguousarray(
-                    g_img[:, i0:i0 + rb].transpose(2, 4, 0, 1, 3)
-                ).reshape(m, m, cout * tiles)
-                dacc = _separable_pair(g3, at.T, at).reshape(a * a, cout, tiles)
-                # Channel-GEMM adjoints (the Cube Unit's two transposes).
-                dx_r = np.matmul(w_rt, dacc)                         # (a²,I,T)
-                dw_r += np.matmul(dacc, x_r.transpose(0, 2, 1))      # (a²,O,I)
-                # Input-transform adjoint + block-local overlap scatter-add.
-                dt3 = _separable_pair(dx_r.reshape(a, a, cin * tiles),
-                                      bt.T, bt)
-                dtiles = np.ascontiguousarray(
-                    dt3.reshape(a, a, cin, rb, n_w).transpose(2, 3, 4, 0, 1))
-                block = scatter_tiles_add(
-                    dtiles[None], (1, cin, rb * m + r - 1, wp), m, r)
-                h0 = i0 * m
-                dx_img[:, h0:h0 + rb * m + r - 1] += block[0]
-
-        dw_wino = np.ascontiguousarray(
-            dw_r.reshape(a, a, cout, cin).transpose(2, 3, 0, 1))
-        dw = g.T @ dw_wino @ g
-        return dx_padded, dw
-
-    return out, backward
+    return _whole_layer_step(x_padded, weight, transform, out_h, out_w, quant)
 
 
 # --------------------------------------------------------------------------- #

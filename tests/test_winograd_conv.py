@@ -1,7 +1,7 @@
 """Tests for the Winograd convolution (float, autograd and tap-wise QAT paths)."""
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from repro.kernels import use_backend
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quant import QuantWinogradConv2d
-from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor, winograd_f2,
-                            winograd_f4, winograd_f6)
+from repro.winograd import (get_transform, winograd_conv2d, winograd_conv2d_tensor,
+                            winograd_f2, winograd_f4, winograd_f6)
 from repro.winograd.conv import winograd_output_shape
 
 
@@ -112,9 +112,13 @@ class QatCase:
     spatial_bits: int | None
     seed: int
 
-    def __str__(self) -> str:
+    @property
+    def geometry(self) -> str:
         return (f"{self.transform}-n{self.n}-c{self.cin}x{self.cout}-"
-                f"{self.h}x{self.w}-p{self.padding}-"
+                f"{self.h}x{self.w}-p{self.padding}")
+
+    def __str__(self) -> str:
+        return (f"{self.geometry}-"
                 f"{'learned' if self.learned else 'observed'}-"
                 f"{self.granularity}-s{self.spatial_bits}")
 
@@ -203,4 +207,38 @@ class TestQatConv:
         for key, want in ref.items():
             assert fast[key].shape == want.shape, key
             err = np.abs(fast[key] - want).max()
+            assert err <= 1e-10 * max(np.abs(want).max(), 1e-300), (key, err)
+
+
+def _float_cases() -> list[QatCase]:
+    """The sweep's geometries, plus each F4 one again as F6, for the float
+    step (which ignores the quantizer fields)."""
+    cases = _qat_cases()
+    return cases + [replace(c, transform="F6") for c in cases
+                    if c.transform == "F4"]
+
+
+@pytest.mark.parametrize("case", _float_cases(), ids=lambda c: c.geometry)
+class TestFloatStep:
+    def test_fast_matches_reference(self, case):
+        """The fused step with no quantizers: output and every gradient."""
+        rng = np.random.default_rng(case.seed)
+        x = rng.normal(size=(case.n, case.cin, case.h, case.w))
+        w = rng.normal(size=(case.cout, case.cin, 3, 3))
+        b = rng.normal(size=case.cout)
+        out_h, out_w = winograd_output_shape(case.h, case.w, padding=case.padding)
+        grad = rng.normal(size=(case.n, case.cout, out_h, out_w))
+        results = {}
+        for backend in ("fast", "reference"):
+            xt, wt, bt = (Tensor(v.copy(), requires_grad=True) for v in (x, w, b))
+            out = winograd_conv2d_tensor(xt, wt, get_transform(case.transform),
+                                         bias=bt, padding=case.padding,
+                                         backend=backend)
+            out.backward(grad)
+            results[backend] = {"out": out.data, "dx": xt.grad, "dw": wt.grad,
+                                "db": bt.grad}
+        for key, want in results["reference"].items():
+            got = results["fast"][key]
+            assert got.shape == want.shape, key
+            err = np.abs(got - want).max()
             assert err <= 1e-10 * max(np.abs(want).max(), 1e-300), (key, err)
