@@ -20,11 +20,13 @@ Kronecker GEMM instead of thousands of broadcast ``alpha x alpha``
 matmuls), to the im2col convolution GEMMs, and to :func:`scatter_tiles_add`
 (a handful of strided block adds instead of an ``n_h x n_w`` Python loop).
 
-There are two fused Winograd pipelines.  Inference (``winograd_forward``, float
-and integer) streams per image in cache-sized blocks of tile rows.  Training
-(``winograd_autograd``, float and tap-wise QAT alike) folds the batch into
-the tile axis and runs each stage of the whole layer, and of its backward,
-as one numpy call.
+There is one fused Winograd pipeline.  It folds the batch into the tile
+axis and runs the same tap-major stages (gather, separable ``BT x B``, tap
+contraction, separable ``AT y A``, scatter) on blocks of that axis.
+Inference (``winograd_forward``, float and integer) streams cache-sized
+blocks of whole images or tile rows; training (``winograd_autograd``, float
+and tap-wise QAT alike) runs the whole layer as one block, so each stage,
+and each of its adjoints, is one numpy call.
 
 ``extract_tiles`` returns the read-only strided *view* instead of forcing an
 ``ascontiguousarray`` copy: every consumer in this backend is a GEMM that
@@ -34,6 +36,7 @@ buffers its operands anyway, so the copy would be pure overhead.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -148,21 +151,12 @@ def apply_transform_pair(tiles: np.ndarray, left: np.ndarray,
 def extract_tiles(x_padded: np.ndarray, m: int, r: int) -> np.ndarray:
     """Overlapping tile view ``(N, C, n_h, n_w, alpha, alpha)`` — no copy.
 
-    The returned array is a read-only strided view into ``x_padded``; the
-    GEMM consumers buffer it internally, so materialising a contiguous copy
-    here (as the reference backend does) would only add memory traffic.
+    The returned array is a read-only strided view into ``x_padded`` (the
+    pipeline's :func:`_tap_view`, axes permuted); the GEMM consumers buffer
+    it internally, so materialising a contiguous copy here (as the reference
+    backend does) would only add memory traffic.
     """
-    alpha = m + r - 1
-    n, c, hp, wp = x_padded.shape
-    n_h = (hp - (r - 1)) // m
-    n_w = (wp - (r - 1)) // m
-    s0, s1, s2, s3 = x_padded.strides
-    return np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(n, c, n_h, n_w, alpha, alpha),
-        strides=(s0, s1, s2 * m, s3 * m, s2, s3),
-        writeable=False,
-    )
+    return _tap_view(x_padded, m, m + r - 1).transpose(3, 2, 4, 5, 0, 1)
 
 
 def scatter_tiles_add(grad_tiles: np.ndarray, padded_shape: tuple[int, int, int, int],
@@ -196,7 +190,7 @@ def scatter_tiles_add(grad_tiles: np.ndarray, padded_shape: tuple[int, int, int,
 
 
 # --------------------------------------------------------------------------- #
-# Fused Winograd forward (tap-major end to end)
+# The fused Winograd pipeline (tap-major end to end)
 # --------------------------------------------------------------------------- #
 # Target working-set size per pipeline block, in bytes.  Keeping the gathered
 # tile block, its Winograd-domain image and the accumulator inside the
@@ -204,15 +198,68 @@ def scatter_tiles_add(grad_tiles: np.ndarray, padded_shape: tuple[int, int, int,
 # streaming working set (and is how the real accelerator tiles its L1).
 # Empirically 64-160KB is a broad optimum on current cores; larger blocks
 # amortise GEMM/interpreter overhead slightly better but fall out of L2
-# under cache pressure.
+# under cache pressure: at 512 KiB the batch-8 F4 stem of ``resnet_tiny``
+# (3 -> 8 channels, 32x32) took 2.8 ms instead of 1.0 ms (2-vCPU x86-64
+# host, one BLAS thread).
 _BLOCK_BYTES = 144 * 1024
 
 
-def _rows_per_block(a: int, cin: int, n_h: int, n_w: int, itemsize: int) -> int:
-    """Rows of Winograd tiles per block, keeping a gathered block near
-    :data:`_BLOCK_BYTES`."""
-    row_bytes = a * a * cin * n_w * itemsize
-    return min(n_h, max(1, _BLOCK_BYTES // max(row_bytes, 1)))
+def _tap_view(x_padded: np.ndarray, m: int, a: int) -> np.ndarray:
+    """Read-only tap-major view ``(a, a, C, N, nH, nW)`` of the overlapping
+    ``a x a`` tiles (stride ``m``) of the whole padded batch — no copy."""
+    n, c, hp, wp = x_padded.shape
+    s0, s1, s2, s3 = x_padded.strides
+    return np.lib.stride_tricks.as_strided(
+        x_padded, shape=(a, a, c, n, (hp - a) // m + 1, (wp - a) // m + 1),
+        strides=(s2, s3, s1, s0, s2 * m, s3 * m), writeable=False)
+
+
+def _blocks(n: int, n_h: int, row_bytes: int):
+    """Blocks ``(images, rows)`` (two slices) over the batch-folded ``N·nH``
+    tile rows: whole images while an image's ``n_h`` rows of ``row_bytes``
+    fit :data:`_BLOCK_BYTES`, otherwise chunks of one image's rows."""
+    rows = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    images, rows = max(1, rows // n_h), min(rows, n_h)
+    for n0, i0 in product(range(0, n, images), range(0, n_h, rows)):
+        yield slice(n0, min(n0 + images, n)), slice(i0, min(i0 + rows, n_h))
+
+
+def _transform_taps(left: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """``left @ t @ leftᵀ`` over the two leading tap axes of ``taps``.
+
+    ``(p, p, ...) -> (o, o, ...)`` as two skinny GEMMs, one per tap axis
+    (``a³`` MACs per tile instead of a Kronecker GEMM's ``a⁴``).  ``taps``
+    is consumed: every caller hands over a contiguous buffer of its own,
+    and the result reuses its memory when it fits, sparing the page faults
+    of a fresh buffer.
+    """
+    o, p = left.shape
+    half = np.matmul(left, taps.reshape(p, p, -1))           # second tap axis
+    into = None
+    if o <= p and taps.dtype == half.dtype:
+        into = taps.reshape(-1)[:half.size // p * o].reshape(o, -1)
+    out = np.matmul(left, half.reshape(p, -1), out=into)
+    return out.reshape((o, o) + taps.shape[2:])
+
+
+def _output_tiles(at: np.ndarray, acc: np.ndarray, dst: np.ndarray) -> None:
+    """``AT y A`` on a block's ``(a², Cout, T)`` accumulator (consumed),
+    scattered into its ``(images, Cout, rows, m, nW, m)`` output tiles."""
+    nb, cout, rb, m, n_w, _ = dst.shape
+    a = at.shape[1]
+    dst[...] = _transform_taps(at, acc.reshape(a, a, cout, nb, rb, n_w)
+                               ).transpose(3, 2, 4, 0, 5, 1)
+
+
+def _output_workspace(out: np.ndarray | None, shape: tuple,
+                      dtype) -> np.ndarray:
+    """The given uncropped output workspace, checked, or a fresh one."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out workspace must be {shape} of {np.dtype(dtype)}, "
+                         f"got {out.shape} of {out.dtype}")
+    return out
 
 
 def transform_weights_tap_major(weight: np.ndarray, transform) -> np.ndarray:
@@ -239,19 +286,23 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
 
     This is the dataflow the accelerator actually runs (Listing 1 of the
     paper): everything between the input transform and the output
-    back-transform lives in a *tap-major* layout, so per block the stages are
+    back-transform lives in a *tap-major* layout.  Per block of
+    :func:`_blocks` the stages are
 
-    1. two skinny GEMMs for the separable ``BT x B`` (a³ MACs per tile per
-       stage instead of the a⁴ of a one-shot Kronecker formulation),
-    2. ``a²`` batched ``(Cout, Cin) @ (Cin, tiles)`` GEMMs for the channel
-       accumulation (the Cube Unit), and
-    3. two skinny GEMMs for ``AT y A``,
+    1. the gather of the block's tiles from :func:`_tap_view`;
+    2. ``BT x B`` as two skinny GEMMs (:func:`_transform_taps`);
+    3. with a :class:`TapRequant` ``quant``, the tap-wise requantization;
+    4. ``a²`` batched ``(Cout, Cin) @ (Cin, tiles)`` GEMMs for the channel
+       accumulation (the Cube Unit);
+    5. with ``quant``, the ``S_BG`` rescale;
+    6. ``AT y A`` as two skinny GEMMs; and
+    7. the scatter into the NCHW output.
 
-    with one gather (the tile view) in front and one scatter (the output
-    permutation) behind.  The pipeline is blocked over rows of Winograd
-    tiles so the whole working set stays cache-resident; on F4 serving
-    shapes the training step's whole-layer forward was slower on four of
-    six, by up to 1.7x.
+    The blocks keep the whole working set cache-resident.  Running the
+    whole layer as one block, as the training step does, is slower here:
+    an integer ``(8, 16, 32, 32)`` layer took 9.0 ms instead of 5.1 ms, and
+    the float batch-8 stem of ``resnet_tiny`` 2.7 ms instead of 1.0 ms
+    (2-vCPU x86-64 host, one BLAS thread).
 
     With ``quant`` (the integer tap-wise path) the gather casts the integer
     input to float64, the ``BT x B`` taps are requantized in place (scale,
@@ -271,74 +322,48 @@ def winograd_forward(x_padded: np.ndarray, weight: np.ndarray, transform,
         out, _ = _whole_layer_step(x_padded, weight, transform, out_h, out_w,
                                    quant, w_r=w_r, out=out)
         return out
-    m, r, a = transform.m, transform.r, transform.alpha
-    n, cin, hp, wp = x_padded.shape
+    m, a = transform.m, transform.alpha
+    view = _tap_view(x_padded, m, a)
+    cin, n, n_h, n_w = view.shape[2:]
     cout = weight.shape[0]
-    n_h = (hp - (r - 1)) // m
-    n_w = (wp - (r - 1)) // m
-    bt, at = transform.BT, transform.AT
 
     if w_r is None:
         # Transformed weights, tap-major: (a², Cout, Cin).
         w_r = transform_weights_tap_major(weight, transform)
 
-    gather_dtype = None
+    gather_dtype = x_padded.dtype
     if quant is not None:
-        gather_dtype = np.float64
+        gather_dtype = np.dtype(np.float64)
         w_r = w_r.astype(np.float64, copy=False)
         in_ratio = np.reshape(quant.in_ratio, (a * a, 1, 1))
         out_scale = np.reshape(quant.out_scale, (a * a, 1, 1))
         tile_max = acc_max = q_max = 0.0
-    out_dtype = np.result_type(gather_dtype or x_padded.dtype, w_r.dtype)
-    full_shape = (n, cout, n_h * m, n_w * m)
-    if out is None:
-        out = np.empty(full_shape, dtype=out_dtype)
-    elif out.shape != full_shape or out.dtype != out_dtype:
-        raise ValueError(f"out workspace must be {full_shape} of {out_dtype}, "
-                         f"got {out.shape} of {out.dtype}")
+    out = _output_workspace(out, (n, cout, n_h * m, n_w * m),
+                            np.result_type(gather_dtype, w_r.dtype))
+    out_tiles = out.reshape(n, cout, n_h, m, n_w, m)
+    for images, rows in _blocks(n, n_h, a * a * cin * n_w * gather_dtype.itemsize):
+        # The gather always copies, even a contiguous slice: BT x B
+        # consumes it.
+        f = np.array(view[:, :, :, images, rows], dtype=gather_dtype, order="C")
+        x_r = _transform_taps(transform.BT, f).reshape(a * a, cin, -1)
+        if quant is not None:
+            if stats is not None:
+                tile_max = max(tile_max, np.abs(x_r).max())
+            x_r *= in_ratio
+            np.rint(x_r, out=x_r)
+            np.clip(x_r, quant.qmin, quant.qmax, out=x_r)
 
-    rows_per_block = _rows_per_block(a, cin, n_h, n_w,
-                                     np.dtype(gather_dtype or x_padded.dtype).itemsize)
-
-    for nn in range(n):
-        image = x_padded[nn]
-        s1, s2, s3 = image.strides
-        # Tap-major overlapping-tile view of the image: (a, a, Cin, nH, nW).
-        view = np.lib.stride_tricks.as_strided(
-            image,
-            shape=(a, a, cin, n_h, n_w),
-            strides=(s2, s3, s1, s2 * m, s3 * m),
-            writeable=False,
-        )
-        out_img = out[nn].reshape(cout, n_h, m, n_w, m)
-        for i0 in range(0, n_h, rows_per_block):
-            rb = min(rows_per_block, n_h - i0)
-            tiles = rb * n_w
-            f3 = np.ascontiguousarray(view[:, :, :, i0:i0 + rb], dtype=gather_dtype
-                                      ).reshape(a, a, cin * tiles)
-            g1 = np.matmul(bt, f3)                       # 1-D BT over 2nd tap axis
-            x_r = (bt @ g1.reshape(a, -1)).reshape(a * a, cin, tiles)
-            if quant is not None:
-                if stats is not None:
-                    tile_max = max(tile_max, np.abs(x_r).max())
-                x_r *= in_ratio
-                np.rint(x_r, out=x_r)
-                np.clip(x_r, quant.qmin, quant.qmax, out=x_r)
-
-            acc = np.matmul(w_r, x_r)                    # (a², Cout, tiles)
-            if quant is not None:
-                if stats is not None:
-                    q_max = max(q_max, np.abs(x_r).max())
-                    acc_max = max(acc_max, np.abs(acc).max())
-                acc *= out_scale
-
-            t1 = np.matmul(at, acc.reshape(a, a, cout * tiles))
-            ot = (at @ t1.reshape(a, -1)).reshape(m, m, cout, rb, n_w)
-            out_img[:, i0:i0 + rb] = ot.transpose(2, 3, 0, 4, 1)
+        acc = np.matmul(w_r, x_r)                        # (a², Cout, tiles)
+        if quant is not None:
+            if stats is not None:
+                q_max = max(q_max, np.abs(x_r).max())
+                acc_max = max(acc_max, np.abs(acc).max())
+            acc *= out_scale
+        _output_tiles(transform.AT, acc, out_tiles[images, :, rows])
     if quant is not None and stats is not None:
         stats.update(input_tile_int_max=int(tile_max),
                      accumulator_int_max=int(acc_max), input_q_max=int(q_max))
-    if out.shape[2] == out_h and out.shape[3] == out_w:
+    if out.shape[2:] == (out_h, out_w):
         return out
     return np.ascontiguousarray(out[:, :, :out_h, :out_w])
 
@@ -356,17 +381,6 @@ _WEIGHT_PERM = (2, 3, 0, 1)                   # its own inverse
 _UNQUANTIZED = TapFakeQuant(input_bits=0, weight_bits=0,
                             input_scale=lambda taps: None,
                             weight_scale=lambda taps: None)
-
-
-def _tap_kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``kron(L, Rᵀ)``: ``left @ t @ right`` on the flattened leading tap axes
-    of a tap-major ``(p·q, K)`` operand, as one GEMM (``(o·s, p·q) @ t``).
-
-    On the whole-layer operands of the training step one BLAS call beats
-    two skinny separable GEMMs (one per tap axis) despite its ~3x MACs.
-    """
-    return _pair_kron(left, right).T
-
 
 def _scatter_taps(dt: np.ndarray, padded_shape: tuple, m: int) -> np.ndarray:
     """Overlap scatter-add of tap-major tile gradients ``(a, a, C, N, nH, nW)``.
@@ -424,22 +438,14 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
                       out: np.ndarray | None = None):
     """Batch-folded Winograd training step; returns ``(out, backward)``.
 
-    Winograd-aware training (Sec. III-A) runs with the batch folded into the
-    GEMM tile axis: the whole layer is one tap-major ``(a², C, N·nH·nW)``
-    block, so a small training shard runs each stage as one numpy call
-    instead of one per image and row block.  The input taps must all exist
-    before the first is quantized (the scale callback observes all of them),
-    and the backward needs them again, so nothing is gained by streaming.
-    The stages:
-
-    1. gather the overlapping tiles tap-major and apply ``BT x B`` as one
-       Kronecker GEMM;
-    2. with a :class:`TapFakeQuant` ``quant``, fake-quantize the input taps
-       and the (given or transformed) ``G f GT`` weight taps with the spec's
-       scales; with ``None`` both sides stay float;
-    3. ``a²`` batched ``(Cout, Cin) @ (Cin, N·nH·nW)`` GEMMs;
-    4. ``AT y A`` as one Kronecker GEMM and one scatter into the NCHW
-       output.
+    Winograd-aware training (Sec. III-A) runs the stages of
+    :func:`winograd_forward` on one block, the whole layer: the input taps
+    must all exist before the first is quantized (the scale callback
+    observes all of them), and the backward needs them again, so nothing is
+    gained by streaming.  Between ``BT x B`` and the contraction, a
+    :class:`TapFakeQuant` ``quant`` fake-quantizes the input taps and the
+    (given or transformed) ``G f GT`` weight taps with the spec's scales;
+    with ``None`` both sides stay float.
 
     ``backward(grad)`` runs the adjoints in reverse, on the same layouts,
     and returns ``(dx_padded, dweight)``, followed by ``(dlog2_t_input,
@@ -447,23 +453,13 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
     """
     spec = _UNQUANTIZED if quant is None else quant
     m, r, a = transform.m, transform.r, transform.alpha
-    n, cin, hp, wp = x_padded.shape
+    view = _tap_view(x_padded, m, a)
+    cin, n, n_h, n_w = view.shape[2:]
     cout = weight.shape[0]
-    n_h = (hp - (r - 1)) // m
-    n_w = (wp - (r - 1)) // m
-    tiles = n * n_h * n_w
     bt, at = transform.BT, transform.AT
 
-    s0, s1, s2, s3 = x_padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        x_padded, shape=(a, a, cin, n, n_h, n_w),
-        strides=(s2, s3, s1, s0, s2 * m, s3 * m), writeable=False)
-    f = np.ascontiguousarray(view).reshape(a * a, cin * tiles)
-    v = (_tap_kron(bt, bt.T) @ f).reshape(a, a, cin, n, n_h, n_w)
-    # Each whole-layer temporary is dropped as soon as it is dead, so the
-    # next one reuses its memory instead of faulting in fresh pages (a
-    # quarter fewer page faults per F4 step on a (4, 32, 32, 32) layer).
-    del f
+    # (a, a, Cin, N, nH, nW) input taps of the whole layer.
+    v = _transform_taps(bt, np.array(view, order="C"))
     v_q, input_backward = _fake_quant_taps(
         v, _INPUT_FROM_TAPS, _INPUT_TO_TAPS, spec.input_scale,
         spec.input_bits, spec.input_log2_t, owned=True)
@@ -477,19 +473,16 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
     w_q, weight_backward = _fake_quant_taps(
         w_r.reshape(a, a, cout, cin), _WEIGHT_PERM, _WEIGHT_PERM,
         spec.weight_scale, spec.weight_bits, spec.weight_log2_t, owned)
-    v_q = v_q.reshape(a * a, cin, tiles)
+    v_q = v_q.reshape(a * a, cin, -1)
     w_q = w_q.reshape(a * a, cout, cin)
     acc = np.matmul(w_q, v_q)                                # (a², Cout, T)
-    ot = _tap_kron(at, at.T) @ acc.reshape(a * a, cout * tiles)
-    del acc
     full_shape = (n, cout, n_h * m, n_w * m)
-    if out is None:
-        out = np.empty(full_shape, dtype=ot.dtype)
-    elif out.shape != full_shape or out.dtype != ot.dtype:
-        raise ValueError(f"out workspace must be {full_shape} of {ot.dtype}, "
-                         f"got {out.shape} of {out.dtype}")
-    np.copyto(out.reshape(n, cout, n_h, m, n_w, m),
-              ot.reshape(m, m, cout, n, n_h, n_w).transpose(3, 2, 4, 0, 5, 1))
+    out = _output_workspace(out, full_shape, np.result_type(acc, at))
+    _output_tiles(at, acc, out.reshape(n, cout, n_h, m, n_w, m))
+    # Each whole-layer temporary is dropped as soon as it is dead, so the
+    # next one reuses its memory instead of faulting in fresh pages (a
+    # quarter fewer page faults per F4 step on a (4, 32, 32, 32) layer).
+    del acc
     if full_shape[2:] != (out_h, out_w):
         out = np.ascontiguousarray(out[:, :, :out_h, :out_w])
 
@@ -500,9 +493,8 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
             g_full = np.zeros(full_shape, dtype=grad.dtype)
             g_full[:, :, :out_h, :out_w] = grad
         g = np.ascontiguousarray(
-            g_full.reshape(n, cout, n_h, m, n_w, m).transpose(3, 5, 1, 0, 2, 4)
-        ).reshape(m * m, cout * tiles)
-        dacc = (_tap_kron(at.T, at) @ g).reshape(a * a, cout, tiles)
+            g_full.reshape(n, cout, n_h, m, n_w, m).transpose(3, 5, 1, 0, 2, 4))
+        dacc = _transform_taps(at.T, g).reshape(a * a, cout, -1)
         del g
         # The Cube Unit's two transposed GEMMs, then the STE (and Eq. 3).
         dv, dlog2_in = input_backward(
@@ -510,8 +502,7 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
         dw, dlog2_w = weight_backward(
             np.matmul(dacc, v_q.transpose(0, 2, 1)).reshape(a, a, cout, cin))
         del dacc
-        dt = (_tap_kron(bt.T, bt) @ dv.reshape(a * a, cin * tiles)
-              ).reshape(v.shape)
+        dt = _transform_taps(bt.T, dv)
         del dv
         dx_padded = _scatter_taps(dt, x_padded.shape, m)
         kmat = _pair_kron(transform.G, transform.G.T)         # (r², a²)

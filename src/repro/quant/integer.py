@@ -17,8 +17,8 @@ tap-major weights, and makes one :func:`repro.engine.execute` call with a
 :class:`~repro.kernels.TapRequant` spec, so the path gets the same padding,
 trace span and per-plan profile as every other convolution.  The weights are
 bound exactly: the int8 weights are transformed with the integral ``k·G``
-(``k`` = 2 for F2, 24 for F4), whose products are exact integers on every
-backend, and then scaled once per tap by ``s_w / (k² · S_G)`` before
+(``k`` = 2 for F2, 24 for F4) in one GEMM whose products are exact
+integers, and then scaled once per tap by ``s_w / (k² · S_G)`` before
 rounding, so every backend binds the same integers.  The ``reference``
 backend runs the fused forward as staged int64 passes (integer ``BT x B``,
 requantization, int64 tap contraction) and is the bit-exact oracle.  The
@@ -170,13 +170,12 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
     np.rint(x_q, out=x_q)
     x_int = np.clip(x_q, qmin_s, qmax_s, out=x_q).astype(np.min_scalar_type(qmin_s))
 
-    # Weight transform on the int8 weights with the integral k·G, laid out
-    # tap-major, (a², Cout, Cin), then requantized tap-wise with one factor
-    # s_w / (k² · S_G) (this is what the WT_XFORM engine produces).
-    k, g_int = _integral_g(transform)
+    # Weight transform on the int8 weights with the integral k·G, one GEMM into
+    # the tap-major (a², Cout, Cin) layout, then requantized tap-wise with one
+    # factor s_w / (k² · S_G) (this is what the WT_XFORM engine produces).
+    k, g_pair = _integral_g(transform)
     w_int = np.clip(np.rint(weight / scales.weight_spatial), qmin_s, qmax_s)
-    w_wino = plan.backend.apply_transform_pair(w_int, g_int, g_int.T)
-    w_r = np.ascontiguousarray(w_wino.transpose(2, 3, 0, 1)).reshape(a * a, cout, cin)
+    w_r = (g_pair @ w_int.reshape(cout * cin, -1).T).reshape(a * a, cout, cin)
     w_r *= (scales.weight_spatial / (k * k * scales.weight_wino)).reshape(a * a, 1, 1)
     np.rint(w_r, out=w_r)
     np.clip(w_r, qmin_w, qmax_w, out=w_r)
@@ -199,11 +198,13 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
 
 @lru_cache(maxsize=16)
 def _integral_g(transform: WinogradTransform) -> tuple[int, np.ndarray]:
-    """``(k, k·G)`` for the smallest ``k`` that makes ``k·G`` integral."""
+    """``(k, kron(k·G, k·G))`` for the smallest ``k`` that makes ``k·G``
+    integral: the ``(a², r²)`` matrix of the exact weight transform."""
     k = _fractional_lcm(transform.G)
     g_int = np.rint(k * transform.G)
-    g_int.setflags(write=False)
-    return k, g_int
+    g_pair = np.kron(g_int, g_int)
+    g_pair.setflags(write=False)
+    return k, g_pair
 
 
 def accumulator_bits_required(max_abs_value: int) -> int:

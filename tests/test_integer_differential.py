@@ -3,8 +3,9 @@
 A seeded generator draws layer geometries the fixed-shape tests never reach
 (odd and prime spatial sizes that do not tile evenly, batch 1, ``Cin = 1``,
 up to 64 channels, padding 0/1/2, F2 and F4, scales calibrated on a damped
-input so the requantization saturates, plus one layer whose single row of F4
-tiles overflows ``fast``'s block budget).  ``fast`` must reproduce the
+input so the requantization saturates, batches that ``fast`` folds several
+images into one block, plus one layer whose single row of F4 tiles overflows
+``fast``'s block budget).  ``fast`` must reproduce the
 int64 ``reference`` bit for bit whenever the tap-wise scales are powers of
 two.  With arbitrary scales the weights still bind to the same integers on
 both backends (they are transformed exactly with the integral ``k·G``), so
@@ -90,6 +91,16 @@ CASES = draw_cases(seed=2022, count=40) + [
 ]
 
 
+def fast_blocks(case: Case) -> list[tuple[int, int]]:
+    """``(images, tile rows)`` of each block ``fast`` runs ``case`` in."""
+    m = get_transform(case.transform).m
+    n_h, n_w = tile_counts(case.h + 2 * case.padding - 2,
+                           case.w + 2 * case.padding - 2, m)
+    row_bytes = (m + 2) ** 2 * case.cin * n_w * 8      # float64 carriers
+    return [(images.stop - images.start, rows.stop - rows.start)
+            for images, rows in fast._blocks(case.n, n_h, row_bytes)]
+
+
 def test_generator_covers_the_edge_cases():
     assert {c.transform for c in CASES} == {"F2", "F4"}
     assert {c.padding for c in CASES} == {0, 1, 2}
@@ -98,10 +109,16 @@ def test_generator_covers_the_edge_cases():
     assert max(c.cin for c in CASES) <= 64
     assert {c.power_of_two for c in CASES} == {True, False}
     assert any(c.saturate for c in CASES)
+    blocks = [fast_blocks(c) for c in CASES]
+    # Several images folded into one block, and a last block holding fewer
+    # images than the others.
+    assert any(b[0][0] >= 2 for b in blocks)
+    assert any(len(b) >= 2 and b[-1][0] < b[0][0] for b in blocks)
+    # One row of tiles over budget: one row per block.
     c = ROW_OVERFLOW
     _, n_w = tile_counts(c.h + 2 * c.padding - 2, c.w + 2 * c.padding - 2, 4)
     assert 36 * c.cin * n_w * 8 > fast._BLOCK_BYTES
-    assert fast._rows_per_block(6, c.cin, 2, n_w, 8) == 1
+    assert fast_blocks(c) == [(1, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("case", CASES, ids=repr)
