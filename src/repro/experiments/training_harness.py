@@ -6,13 +6,15 @@ quantized Winograd network, calibration, optional learned-scale enabling,
 fine-tuning with or without knowledge distillation, evaluation — on synthetic
 datasets and scaled-down models so that a full ablation completes on a CPU in
 minutes.  The absolute accuracies differ from the paper; the orderings between
-quantization configurations are what the experiments (and tests) check.
+quantization configurations are what the experiments (and tests) check.  The
+baseline and every fine-tune run on one loop, :class:`repro.train.Trainer`
+(sharded and crash-safe as :class:`StudySettings` asks).
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +23,10 @@ from ..datasets.synthetic import make_shapes_dataset
 from ..nn.data import ArrayDataset, DataLoader, train_val_split
 from ..nn.module import Module
 from ..nn.optim import SGD
-from ..quant.qat import (QatConfig, QatTrainer, calibrate_model, convert_model,
-                         enable_learned_scales, evaluate, freeze_calibration)
+from ..quant.kd import TeacherDistillation
+from ..quant.qat import (QatConfig, calibrate_model, convert_model,
+                         enable_learned_scales, evaluate, finetune_optimizer,
+                         freeze_calibration)
 from ..train import CheckpointStore, DataParallelTrainer, Trainer
 from ..utils.seeding import seed_everything
 
@@ -45,8 +49,8 @@ class StudySettings:
     scale_lr: float = 0.01
     noise_level: float = 1.5
     seed: int = 0
-    num_workers: int = 0              # gradient-shard workers for the baseline
-    checkpoint_dir: str | None = None  # crash-safe baseline checkpoints
+    num_workers: int = 0              # gradient-shard workers, every training
+    checkpoint_dir: str | None = None  # baseline here, fine-tunes in <dir>/<label>
     checkpoint_every: int = 1
 
     @staticmethod
@@ -66,7 +70,6 @@ class StudyRow:
     config: QatConfig | None
     top1: float
     drop: float
-    details: dict = field(default_factory=dict)
 
 
 def train_float_baseline(model: Module, train_loader: DataLoader,
@@ -85,18 +88,28 @@ def train_float_baseline(model: Module, train_loader: DataLoader,
     so accuracy results are unchanged.
     """
     optimizer = SGD(model.parameters(), lr=lr, momentum=0.9, weight_decay=1e-4)
+    _fit(model, optimizer, train_loader, epochs, max_batches,
+         num_workers=num_workers, store=store,
+         checkpoint_every=checkpoint_every, resume=resume)
+    return evaluate(model, val_loader, max_batches=max_batches)
+
+
+def _fit(model: Module, optimizer, loader: DataLoader, epochs: int,
+         max_batches: int | None, *, num_workers: int,
+         store: CheckpointStore | None, checkpoint_every: int,
+         loss="cross_entropy", resume: bool = False) -> None:
+    """One run on ``Trainer``, or ``DataParallelTrainer`` with workers."""
     if num_workers > 0:
-        trainer = DataParallelTrainer(model, optimizer, train_loader,
+        trainer = DataParallelTrainer(model, optimizer, loader, loss=loss,
                                       num_workers=num_workers, store=store,
                                       checkpoint_every=checkpoint_every)
     else:
-        trainer = Trainer(model, optimizer, train_loader, store=store,
+        trainer = Trainer(model, optimizer, loader, loss=loss, store=store,
                           checkpoint_every=checkpoint_every)
     with trainer:
         if resume and store is not None:
             trainer.resume()
         trainer.fit(epochs=epochs, max_batches=max_batches)
-    return evaluate(model, val_loader, max_batches=max_batches)
 
 
 class QuantizationStudy:
@@ -136,6 +149,11 @@ class QuantizationStudy:
         if self.log_fn is not None:
             self.log_fn(message)
 
+    def _store(self, *subdir: str) -> CheckpointStore | None:
+        if not self.settings.checkpoint_dir:
+            return None
+        return CheckpointStore(os.path.join(self.settings.checkpoint_dir, *subdir))
+
     def baseline(self) -> tuple[Module, float]:
         """Train (once) and cache the FP32 baseline."""
         if self._baseline_model is None:
@@ -150,14 +168,12 @@ class QuantizationStudy:
             lowered = engine.warm_plans(model, example_shape)
             self._log(f"engine: pre-lowered {lowered} layer plan(s) "
                       f"for input {example_shape}")
-            store = (CheckpointStore(self.settings.checkpoint_dir)
-                     if self.settings.checkpoint_dir else None)
             train_float_baseline(model, self.train_loader, self.val_loader,
                                  epochs=self.settings.baseline_epochs,
                                  lr=self.settings.lr,
                                  max_batches=self.settings.max_batches,
                                  num_workers=self.settings.num_workers,
-                                 store=store,
+                                 store=self._store(),
                                  checkpoint_every=self.settings.checkpoint_every)
             top1 = evaluate(model, self.test_loader,
                             max_batches=self.settings.max_batches)
@@ -175,20 +191,18 @@ class QuantizationStudy:
 
         model = convert_model(baseline_model, config)
         calibrate_model(model, self.train_loader, max_batches=2)
-        if config.learned_log2:
-            enable_learned_scales(model)
+        scales = enable_learned_scales(model) if config.learned_log2 else []
         freeze_calibration(model)
 
-        teacher = None
-        if config.knowledge_distillation:
-            teacher = copy.deepcopy(baseline_model)
-
-        trainer = QatTrainer(lr=self.settings.lr * 0.2, scale_lr=self.settings.scale_lr,
-                             kd_temperature=config.kd_temperature,
-                             kd_alpha=config.kd_alpha, log_fn=self.log_fn)
-        trainer.fit(model, self.train_loader, self.val_loader,
-                    epochs=self.settings.finetune_epochs, teacher=teacher,
-                    config=config, max_batches=self.settings.max_batches)
+        optimizer = finetune_optimizer(model, scales, lr=self.settings.lr * 0.2,
+                                       scale_lr=self.settings.scale_lr)
+        loss = (TeacherDistillation(baseline_model, config.kd_temperature,
+                                    config.kd_alpha)
+                if config.knowledge_distillation else "cross_entropy")
+        _fit(model, optimizer, self.train_loader, self.settings.finetune_epochs,
+             self.settings.max_batches, num_workers=self.settings.num_workers,
+             store=self._store(config.label().replace("/", "_")),
+             checkpoint_every=self.settings.checkpoint_every, loss=loss)
         top1 = evaluate(model, self.test_loader, max_batches=self.settings.max_batches)
         self._log(f"{config.label():32s} top-1 = {top1:.3f} "
                   f"(drop {top1 - baseline_top1:+.3f})")

@@ -3,8 +3,8 @@
 The paper's training recipe uses plain SGD (with momentum) for the network
 weights and Adam — with its built-in gradient normalisation — for the learned
 log2 scale factors (Section III-B).  Both are provided here, alongside a
-parameter-group mechanism so that a single training loop can drive the two
-optimizer behaviours with different learning rates.
+parameter-group mechanism and :class:`ChainedOptimizer`, which steps several
+optimizers as one so that a single training loop drives both.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "CosineAnnealingLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "ChainedOptimizer", "StepLR",
+           "CosineAnnealingLR"]
 
 
 class Optimizer:
@@ -176,6 +177,29 @@ class Adam(Optimizer):
                 bias_c2 = 1 - beta2 ** step
                 denom = np.sqrt(state["exp_avg_sq"] / bias_c2) + eps
                 param.data = param.data - lr * (state["exp_avg"] / bias_c1) / denom
+
+
+class ChainedOptimizer:
+    """Steps several optimizers in order, as one (e.g. SGD on the weights,
+    then Adam on the learned ``log2 t``); its state dict holds every slot."""
+
+    def __init__(self, *optimizers: Optimizer):
+        self.optimizers = list(optimizers)
+
+    def step(self) -> None:
+        for opt in self.optimizers:
+            opt.step()
+
+    def state_dict(self) -> dict:
+        return {"optimizers": [opt.state_dict() for opt in self.optimizers]}
+
+    def load_state_dict(self, state_dict: dict) -> None:
+        saved = state_dict["optimizers"]
+        if len(saved) != len(self.optimizers):
+            raise ValueError(f"chain has {len(self.optimizers)} optimizers, "
+                             f"state dict has {len(saved)}")
+        for opt, state in zip(self.optimizers, saved):
+            opt.load_state_dict(state)
 
 
 class StepLR:

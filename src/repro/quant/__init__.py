@@ -6,7 +6,7 @@ from .error import (QuantErrorResult, error_histogram, mean_log2_error,
 from .integer import (TapwiseScales, accumulator_bits_required,
                       calibrate_tapwise_scales, integer_winograd_conv2d,
                       quantize_dequantize_spatial, winograd_domain_tensors)
-from .kd import DistillationLoss
+from .kd import DistillationLoss, TeacherDistillation
 from .observer import (Granularity, MinMaxObserver, PercentileObserver,
                        RunningMaxObserver, reduction_axes, scale_shape)
 from .pruning import (WinogradSparsityStats, effective_mac_reduction,
@@ -14,8 +14,8 @@ from .pruning import (WinogradSparsityStats, effective_mac_reduction,
 from .power_of_two import (learned_pow2_fake_quantize, pow2_gradient_scale,
                            round_scale_to_power_of_two, scale_to_shift,
                            shift_to_scale)
-from .qat import (QatConfig, QatTrainer, TrainResult, calibrate_model,
-                  convert_model, enable_learned_scales, evaluate,
+from .qat import (QatConfig, calibrate_model, convert_model,
+                  enable_learned_scales, evaluate, finetune_optimizer,
                   freeze_calibration)
 from .qconv import QuantConv2d, QuantWinogradConv2d
 from .quantizer import (Quantizer, compute_scale, dequantize, fake_quantize,
@@ -29,9 +29,10 @@ __all__ = [
     "round_scale_to_power_of_two", "pow2_gradient_scale", "scale_to_shift",
     "shift_to_scale", "learned_pow2_fake_quantize",
     "QuantConv2d", "QuantWinogradConv2d",
-    "DistillationLoss",
-    "QatConfig", "QatTrainer", "TrainResult", "convert_model", "calibrate_model",
-    "freeze_calibration", "enable_learned_scales", "evaluate",
+    "DistillationLoss", "TeacherDistillation",
+    "QatConfig", "convert_model", "calibrate_model",
+    "freeze_calibration", "enable_learned_scales", "finetune_optimizer",
+    "evaluate",
     "TapwiseScales", "calibrate_tapwise_scales", "integer_winograd_conv2d",
     "quantize_dequantize_spatial", "winograd_domain_tensors",
     "accumulator_bits_required",

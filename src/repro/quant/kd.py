@@ -13,9 +13,9 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 
-__all__ = ["DistillationLoss"]
+__all__ = ["DistillationLoss", "TeacherDistillation"]
 
 
 class DistillationLoss(Module):
@@ -48,3 +48,17 @@ class DistillationLoss(Module):
         if self.alpha <= 0.0:
             return soft
         return hard * self.alpha + soft * (1.0 - self.alpha)
+
+
+class TeacherDistillation:
+    """Trainer ``loss=`` that runs a frozen teacher (eval mode, no graph) on
+    the batch's images; it rides in the pool job to every shard worker."""
+
+    def __init__(self, teacher: Module, temperature=4.0, alpha=0.5):
+        self.teacher = teacher.eval()
+        self.kd = DistillationLoss(temperature=temperature, alpha=alpha)
+
+    def __call__(self, logits: Tensor, labels, images) -> Tensor:
+        with no_grad():
+            teacher_logits = self.teacher(Tensor(images))
+        return self.kd(logits, teacher_logits, labels)

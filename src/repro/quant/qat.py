@@ -1,14 +1,14 @@
-"""Quantization-aware training flow: model conversion, calibration, training.
-
-This module reproduces the end-to-end training recipe of Section III / V-A:
+"""Quantization-aware training flow: the recipe of Section III / V-A.
 
 1. start from a trained FP32 baseline,
 2. replace every unit-stride 3x3 convolution with a tap-wise quantized
    Winograd layer (other convolutions fall back to int8 im2col layers),
 3. calibrate the observers with a few forward passes,
 4. optionally switch the Winograd-domain scales to learned power-of-two
-   parameters (trained with Adam) and fine-tune the whole network with SGD,
-   optionally distilling from the FP32 teacher.
+   parameters and fine-tune on :class:`repro.train.Trainer` with
+   :func:`finetune_optimizer` (SGD on the weights, Adam on the scales),
+   optionally distilling from the FP32 teacher
+   (:class:`~repro.quant.kd.TeacherDistillation` as ``loss=``).
 
 The :class:`QatConfig` fields map one-to-one onto the columns of Table II
 (WA, ⊙ tap-wise, 2x power-of-two, ∇log2 t, KD, intn).
@@ -17,23 +17,20 @@ The :class:`QatConfig` fields map one-to-one onto the columns of Table II
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.data import DataLoader
 from ..nn.layers import Conv2d
 from ..nn.module import Module
-from ..nn.optim import Adam, SGD
+from ..nn.optim import SGD, Adam, ChainedOptimizer
 from ..nn.tensor import Tensor, no_grad
-from .kd import DistillationLoss
-from .observer import Granularity
 from .qconv import QuantConv2d, QuantWinogradConv2d
 from .quantizer import Quantizer
 
 __all__ = ["QatConfig", "convert_model", "calibrate_model", "freeze_calibration",
-           "enable_learned_scales", "evaluate", "QatTrainer", "TrainResult"]
+           "enable_learned_scales", "finetune_optimizer", "evaluate"]
 
 
 @dataclass
@@ -170,6 +167,17 @@ def enable_learned_scales(model: Module) -> list:
     return params
 
 
+def finetune_optimizer(model: Module, scales: list, lr: float, scale_lr: float):
+    """SGD (momentum 0.9, wd 1e-4) on the weights, then Adam (betas 0.9, 0.99)
+    on ``scales``, the learned ``log2 t`` :func:`enable_learned_scales` returned."""
+    scale_ids = {id(param) for param in scales}
+    optimizer = SGD([p for p in model.parameters() if id(p) not in scale_ids],
+                    lr=lr, momentum=0.9, weight_decay=1e-4)
+    if not scales:
+        return optimizer
+    return ChainedOptimizer(optimizer, Adam(scales, lr=scale_lr))
+
+
 def evaluate(model: Module, loader: DataLoader, max_batches: int | None = None
              ) -> float:
     """Top-1 accuracy of ``model`` on ``loader``."""
@@ -185,80 +193,3 @@ def evaluate(model: Module, loader: DataLoader, max_batches: int | None = None
             if max_batches is not None and batch_idx + 1 >= max_batches:
                 break
     return correct / max(total, 1)
-
-
-@dataclass
-class TrainResult:
-    """Outcome of one training run."""
-
-    label: str
-    top1: float
-    history: list[float] = field(default_factory=list)
-    epochs: int = 0
-
-    def accuracy_drop(self, baseline_top1: float) -> float:
-        return self.top1 - baseline_top1
-
-
-class QatTrainer:
-    """Fine-tunes a (possibly quantized) model, optionally with distillation.
-
-    Weights are trained with SGD + momentum; learned log2 scale factors (if
-    any) get their own Adam optimizer with the paper's betas (0.9, 0.99).
-    """
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.9,
-                 weight_decay: float = 1e-4, scale_lr: float = 0.01,
-                 kd_temperature: float = 4.0, kd_alpha: float = 0.5,
-                 log_fn=None):
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.scale_lr = scale_lr
-        self.kd = DistillationLoss(temperature=kd_temperature, alpha=kd_alpha)
-        self.log_fn = log_fn
-
-    def fit(self, model: Module, train_loader: DataLoader, val_loader: DataLoader,
-            epochs: int = 1, teacher: Module | None = None,
-            config: QatConfig | None = None, max_batches: int | None = None
-            ) -> TrainResult:
-        label = config.label() if config is not None else "model"
-        named_params = list(model.named_parameters())
-        scale_params = [p for name, p in named_params if _is_scale_param(name, p)]
-        weight_params = [p for name, p in named_params if not _is_scale_param(name, p)]
-        optimizer = SGD(weight_params, lr=self.lr, momentum=self.momentum,
-                        weight_decay=self.weight_decay)
-        scale_optimizer = Adam(scale_params, lr=self.scale_lr) if scale_params else None
-
-        if teacher is not None:
-            teacher.eval()
-
-        history: list[float] = []
-        for epoch in range(epochs):
-            model.train()
-            for batch_idx, (images, labels) in enumerate(train_loader):
-                logits = model(Tensor(images))
-                if teacher is not None:
-                    with no_grad():
-                        teacher_logits = teacher(Tensor(images))
-                    loss = self.kd(logits, Tensor(teacher_logits.data), labels)
-                else:
-                    loss = F.cross_entropy(logits, labels)
-                model.zero_grad()
-                loss.backward()
-                optimizer.step()
-                if scale_optimizer is not None:
-                    scale_optimizer.step()
-                if max_batches is not None and batch_idx + 1 >= max_batches:
-                    break
-            accuracy = evaluate(model, val_loader, max_batches=max_batches)
-            history.append(accuracy)
-            if self.log_fn is not None:
-                self.log_fn(f"[{label}] epoch {epoch + 1}/{epochs}: top-1 {accuracy:.4f}")
-        final = history[-1] if history else evaluate(model, val_loader, max_batches=max_batches)
-        return TrainResult(label=label, top1=final, history=history, epochs=epochs)
-
-
-def _is_scale_param(name, param) -> bool:
-    """Heuristic: learned log2 scales are registered under ``log2_t``."""
-    return "log2_t" in str(name)

@@ -187,13 +187,8 @@ class QuantWinogradConv2d(Module):
         the new parameters so the caller can hand them to an Adam optimizer
         (the paper trains scales with Adam, weights with SGD).
         """
-        params = [self.input_wino_quant.enable_learned_scale(),
-                  self.weight_wino_quant.enable_learned_scale()]
-        return params
-
-    def scale_parameters(self) -> list[Parameter]:
-        return [q.log2_t for q in (self.input_wino_quant, self.weight_wino_quant)
-                if q.log2_t is not None]
+        return [self.input_wino_quant.enable_learned_scale(),
+                self.weight_wino_quant.enable_learned_scale()]
 
     def learned_shift_summary(self) -> dict[str, np.ndarray]:
         """Bit-shift amounts implied by the current (power-of-two) scales.

@@ -49,8 +49,23 @@ __all__ = ["GradStepJob", "chunk_bounds", "flatten_state", "encode_frame",
 _HEADER = 4
 
 _LOSSES = {
-    "cross_entropy": F.cross_entropy,
+    "cross_entropy": lambda logits, labels, images: F.cross_entropy(logits, labels),
 }
+
+
+def resolve_loss(loss):
+    """``loss(logits, labels, images)`` for a name in ``_LOSSES`` or a callable.
+
+    A callable such as :class:`~repro.quant.TeacherDistillation` sees the
+    images its teacher runs on.  Every loss is a batch mean, which sharded
+    steps turn back into per-chunk sums.
+    """
+    if callable(loss):
+        return loss
+    if loss not in _LOSSES:
+        raise ValueError(f"unknown loss {loss!r}; "
+                         f"expected one of {sorted(_LOSSES)} or a callable")
+    return _LOSSES[loss]
 
 
 def chunk_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
@@ -100,12 +115,12 @@ class GradStepJob:
     deep-copied snapshot of the model purely as an *architecture template* —
     every frame overwrites all parameters and buffers before computing, so
     workers never go stale as training advances the parent's weights.
+    ``loss`` rides in the job as given (see :func:`resolve_loss`), so a
+    distillation loss brings its frozen teacher to every worker.
     """
 
-    def __init__(self, model: Module, loss: str = "cross_entropy"):
-        if loss not in _LOSSES:
-            raise ValueError(f"unknown loss {loss!r}; "
-                             f"expected one of {sorted(_LOSSES)}")
+    def __init__(self, model: Module, loss="cross_entropy"):
+        resolve_loss(loss)
         self.loss = loss
         self.model = copy.deepcopy(model)
         self.model.zero_grad()
@@ -144,7 +159,7 @@ class _CompiledGradStep:
     def __init__(self, job: GradStepJob):
         self.job = job
         self.model = copy.deepcopy(job.model)
-        self.loss_fn = _LOSSES[job.loss]
+        self.loss_fn = resolve_loss(job.loss)
 
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         job = self.job
@@ -167,7 +182,7 @@ class _CompiledGradStep:
 
         self.model.train()
         logits = self.model(Tensor(images))
-        loss = self.loss_fn(logits, labels)
+        loss = self.loss_fn(logits, labels, images)
         self.model.zero_grad()
         # Seed backward with the chunk size: the loss is a mean over the
         # chunk, so this yields per-chunk gradient *sums*, which the host

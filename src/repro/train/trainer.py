@@ -26,7 +26,6 @@ import signal
 import numpy as np
 
 from ..engine.arena import ArenaPool, use_arena
-from ..nn import functional as F
 from ..nn.data import DataLoader
 from ..nn.module import Module
 from ..nn.optim import Optimizer
@@ -34,7 +33,8 @@ from ..nn.tensor import Tensor
 from ..obs import trace as _trace
 from ..utils.seeding import rng_state, set_rng_state
 from .aggregation import (GradStepJob, accumulate_replies, apply_step_results,
-                          chunk_bounds, encode_frame, flatten_state)
+                          chunk_bounds, encode_frame, flatten_state,
+                          resolve_loss)
 from .checkpoint import CheckpointStore
 
 __all__ = ["Trainer", "DataParallelTrainer"]
@@ -51,6 +51,10 @@ class Trainer:
         the resulting batch stream is bit-identical to iterating ``loader``.
     schedulers:
         LR schedulers stepped once per finished epoch.
+    loss:
+        A loss name or callable, see
+        :func:`~repro.train.aggregation.resolve_loss`.  ``optimizer`` may be
+        a :class:`~repro.nn.optim.ChainedOptimizer`.
     store / checkpoint_every:
         When a :class:`CheckpointStore` is given, a checkpoint is committed
         after every ``checkpoint_every``-th optimizer step (and the final
@@ -67,7 +71,7 @@ class Trainer:
     """
 
     def __init__(self, model: Module, optimizer: Optimizer,
-                 loader: DataLoader, *, schedulers=(), loss: str = "cross_entropy",
+                 loader: DataLoader, *, schedulers=(), loss="cross_entropy",
                  store: CheckpointStore | None = None,
                  checkpoint_every: int = 1,
                  arena_pool: ArenaPool | None = None, faults=None):
@@ -76,7 +80,7 @@ class Trainer:
         self.loader = loader
         self.schedulers = list(schedulers)
         self.loss = loss
-        self._loss_fn = {"cross_entropy": F.cross_entropy}[loss]
+        self._loss_fn = resolve_loss(loss)
         self.store = store
         self.checkpoint_every = max(int(checkpoint_every), 1)
         self.arena_pool = arena_pool
@@ -156,7 +160,7 @@ class Trainer:
 
     def _compute_step(self, images: np.ndarray, labels: np.ndarray) -> float:
         logits = self.model(Tensor(images))
-        loss = self._loss_fn(logits, labels)
+        loss = self._loss_fn(logits, labels, images)
         self.model.zero_grad()
         loss.backward()
         self.optimizer.step()

@@ -5,12 +5,15 @@ under a minute on a CPU.  The assertions target the orderings that carry over
 from the paper, not absolute accuracies (see DESIGN.md).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (QuantizationStudy, StudySettings, run_table2,
                                run_table3, table2_configs, table3_configs)
 from repro.models.small import TinyConvNet
 from repro.quant import QatConfig
+from repro.train import CheckpointStore
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,23 @@ class TestStudyHarness:
         row = mini_study.run_config(QatConfig(algorithm="F4", tapwise=True))
         assert 0.0 <= row.top1 <= 1.0
         assert row.label.startswith("F4")
+
+    def test_finetune_checkpoints_per_config(self, tmp_path):
+        """A fine-tune commits to <checkpoint_dir>/<label>, with the slots of
+        both optimizers: SGD on the weights, Adam on the learned scales."""
+        settings = dataclasses.replace(StudySettings.fast(), baseline_epochs=1,
+                                       checkpoint_dir=str(tmp_path))
+        study = QuantizationStudy(
+            lambda num_classes, seed: TinyConvNet(num_classes, (8, 8, 8), seed=seed),
+            settings)
+        config = QatConfig(algorithm="F4", tapwise=True, power_of_two=True,
+                           learned_log2=True, knowledge_distillation=True)
+        study.run_config(config)
+        step, payload = CheckpointStore(tmp_path / config.label()).latest()
+        assert step == settings.max_batches
+        sgd, adam = payload["optimizer"]["optimizers"]
+        assert sgd["state"] and adam["state"]
+        assert all("exp_avg" in slots for slots in adam["state"].values())
 
     def test_unquantized_config_matches_baseline(self, mini_study):
         _, baseline_top1 = mini_study.baseline()

@@ -21,8 +21,11 @@ from repro.nn import functional as F
 from repro.nn.data import ArrayDataset, DataLoader
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR
+from repro.nn.optim import SGD, Adam, ChainedOptimizer, CosineAnnealingLR, StepLR
 from repro.nn.tensor import Tensor
+from repro.quant import (QatConfig, TeacherDistillation, calibrate_model,
+                         convert_model, enable_learned_scales,
+                         finetune_optimizer, freeze_calibration)
 from repro.train import (CheckpointStore, DataParallelTrainer, GradStepJob,
                          Trainer, accumulate_replies, chunk_bounds,
                          encode_frame, flatten_state)
@@ -37,13 +40,28 @@ def _flip(images, rng):
     return out
 
 
-def _build(seed=0, num_workers=0, transform=None, **kwargs):
+def _qat_recipe(teacher, loader):
+    """The paper's fine-tuning of ``teacher``: tap-wise F4 with learned
+    power-of-two scales and frozen observers, SGD on the weights then Adam
+    on the scales, distilling from ``teacher``."""
+    model = convert_model(teacher, QatConfig(algorithm="F4", power_of_two=True,
+                                             learned_log2=True))
+    calibrate_model(model, loader, max_batches=2)
+    scales = enable_learned_scales(model)
+    freeze_calibration(model)
+    optimizer = finetune_optimizer(model, scales, lr=0.05, scale_lr=0.01)
+    return model, optimizer, TeacherDistillation(teacher)
+
+
+def _build(seed=0, num_workers=0, transform=None, qat=False, **kwargs):
     seed_everything(seed)
     raw = make_shapes_dataset(num_samples=48, num_classes=4, size=8, seed=seed)
     dataset = ArrayDataset(raw.images, raw.labels, transform=transform)
     loader = DataLoader(dataset, batch_size=12, shuffle=True, seed=seed)
     model = MicroNet(num_classes=4, seed=seed)
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    if qat:
+        model, optimizer, kwargs["loss"] = _qat_recipe(model, loader)
     if num_workers:
         trainer = DataParallelTrainer(model, optimizer, loader,
                                       num_workers=num_workers, **kwargs)
@@ -60,6 +78,17 @@ def _params_equal(a, b) -> bool:
 def _buffers_equal(a, b) -> bool:
     return all(np.array_equal(np.asarray(p), np.asarray(q))
                for (_, p), (_, q) in zip(a.named_buffers(), b.named_buffers()))
+
+
+def _optimizer_states_equal(a, b) -> bool:
+    """Every slot and hyperparameter equal, nested through chained optimizers."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            _optimizer_states_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(
+            _optimizer_states_equal(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------- #
@@ -110,6 +139,8 @@ class TestOptimizerState:
         lambda ps: SGD(ps, lr=0.1, momentum=0.9, weight_decay=1e-4),
         lambda ps: SGD(ps, lr=0.1, momentum=0.9, nesterov=True),
         lambda ps: Adam(ps, lr=1e-2),
+        lambda ps: ChainedOptimizer(SGD(ps[:1], lr=0.1, momentum=0.9),
+                                    Adam(ps[1:], lr=1e-2)),
     ])
     def test_round_trip_resumes_bit_exact(self, make_opt):
         def fresh():
@@ -149,6 +180,18 @@ class TestOptimizerState:
                      {"params": [Parameter(np.ones(2))], "lr": 0.5}], lr=0.1)
         with pytest.raises(ValueError):
             opt.load_state_dict(other.state_dict())
+
+    def test_chain_steps_in_order_and_rejects_length_mismatch(self):
+        ps = [Parameter(np.ones(2)), Parameter(np.ones(2))]
+        first, second = SGD(ps[:1], lr=0.1), Adam(ps[1:], lr=0.1)
+        calls = []
+        first.step = lambda: calls.append("sgd")
+        second.step = lambda: calls.append("adam")
+        chain = ChainedOptimizer(first, second)
+        chain.step()
+        assert calls == ["sgd", "adam"]
+        with pytest.raises(ValueError):
+            ChainedOptimizer(first).load_state_dict(chain.state_dict())
 
     def test_hyperparameters_restored(self):
         ps = [Parameter(np.ones(2))]
@@ -325,17 +368,20 @@ class TestTrainer:
                     break
         assert _params_equal(model, model2)
 
-    @pytest.mark.parametrize("interrupt_step", [1, 5, 9])
-    def test_resume_mid_epoch_is_bit_exact(self, tmp_path, interrupt_step):
-        scheds = dict(schedulers=())
-        trainer_a, model_a, _ = _build(transform=_flip, **scheds)
+    @pytest.mark.parametrize("interrupt_step,qat", [
+        pytest.param(1, False, id="1"), pytest.param(5, False, id="5"),
+        pytest.param(9, False, id="9"), pytest.param(5, True, id="qat-5")])
+    def test_resume_mid_epoch_is_bit_exact(self, tmp_path, interrupt_step, qat):
+        # qat=True resumes the paper's fine-tuning: learned log2 t scales,
+        # SGD chained with Adam, a KD teacher, frozen observers.
+        trainer_a, model_a, _ = _build(transform=_flip, qat=qat)
         trainer_a.fit(epochs=3)
 
         class _Interrupt(Exception):
             pass
 
         store = CheckpointStore(tmp_path, keep_last=2)
-        trainer_b, _, _ = _build(transform=_flip, store=store)
+        trainer_b, _, _ = _build(transform=_flip, qat=qat, store=store)
         original = trainer_b._maybe_kill_self
 
         def interrupt():
@@ -348,12 +394,14 @@ class TestTrainer:
             trainer_b.fit(epochs=3)
 
         # A "fresh process": rebuild everything from the seed, then resume.
-        trainer_c, model_c, _ = _build(transform=_flip, store=store)
+        trainer_c, model_c, _ = _build(transform=_flip, qat=qat, store=store)
         assert trainer_c.resume() == interrupt_step
         trainer_c.fit(epochs=3)
         assert _params_equal(model_a, model_c)
         assert _buffers_equal(model_a, model_c)
         assert trainer_a.history == trainer_c.history
+        assert _optimizer_states_equal(trainer_a.optimizer.state_dict(),
+                                       trainer_c.optimizer.state_dict())
 
     def test_resume_with_schedulers_restores_lr(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -455,6 +503,8 @@ class TestAggregation:
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
             GradStepJob(MicroNet(num_classes=4, seed=0), loss="hinge")
+        with pytest.raises(ValueError):
+            _build(loss="hinge")
 
 
 # --------------------------------------------------------------------------- #

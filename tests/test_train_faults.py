@@ -33,9 +33,11 @@ import pytest
 from repro.datasets.synthetic import make_shapes_dataset
 from repro.models.small import MicroNet
 from repro.nn.data import ArrayDataset, DataLoader
+from repro.nn.layers import Identity
 from repro.nn.optim import SGD
-from repro.quant import (QatConfig, calibrate_model, convert_model,
-                         enable_learned_scales, freeze_calibration)
+from repro.quant import (QatConfig, TeacherDistillation, calibrate_model,
+                         convert_model, enable_learned_scales,
+                         finetune_optimizer, freeze_calibration)
 from repro.serve import FaultPlan
 from repro.train import CheckpointStore, DataParallelTrainer, Trainer
 from repro.utils import seed_everything
@@ -50,25 +52,30 @@ def _make_parts(seed=0):
                         shuffle=True, seed=seed)
     model = MicroNet(num_classes=4, seed=seed)
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-    return model, optimizer, loader
+    return model, optimizer, loader, "cross_entropy"
 
 
-def _make_qat_parts(seed=0):
-    """A calibrated tap-wise F4 QAT MicroNet with frozen observers and
-    learned power-of-two Winograd-domain scales."""
-    model, _, loader = _make_parts(seed)
-    model = convert_model(model, QatConfig(algorithm="F4", tapwise=True,
-                                           power_of_two=True))
+def _make_qat_parts(seed=0, batch_norm=True):
+    """The paper's fine-tuning recipe on MicroNet: a calibrated tap-wise F4
+    QAT model with frozen observers and learned power-of-two
+    Winograd-domain scales, SGD on the weights then Adam on the scales, and
+    the float model as the KD teacher riding in the pool job."""
+    teacher, _, loader, _ = _make_parts(seed)
+    if not batch_norm:
+        teacher.bn1, teacher.bn2 = Identity(), Identity()
+    model = convert_model(teacher, QatConfig(algorithm="F4", tapwise=True,
+                                             power_of_two=True))
     calibrate_model(model, loader, max_batches=2)
     freeze_calibration(model)
-    enable_learned_scales(model)
-    return model, SGD(model.parameters(), lr=0.05, momentum=0.9), loader
+    scales = enable_learned_scales(model)
+    optimizer = finetune_optimizer(model, scales, lr=0.05, scale_lr=0.01)
+    return model, optimizer, loader, TeacherDistillation(teacher)
 
 
 def _dp_trainer(expect_degraded=False, parts=_make_parts, **kwargs):
-    model, optimizer, loader = parts()
+    model, optimizer, loader, loss = parts()
     trainer = DataParallelTrainer(model, optimizer, loader, num_workers=2,
-                                  **kwargs)
+                                  loss=loss, **kwargs)
     if trainer.degraded and not expect_degraded:  # pragma: no cover
         pytest.skip("multiprocessing/shared memory unavailable")
     return trainer, model
@@ -131,21 +138,44 @@ class TestShardChaos:
         assert stats["deaths"] >= 1 and stats["restarts"] >= 1
         assert _state_equal(clean_model.state_dict(), chaos_model.state_dict())
 
-    def test_pooled_matches_degraded_inline_bit_exact(self):
-        pooled, pooled_model = _dp_trainer()
+    def test_pooled_matches_degraded_inline_bit_exact(self, parts=_make_parts):
+        pooled, pooled_model = _dp_trainer(parts=parts)
         with pooled:
             pooled.fit(epochs=2)
             assert not pooled.degraded
 
         # An unknown start method fails pool construction: degraded at birth,
         # every shard frame runs inline through the same compiled job.
-        inline, inline_model = _dp_trainer(expect_degraded=True,
+        inline, inline_model = _dp_trainer(expect_degraded=True, parts=parts,
                                            mp_context="__no_such_context__")
         assert inline.degraded
         inline.fit(epochs=2)
         assert _state_equal(pooled_model.state_dict(),
                             inline_model.state_dict())
         assert pooled.history == inline.history
+
+    def test_qat_pooled_matches_degraded_inline_bit_exact(self):
+        self.test_pooled_matches_degraded_inline_bit_exact(parts=_make_qat_parts)
+
+    def test_two_shard_kd_step_matches_single_process(self):
+        """The teacher runs in each worker on its own chunk, and the
+        per-chunk sums of the batch-mean KD loss add up to the
+        single-process step.  BatchNorm is left out: per-shard batch
+        statistics would differ from the full batch's by design."""
+        single_model, optimizer, loader, loss = _make_qat_parts(batch_norm=False)
+        single = Trainer(single_model, optimizer, loader, loss=loss)
+        single.fit(epochs=1, max_batches=1)
+
+        sharded, sharded_model = _dp_trainer(
+            parts=lambda: _make_qat_parts(batch_norm=False))
+        with sharded:
+            sharded.fit(epochs=1, max_batches=1)
+            assert not sharded.degraded
+        assert sharded.history == pytest.approx(single.history, rel=1e-9)
+        for (name, p), (_, q) in zip(single_model.named_parameters(),
+                                     sharded_model.named_parameters()):
+            np.testing.assert_allclose(q.data, p.data, rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
 
 
 # --------------------------------------------------------------------------- #
@@ -204,7 +234,7 @@ class TestTrainerKill:
         assert step == 6                       # 3 epochs x 2 batches
 
         # Reference: the same run, never interrupted, in this process.
-        model, optimizer, loader = _make_parts()
+        model, optimizer, loader, _ = _make_parts()
         reference = Trainer(model, optimizer, loader)
         reference.fit(epochs=3)
         assert _state_equal(payload["model"], model.state_dict())
