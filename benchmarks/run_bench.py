@@ -84,8 +84,9 @@ import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(os.path.dirname(_HERE), "src")
-if os.path.isdir(_SRC) and _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (_HERE, _SRC):
+    if os.path.isdir(_path) and _path not in sys.path:
+        sys.path.insert(0, _path)
 
 import numpy as np  # noqa: E402
 
@@ -97,6 +98,8 @@ from repro.quant import (calibrate_tapwise_scales,  # noqa: E402
 from repro.winograd import (assemble_output_tiles,  # noqa: E402
                             pad_for_tiling, winograd_conv2d,
                             winograd_conv2d_tensor, winograd_f2, winograd_f4)
+
+import staged_winograd as staged  # noqa: E402
 
 # Acceptance workload: 4x32x32x32 input, 32 output channels, 3x3 kernels.
 _RNG = np.random.default_rng(0)
@@ -144,11 +147,11 @@ def _composed_winograd(x, w, transform, padding=1, input_hook=None,
     """The eager baseline: every Winograd stage its own autograd node.
 
     Tile extraction, the ``BT x B`` / ``G f GT`` / ``AT y A`` pair
-    transforms, the tap contraction and the output assembly over the active
-    backend's primitives — the graph every forward ran before
-    :mod:`repro.engine`, and the tap-wise QAT layer ran with its
-    Winograd-domain quantizers as the two hooks until they moved into the
-    fused kernel.
+    transforms, the tap contraction and the output assembly — the graph
+    every forward ran before :mod:`repro.engine`, and the tap-wise QAT layer
+    ran with its Winograd-domain quantizers as the two hooks until they
+    moved into the fused kernel.  The pair transforms run on the active
+    backend; the staged kernels are ``fast``'s (:mod:`staged_winograd`).
     """
     be, t = get_backend(), transform
     m, r = t.m, t.r
@@ -156,7 +159,7 @@ def _composed_winograd(x, w, transform, padding=1, input_hook=None,
     h, wd = x.shape[2], x.shape[3]
 
     def untile(g):
-        dx = be.scatter_tiles_add(g, padded.shape, m, r)
+        dx = staged.scatter_tiles_add(g, padded.shape, m, r)
         return (dx[:, :, padding:padding + h, padding:padding + wd],)
 
     def pair(tt, left, right):
@@ -164,7 +167,7 @@ def _composed_winograd(x, w, transform, padding=1, input_hook=None,
             be.apply_transform_pair(tt.data, left, right), (tt,),
             lambda g: (be.apply_transform_pair(g, left.T, right.T),))
 
-    tiles_w = pair(Tensor.from_op(be.extract_tiles(padded, m, r), (x,), untile),
+    tiles_w = pair(Tensor.from_op(staged.extract_tiles(padded, m, r), (x,), untile),
                    t.BT, t.B)
     weight_w = pair(w, t.G, t.G.T)
     if input_hook is not None:
@@ -173,8 +176,8 @@ def _composed_winograd(x, w, transform, padding=1, input_hook=None,
         weight_w = weight_hook(weight_w)
     xw, ww = tiles_w.data, weight_w.data
     prod = Tensor.from_op(
-        be.tile_contract(xw, ww), (tiles_w, weight_w),
-        lambda g: (be.tile_contract_dx(g, ww), be.tile_contract_dw(g, xw)))
+        staged.tile_contract(xw, ww), (tiles_w, weight_w),
+        lambda g: (staged.tile_contract_dx(g, ww), staged.tile_contract_dw(g, xw)))
     out_tiles = pair(prod, t.AT, t.A)
     n, cout, n_h, n_w = out_tiles.shape[:4]
 

@@ -1,15 +1,14 @@
 """Kernel backends for the library's numerically heavy primitives.
 
-This package is the compute foundation of the reproduction: the Winograd
-tap-wise contraction, the pair transforms, tile extraction/scattering, the
-im2col GEMMs and the fused whole-layer Winograd forward and training step all
-dispatch through a small registry so that multiple implementation strategies
-can coexist.  Every backend implements every member of
-:class:`KernelBackend` with the same call contract:
+This package is the compute foundation of the reproduction: the fused
+whole-layer Winograd forward and training step, the weight pair transform
+and the im2col GEMMs all dispatch through a small registry so that multiple
+implementation strategies can coexist.  Every backend implements every
+member of :class:`KernelBackend` with the same call contract:
 
 * ``"reference"`` — the seed ``np.einsum`` / Python-loop code, frozen for
   equivalence testing, with the fused Winograd entry points composed from
-  those primitives (:mod:`repro.kernels.reference`);
+  the seed's staged primitives (:mod:`repro.kernels.reference`);
 * ``"fast"`` — batched-GEMM formulations that reach BLAS, the default
   (:mod:`repro.kernels.fast`).
 

@@ -7,18 +7,16 @@ observation that the tap-wise Winograd contraction
 
 is ``alpha²`` *independent* MatMuls — one per tap.  The reference backend
 expresses it as a 6-D ``np.einsum`` that numpy executes with generic C loops;
-this backend reshapes the operands into a tap-major batched layout
+this backend keeps the operands in a tap-major batched layout
 
     (a², Cout, Cin) @ (a², Cin, N·nH·nW)
 
-so ``np.matmul`` dispatches each tap to BLAS (floats) or to numpy's exact
-integer loop.  The integer tap-wise path does not use that loop: its fused
-forward (``winograd_forward(quant=...)``) carries the integers in float64,
-which BLAS multiplies exactly while every partial sum stays below 2**53.
-The same treatment is applied to both adjoints, to the pair transforms (one
-Kronecker GEMM instead of thousands of broadcast ``alpha x alpha``
-matmuls), to the im2col convolution GEMMs, and to :func:`scatter_tiles_add`
-(a handful of strided block adds instead of an ``n_h x n_w`` Python loop).
+so ``np.matmul`` dispatches each tap to BLAS.  The integer tap-wise forward
+(``winograd_forward(quant=TapRequant(...))``) carries the integers in
+float64, which BLAS multiplies exactly while every partial sum stays below
+2**53.  The pair transform that binds weights is one Kronecker GEMM instead
+of thousands of broadcast ``alpha x alpha`` matmuls, and the im2col
+convolution runs as BLAS GEMMs too.
 
 There is one fused Winograd pipeline.  It folds the batch into the tile
 axis and runs the same tap-major stages (gather, separable ``BT x B``, tap
@@ -27,10 +25,6 @@ Inference (``winograd_forward``, float and integer) streams cache-sized
 blocks of whole images or tile rows; training (``winograd_autograd``, float
 and tap-wise QAT alike) runs the whole layer as one block, so each stage,
 and each of its adjoints, is one numpy call.
-
-``extract_tiles`` returns the read-only strided *view* instead of forcing an
-``ascontiguousarray`` copy: every consumer in this backend is a GEMM that
-buffers its operands anyway, so the copy would be pure overhead.
 """
 
 from __future__ import annotations
@@ -44,61 +38,6 @@ from .fake_quant import fake_quantize, learned_scale_grad, signed_range
 from .registry import KernelBackend, TapFakeQuant, TapRequant
 
 __all__ = ["BACKEND", "transform_weights_tap_major"]
-
-
-def _tap_major(x: np.ndarray) -> np.ndarray:
-    """``(O1, O2, ..., a, a) -> (a², O1, O2·...·Ok)`` contiguous reshape.
-
-    Moves the two tap axes to the front (flattened) and keeps the first
-    remaining axis as the GEMM row/column dimension.
-    """
-    a = x.shape[-1]
-    lead = x.shape[:-2]
-    perm = (x.ndim - 2, x.ndim - 1) + tuple(range(x.ndim - 2))
-    flat = np.ascontiguousarray(x.transpose(perm)).reshape(a * a, lead[0], -1)
-    return flat
-
-
-# --------------------------------------------------------------------------- #
-# Tap-wise contraction as alpha² batched GEMMs
-# --------------------------------------------------------------------------- #
-def tile_contract(tiles_w: np.ndarray, weight_w: np.ndarray) -> np.ndarray:
-    """Forward: ``out[n,o,i,j,:,:] = sum_c w[o,c,:,:] * x[n,c,i,j,:,:]``."""
-    n, cin, nh, nw, a, _ = tiles_w.shape
-    cout = weight_w.shape[0]
-    # (a², Cin, N·nH·nW): tap-major activations, channels as the GEMM K dim.
-    x_r = np.ascontiguousarray(tiles_w.transpose(4, 5, 1, 0, 2, 3)
-                               ).reshape(a * a, cin, n * nh * nw)
-    # (a², Cout, Cin): tap-major weights.
-    w_r = _tap_major(weight_w)
-    prod = np.matmul(w_r, x_r)                       # (a², Cout, N·nH·nW)
-    out = prod.reshape(a, a, cout, n, nh, nw).transpose(3, 2, 4, 5, 0, 1)
-    return np.ascontiguousarray(out)
-
-
-def tile_contract_dx(grad: np.ndarray, weight_w: np.ndarray) -> np.ndarray:
-    """Adjoint wrt the input tiles: ``(a², Cin, Cout) @ (a², Cout, M)``."""
-    n, cout, nh, nw, a, _ = grad.shape
-    cin = weight_w.shape[1]
-    g_r = np.ascontiguousarray(grad.transpose(4, 5, 1, 0, 2, 3)
-                               ).reshape(a * a, cout, n * nh * nw)
-    wt_r = np.ascontiguousarray(weight_w.transpose(2, 3, 1, 0)
-                                ).reshape(a * a, cin, cout)
-    dx = np.matmul(wt_r, g_r)                        # (a², Cin, N·nH·nW)
-    out = dx.reshape(a, a, cin, n, nh, nw).transpose(3, 2, 4, 5, 0, 1)
-    return np.ascontiguousarray(out)
-
-
-def tile_contract_dw(grad: np.ndarray, tiles_w: np.ndarray) -> np.ndarray:
-    """Adjoint wrt the weights: ``(a², Cout, M) @ (a², M, Cin)``."""
-    n, cout, nh, nw, a, _ = grad.shape
-    cin = tiles_w.shape[1]
-    g_r = np.ascontiguousarray(grad.transpose(4, 5, 1, 0, 2, 3)
-                               ).reshape(a * a, cout, n * nh * nw)
-    x_r = np.ascontiguousarray(tiles_w.transpose(4, 5, 0, 2, 3, 1)
-                               ).reshape(a * a, n * nh * nw, cin)
-    dw = np.matmul(g_r, x_r)                         # (a², Cout, Cin)
-    return np.ascontiguousarray(dw.reshape(a, a, cout, cin).transpose(2, 3, 0, 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -143,50 +82,6 @@ def apply_transform_pair(tiles: np.ndarray, left: np.ndarray,
     kmat = _pair_kron(left, right)
     flat = np.ascontiguousarray(tiles).reshape(-1, p * q)
     return (flat @ kmat).reshape(tiles.shape[:-2] + (o, s))
-
-
-# --------------------------------------------------------------------------- #
-# Tiling primitives
-# --------------------------------------------------------------------------- #
-def extract_tiles(x_padded: np.ndarray, m: int, r: int) -> np.ndarray:
-    """Overlapping tile view ``(N, C, n_h, n_w, alpha, alpha)`` — no copy.
-
-    The returned array is a read-only strided view into ``x_padded`` (the
-    pipeline's :func:`_tap_view`, axes permuted); the GEMM consumers buffer
-    it internally, so materialising a contiguous copy here (as the reference
-    backend does) would only add memory traffic.
-    """
-    return _tap_view(x_padded, m, m + r - 1).transpose(3, 2, 4, 5, 0, 1)
-
-
-def scatter_tiles_add(grad_tiles: np.ndarray, padded_shape: tuple[int, int, int, int],
-                      m: int, r: int) -> np.ndarray:
-    """Adjoint of :func:`extract_tiles`, vectorised over all tiles.
-
-    Each ``alpha x alpha`` tile is split into ``ceil(alpha/m)²`` blocks of at
-    most ``m x m``; for a fixed block index the scatter targets of all tiles
-    are disjoint ``m``-strided slices, so the whole scatter collapses to a few
-    (4 for F2/F4) strided ``+=`` operations on a block view of the output.
-    """
-    alpha = m + r - 1
-    n, c, hp, wp = padded_shape
-    n_h, n_w = grad_tiles.shape[2], grad_tiles.shape[3]
-    nb = -(-alpha // m)                       # blocks per tile dimension
-    big = np.zeros((n, c, (n_h + nb - 1) * m, (n_w + nb - 1) * m),
-                   dtype=grad_tiles.dtype)
-    view = big.reshape(n, c, n_h + nb - 1, m, n_w + nb - 1, m)
-    for bi in range(nb):
-        h0 = bi * m
-        hb = min(m, alpha - h0)
-        for bj in range(nb):
-            w0 = bj * m
-            wb = min(m, alpha - w0)
-            block = grad_tiles[:, :, :, :, h0:h0 + hb, w0:w0 + wb]
-            view[:, :, bi:bi + n_h, :hb, bj:bj + n_w, :wb] += \
-                block.transpose(0, 1, 2, 4, 3, 5)
-    if big.shape[2] == hp and big.shape[3] == wp:
-        return big
-    return np.ascontiguousarray(big[:, :, :hp, :wp])
 
 
 # --------------------------------------------------------------------------- #
@@ -613,12 +508,7 @@ def conv2d_gemm_dcols(w2d: np.ndarray, grad2d: np.ndarray) -> np.ndarray:
 
 BACKEND = KernelBackend(
     name="fast",
-    tile_contract=tile_contract,
-    tile_contract_dx=tile_contract_dx,
-    tile_contract_dw=tile_contract_dw,
     apply_transform_pair=apply_transform_pair,
-    extract_tiles=extract_tiles,
-    scatter_tiles_add=scatter_tiles_add,
     im2col=im2col,
     col2im=col2im,
     conv2d_gemm=conv2d_gemm,

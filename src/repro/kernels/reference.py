@@ -12,13 +12,16 @@ The einsum contraction paths are memoised (:mod:`repro.kernels.einsum_cache`)
 — the contraction order is the one ``optimize=True`` picks, computed once per
 operand signature instead of on every call.  The fused entry points every
 backend provides (:func:`winograd_forward`, :func:`winograd_autograd`) are
-composed here from the seed primitives, in the order of the seed's composed
-autograd graph, so their results are bit-identical to it — including the
-tap-wise fake-quantized training step (``quant=TapFakeQuant``), whose
-quantizers sat in that graph between the transforms and the contraction.
-The integer tap-wise forward (``winograd_forward(quant=TapRequant)``) is
-composed the same way, with int64 arithmetic throughout, and is the oracle
-for that path.
+composed here from the seed's staged primitives (:func:`extract_tiles`,
+:func:`tile_contract` and its adjoints, :func:`scatter_tiles_add`), in the
+order of the seed's composed autograd graph, so their results are
+bit-identical to it — including the tap-wise fake-quantized training step
+(``quant=TapFakeQuant``), whose quantizers sat in that graph between the
+transforms and the contraction.  The integer tap-wise forward
+(``winograd_forward(quant=TapRequant)``) is composed the same way, with int64
+arithmetic throughout, and is the oracle for that path.  The staged
+primitives are module functions only, not :class:`KernelBackend` members:
+no workload calls them, and the test oracle imports them from here.
 """
 
 from __future__ import annotations
@@ -310,12 +313,7 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
 
 BACKEND = KernelBackend(
     name="reference",
-    tile_contract=tile_contract,
-    tile_contract_dx=tile_contract_dx,
-    tile_contract_dw=tile_contract_dw,
     apply_transform_pair=apply_transform_pair,
-    extract_tiles=extract_tiles,
-    scatter_tiles_add=scatter_tiles_add,
     im2col=im2col,
     col2im=col2im,
     conv2d_gemm=conv2d_gemm,

@@ -1,16 +1,18 @@
 """Kernel backend registry and dispatch.
 
-Every numerically heavy primitive of the library (the tap-wise contraction,
-the Winograd pair transforms, tile extraction/scattering, the im2col GEMMs
-and the fused whole-layer Winograd forward and training step) is routed
-through a :class:`KernelBackend`.  Every backend implements every member with
-one call contract, so callers never probe what a backend supports.  Two
-backends are registered by :mod:`repro.kernels`:
+Every numerically heavy primitive a workload calls (the Winograd pair
+transform that binds weights, the im2col lowering and its GEMMs, and the
+fused whole-layer Winograd forward and training step) is routed through a
+:class:`KernelBackend`.  Every backend implements every member with one call
+contract, so callers never probe what a backend supports.  Two backends are
+registered by :mod:`repro.kernels`:
 
 * ``"reference"`` — the seed implementation (generic ``np.einsum`` plus
   Python loops), kept verbatim so the other backends can be
   equivalence-tested against it forever; its fused entry points are composed
-  from those primitives.
+  from the seed's staged primitives (tile extraction, tap contraction,
+  scatter-add), which stay module functions of :mod:`repro.kernels.reference`
+  and are not backend members.
 * ``"fast"`` — batched-GEMM formulations that reach BLAS (the default).
 
 Selection, in decreasing precedence:
@@ -124,27 +126,18 @@ class KernelBackend:
 
     All members are plain functions over numpy arrays (no autograd); the
     autograd layer wires them into forward/backward closures.  Integer inputs
-    must be handled exactly (the tap contraction models the accelerator's
-    integer Cube Unit), so every member is dtype-preserving -- except
-    ``winograd_forward(quant=TapRequant(...))``, which takes integer operands
-    and returns the rescaled float64 output.
+    must be handled exactly, so every member is dtype-preserving -- except
+    ``winograd_forward(quant=TapRequant(...))``, which models the
+    accelerator's integer Cube Unit: it takes integer operands and returns
+    the rescaled float64 output.
     """
 
     name: str
 
-    # Winograd tap-wise contraction (N,Cin,nH,nW,a,a) x (Cout,Cin,a,a)
-    # -> (N,Cout,nH,nW,a,a), plus its two adjoints.
-    tile_contract: Callable
-    tile_contract_dx: Callable
-    tile_contract_dw: Callable
-
     # Pair transform ``left @ t @ right`` over the trailing (rows, cols) axes,
-    # broadcast over all leading axes (used for BT x B, G f GT, AT y A).
+    # broadcast over all leading axes; binds ``G f GT`` weights
+    # (``engine.bind_tap_major_weights``).
     apply_transform_pair: Callable
-
-    # Tiling primitives.
-    extract_tiles: Callable
-    scatter_tiles_add: Callable
 
     # im2col lowering and its GEMMs.
     im2col: Callable
@@ -180,8 +173,7 @@ class KernelBackend:
     # ``(dx_padded, dweight, dlog2_t_input, dlog2_t_weight)``, the last two
     # ``None`` for a side without a learned scale.  Lets a backend keep the
     # whole autograd step in its internal layout (the fast backend stays
-    # tap-major end to end, skipping the layout round-trips of the composed
-    # adjoint primitives).
+    # tap-major end to end).
     winograd_autograd: Callable
 
     def primitives(self) -> list[str]:

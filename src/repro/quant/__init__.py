@@ -5,7 +5,7 @@ from .error import (QuantErrorResult, error_histogram, mean_log2_error,
                     spatial_quant_error, winograd_quant_error)
 from .integer import (TapwiseScales, accumulator_bits_required,
                       calibrate_tapwise_scales, integer_winograd_conv2d,
-                      quantize_dequantize_spatial, winograd_domain_tensors)
+                      quantize_dequantize_spatial)
 from .kd import DistillationLoss, TeacherDistillation
 from .observer import (Granularity, MinMaxObserver, PercentileObserver,
                        RunningMaxObserver, reduction_axes, scale_shape)
@@ -34,8 +34,7 @@ __all__ = [
     "freeze_calibration", "enable_learned_scales", "finetune_optimizer",
     "evaluate",
     "TapwiseScales", "calibrate_tapwise_scales", "integer_winograd_conv2d",
-    "quantize_dequantize_spatial", "winograd_domain_tensors",
-    "accumulator_bits_required",
+    "quantize_dequantize_spatial", "accumulator_bits_required",
     "prune_winograd_weights", "sparsity_statistics", "WinogradSparsityStats",
     "effective_mac_reduction",
     "QuantErrorResult", "quantize_mu_sigma", "relative_error", "optimal_gamma",

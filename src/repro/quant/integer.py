@@ -29,6 +29,10 @@ accumulator stays below that bound its result is bit-identical to the int64
 one.  :func:`repro.engine.lower_winograd` enforces the bound for the integer
 path (``Cin · max(|qmin|, qmax)² < 2**53`` at ``wino_bits``), and also
 rejects transforms whose ``BT`` is not integral (e.g. F6).
+
+:func:`calibrate_tapwise_scales` reads the per-tap maxima it needs from the
+same fused forward, through the scale callbacks of a
+:class:`~repro.kernels.TapFakeQuant` that quantize nothing.
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..kernels import KernelBackend, TapRequant, get_backend
+from ..kernels import KernelBackend, TapFakeQuant, TapRequant, get_backend
 from ..winograd.tiling import pad_for_tiling
 from ..winograd.transforms import WinogradTransform, _fractional_lcm
 from .quantizer import compute_scale, quant_range
 
 __all__ = ["TapwiseScales", "calibrate_tapwise_scales", "integer_winograd_conv2d",
-           "quantize_dequantize_spatial", "winograd_domain_tensors",
-           "accumulator_bits_required"]
+           "quantize_dequantize_spatial", "accumulator_bits_required"]
 
 
 @dataclass
@@ -81,24 +84,6 @@ def quantize_dequantize_spatial(values: np.ndarray, scale: float,
     return np.clip(np.rint(values / scale), *quant_range(bits)) * scale
 
 
-def winograd_domain_tensors(x_hat: np.ndarray, w_hat: np.ndarray,
-                            transform: WinogradTransform, padding: int = 1,
-                            backend: str | KernelBackend | None = None,
-                            ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Map spatial-domain tensors into the Winograd domain.
-
-    Shared between :func:`calibrate_tapwise_scales` and the fake-quantization
-    analyses: returns ``(BT x B, G f GT, out_h, out_w)`` computed with the
-    active kernel backend.
-    """
-    be = get_backend(backend)
-    padded, out_h, out_w = pad_for_tiling(x_hat, transform.m, transform.r, padding)
-    tiles = be.extract_tiles(padded, transform.m, transform.r)
-    tiles_w = be.apply_transform_pair(tiles, transform.BT, transform.B)
-    weight_w = be.apply_transform_pair(w_hat, transform.G, transform.G.T)
-    return tiles_w, weight_w, out_h, out_w
-
-
 def calibrate_tapwise_scales(x: np.ndarray, weight: np.ndarray,
                              transform: WinogradTransform,
                              spatial_bits: int = 8, wino_bits: int = 8,
@@ -106,20 +91,34 @@ def calibrate_tapwise_scales(x: np.ndarray, weight: np.ndarray,
                              padding: int = 1,
                              backend: str | KernelBackend | None = None,
                              ) -> TapwiseScales:
-    """Derive tap-wise scales from one batch of data (max calibration, Eq. 2)."""
+    """Derive tap-wise scales from one batch of data (max calibration, Eq. 2).
+
+    The per-tap maxima of ``BT x B`` and ``G f GT`` come from one fused
+    ``winograd_forward`` on the spatially fake-quantized operands: the scale
+    callbacks of its :class:`~repro.kernels.TapFakeQuant` see both sides'
+    Winograd-domain values, record their ``|max|`` per tap and return
+    ``None``, so nothing is quantized.
+    """
     act_scale = float(compute_scale(np.abs(x).max(), spatial_bits))
     weight_scale = float(compute_scale(np.abs(weight).max(), spatial_bits))
 
     x_hat = quantize_dequantize_spatial(x, act_scale, spatial_bits)
     w_hat = quantize_dequantize_spatial(weight, weight_scale, spatial_bits)
 
-    tiles_w, weight_w, _, _ = winograd_domain_tensors(x_hat, w_hat, transform,
-                                                      padding, backend)
+    tap_max = {}
 
-    input_max = np.abs(tiles_w).max(axis=(0, 1, 2, 3))
-    weight_max = np.abs(weight_w).max(axis=(0, 1))
-    input_scale = compute_scale(input_max, wino_bits)
-    weight_scale_wino = compute_scale(weight_max, wino_bits)
+    def record(side):
+        def scale(values):
+            tap_max[side] = np.abs(values).max(axis=tuple(range(values.ndim - 2)))
+            return None
+        return scale
+
+    padded, out_h, out_w = pad_for_tiling(x_hat, transform.m, transform.r, padding)
+    get_backend(backend).winograd_forward(
+        padded, w_hat, transform, out_h, out_w,
+        quant=TapFakeQuant(wino_bits, wino_bits, record("input"), record("weight")))
+    input_scale = compute_scale(tap_max["input"], wino_bits)
+    weight_scale_wino = compute_scale(tap_max["weight"], wino_bits)
     if power_of_two:
         input_scale = np.power(2.0, np.ceil(np.log2(input_scale)))
         weight_scale_wino = np.power(2.0, np.ceil(np.log2(weight_scale_wino)))

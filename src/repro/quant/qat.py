@@ -51,7 +51,9 @@ class QatConfig:
     power_of_two:
         Restrict Winograd-domain scales to powers of two.
     learned_log2:
-        Train the power-of-two scales with the ∇log2 t method (Eq. 3).
+        Train the power-of-two scales with the ∇log2 t method (Eq. 3): the
+        study calls :func:`enable_learned_scales` after calibration;
+        :func:`convert_model` does not read it.
     knowledge_distillation:
         Distil from the FP32 teacher during fine-tuning.
     spatial_bits / wino_bits:
@@ -130,7 +132,6 @@ def _convert_conv(conv: Conv2d, config: QatConfig) -> Module:
             tapwise=config.tapwise,
             granularity=config.granularity,
             power_of_two=config.power_of_two,
-            learned_log2=config.learned_log2,
             winograd_aware=config.winograd_aware,
         )
     return QuantConv2d.from_float(

@@ -114,8 +114,9 @@ class QuantWinogradConv2d(Module):
     granularity:
         Overrides ``tapwise`` with an explicit granularity (e.g.
         ``per_channel_and_tap`` for the combined strategy of Fig. 4).
-    power_of_two / learned_log2:
-        The power-of-two scale options of Section III-B.
+    power_of_two:
+        Restrict the Winograd-domain scales to powers of two (Section III-B);
+        :meth:`enable_learned_scales` then makes them learned ``log2 t``.
     winograd_aware:
         If false, the layer trains on the standard (im2col) path and only uses
         Winograd at evaluation time — the "not Winograd-aware" ablation.
@@ -130,7 +131,7 @@ class QuantWinogradConv2d(Module):
                  spatial_bits: int | None = 8, wino_bits: int = 8,
                  tapwise: bool = True,
                  granularity: Granularity | str | None = None,
-                 power_of_two: bool = False, learned_log2: bool = False,
+                 power_of_two: bool = False,
                  winograd_aware: bool = True,
                  backend: str | KernelBackend | None = None,
                  rng: np.random.Generator | None = None):
@@ -175,7 +176,6 @@ class QuantWinogradConv2d(Module):
                                           power_of_two=power_of_two)
         self.weight_wino_quant = Quantizer(wino_bits, granularity,
                                            power_of_two=power_of_two)
-        self._learned_log2_requested = learned_log2
 
     # ------------------------------------------------------------------ #
     # Configuration helpers

@@ -5,8 +5,7 @@ from .cook_toom import cook_toom_matrices, default_points, verify_transform_1d
 from .dfg import TransformDFG, csd_decompose, shift_add_cost, transform_2d_cost
 from .engines import (EngineSpec, RowByRowEngine, TapByTapEngine,
                       make_input_engine, make_output_engine, make_weight_engine)
-from .tiling import (assemble_output_tiles, extract_tiles, pad_for_tiling,
-                     scatter_tiles_add, tile_counts)
+from .tiling import assemble_output_tiles, pad_for_tiling, tile_counts
 from .transforms import (IntegerTransformMatrices, WinogradTransform, bit_growth,
                          get_transform, integer_transform_matrices,
                          inverse_weight_transform, macs_reduction,
@@ -23,6 +22,5 @@ __all__ = [
     "TransformDFG", "csd_decompose", "shift_add_cost", "transform_2d_cost",
     "EngineSpec", "RowByRowEngine", "TapByTapEngine",
     "make_input_engine", "make_weight_engine", "make_output_engine",
-    "extract_tiles", "pad_for_tiling", "assemble_output_tiles", "scatter_tiles_add",
-    "tile_counts",
+    "pad_for_tiling", "assemble_output_tiles", "tile_counts",
 ]

@@ -1,8 +1,9 @@
-"""Tiling utilities: splitting feature maps into overlapping Winograd tiles.
+"""Tiling geometry: padding feature maps for overlapping Winograd tiles.
 
 The Winograd algorithm processes the input feature map in overlapping tiles of
 ``alpha x alpha`` (stride ``m``) and produces non-overlapping ``m x m`` output
-tiles.  The paper points out (Section V-B5) that the output spatial resolution
+tiles; the kernel backends (:mod:`repro.kernels`) gather and scatter the
+tiles themselves.  The paper points out (Section V-B5) that the output spatial resolution
 must be a multiple of ``m``; when it is not, the operator zero-pads and adds
 ineffective computations — the same behaviour is reproduced here and surfaces
 in the accelerator model as wasted tiles.
@@ -15,8 +16,6 @@ import numpy as np
 __all__ = [
     "tile_counts",
     "pad_for_tiling",
-    "extract_tiles",
-    "scatter_tiles_add",
     "assemble_output_tiles",
 ]
 
@@ -52,52 +51,6 @@ def pad_for_tiling(x: np.ndarray, m: int, r: int, padding: int) -> tuple[np.ndar
                         (padding, padding + max(pad_bottom, 0)),
                         (padding, padding + max(pad_right, 0))))
     return padded, out_h, out_w
-
-
-def extract_tiles(x_padded: np.ndarray, m: int, r: int,
-                  copy: bool = True) -> np.ndarray:
-    """Extract overlapping ``alpha x alpha`` tiles with stride ``m``.
-
-    Parameters
-    ----------
-    x_padded:
-        Already-padded input of shape ``(N, C, Hp, Wp)`` where
-        ``Hp = n_h * m + r - 1``.
-    copy:
-        When true (default), the strided view is materialised as a contiguous
-        array callers may mutate safely.  When false, the read-only view is
-        returned directly — the cheap option when the consumer only reads
-        (e.g. feeds a GEMM, which buffers its operands anyway; the kernel
-        backends carry their own equivalents of this no-copy path).
-
-    Returns
-    -------
-    ndarray of shape ``(N, C, n_h, n_w, alpha, alpha)``.
-    """
-    alpha = m + r - 1
-    n, c, hp, wp = x_padded.shape
-    n_h = (hp - (r - 1)) // m
-    n_w = (wp - (r - 1)) // m
-    s0, s1, s2, s3 = x_padded.strides
-    tiles = np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(n, c, n_h, n_w, alpha, alpha),
-        strides=(s0, s1, s2 * m, s3 * m, s2, s3),
-        writeable=False,
-    )
-    return np.ascontiguousarray(tiles) if copy else tiles
-
-
-def scatter_tiles_add(grad_tiles: np.ndarray, padded_shape: tuple[int, int, int, int],
-                      m: int, r: int) -> np.ndarray:
-    """Adjoint of :func:`extract_tiles`: scatter-add overlapping tiles back.
-
-    Dispatches to the active kernel backend; the ``fast`` backend replaces
-    the historical ``n_h x n_w`` Python double loop with a handful of strided
-    block adds (see :func:`repro.kernels.fast.scatter_tiles_add`).
-    """
-    from ..kernels import get_backend
-    return get_backend().scatter_tiles_add(grad_tiles, padded_shape, m, r)
 
 
 def assemble_output_tiles(out_tiles: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Test oracle: the composed Winograd autograd graph the fused nodes replaced.
 
-Every stage of the Winograd convolution is its own autograd node over one
-backend's primitives (tile extraction, the ``BT x B`` / ``G f GT`` / ``AT y A``
-pair transforms, the tap contraction, output assembly), and the tap-wise
+Every stage of the Winograd convolution is its own autograd node over the
+seed primitives of :mod:`repro.kernels.reference` (tile extraction, the
+``BT x B`` / ``G f GT`` / ``AT y A`` pair transforms, the tap contraction,
+output assembly), whatever backend is active, and the tap-wise
 quantized layer's forward injects its Winograd-domain fake quantization
 between the transforms and the contraction.  The fake-quant formulas are kept
 here as they were written before they moved into :mod:`repro.kernels`
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import get_backend
+from repro.kernels import reference as ref
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, as_tensor
 from repro.quant.power_of_two import pow2_gradient_scale
@@ -26,34 +27,34 @@ from repro.winograd.tiling import assemble_output_tiles, pad_for_tiling
 # --------------------------------------------------------------------------- #
 # Stage nodes
 # --------------------------------------------------------------------------- #
-def extract_tiles(x: Tensor, transform, padding: int, be):
+def extract_tiles(x: Tensor, transform, padding: int):
     """``(N, Cin, nH, nW, a, a)`` tiles of the padded input, plus the output
     size; the adjoint is the overlap scatter-add, cropped."""
     m, r = transform.m, transform.r
     padded, out_h, out_w = pad_for_tiling(x.data, m, r, padding)
-    tiles = be.extract_tiles(padded, m, r)
+    tiles = ref.extract_tiles(padded, m, r)
     h, w = x.shape[2], x.shape[3]
 
     def backward(grad):
-        grad_padded = be.scatter_tiles_add(grad, padded.shape, m, r)
+        grad_padded = ref.scatter_tiles_add(grad, padded.shape, m, r)
         return (grad_padded[:, :, padding:padding + h, padding:padding + w],)
 
     return Tensor.from_op(tiles, (x,), backward), out_h, out_w
 
 
-def transform_pair(t: Tensor, left: np.ndarray, right: np.ndarray, be) -> Tensor:
+def transform_pair(t: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
     """``left @ t @ right`` over the trailing tile axes."""
-    data = be.apply_transform_pair(t.data, left, right)
+    data = ref.apply_transform_pair(t.data, left, right)
     return Tensor.from_op(
-        data, (t,), lambda grad: (be.apply_transform_pair(grad, left.T, right.T),))
+        data, (t,), lambda grad: (ref.apply_transform_pair(grad, left.T, right.T),))
 
 
-def tile_contract(tiles_w: Tensor, weight_w: Tensor, be) -> Tensor:
+def tile_contract(tiles_w: Tensor, weight_w: Tensor) -> Tensor:
     """Tap-wise multiply-accumulate over input channels."""
     xw, ww = tiles_w.data, weight_w.data
     return Tensor.from_op(
-        be.tile_contract(xw, ww), (tiles_w, weight_w),
-        lambda grad: (be.tile_contract_dx(grad, ww), be.tile_contract_dw(grad, xw)))
+        ref.tile_contract(xw, ww), (tiles_w, weight_w),
+        lambda grad: (ref.tile_contract_dx(grad, ww), ref.tile_contract_dw(grad, xw)))
 
 
 def assemble(out_tiles: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -71,21 +72,20 @@ def assemble(out_tiles: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def composed_winograd(x, weight, transform, bias=None, padding: int = 1,
-                      backend=None, input_hook=None, weight_hook=None) -> Tensor:
+                      input_hook=None, weight_hook=None) -> Tensor:
     """The composed Winograd convolution, with optional Winograd-domain hooks
     on ``BT x B`` and ``G f GT``."""
-    be = get_backend(backend)
     x, weight = as_tensor(x), as_tensor(weight)
     t = transform
-    tiles, out_h, out_w = extract_tiles(x, t, padding, be)
-    tiles_w = transform_pair(tiles, t.BT, t.B, be)
-    weight_w = transform_pair(weight, t.G, t.G.T, be)
+    tiles, out_h, out_w = extract_tiles(x, t, padding)
+    tiles_w = transform_pair(tiles, t.BT, t.B)
+    weight_w = transform_pair(weight, t.G, t.G.T)
     if input_hook is not None:
         tiles_w = input_hook(tiles_w)
     if weight_hook is not None:
         weight_w = weight_hook(weight_w)
-    prod = tile_contract(tiles_w, weight_w, be)
-    out = assemble(transform_pair(prod, t.AT, t.A, be), out_h, out_w)
+    prod = tile_contract(tiles_w, weight_w)
+    out = assemble(transform_pair(prod, t.AT, t.A), out_h, out_w)
     if bias is not None:
         out = out + bias.reshape(1, weight.shape[0], 1, 1)
     return out
@@ -144,7 +144,7 @@ def quantizer_forward(q, x: Tensor) -> Tensor:
     return fake_quantize(x, q.scale(), q.n_bits)
 
 
-def composed_qat_forward(layer, x, backend=None) -> Tensor:
+def composed_qat_forward(layer, x) -> Tensor:
     """:class:`repro.quant.QuantWinogradConv2d`'s forward on the composed
     graph: spatial fake-quant, then the Winograd-domain quantizers as
     hooks."""
@@ -156,8 +156,8 @@ def composed_qat_forward(layer, x, backend=None) -> Tensor:
         weight = quantizer_forward(layer.weight_quant, weight)
     if not layer.winograd_aware and layer.training:
         return F.conv2d(x, weight, layer.bias, stride=1, padding=layer.padding,
-                        backend=backend)
+                        backend="reference")
     return composed_winograd(
-        x, weight, layer.transform, layer.bias, layer.padding, backend,
+        x, weight, layer.transform, layer.bias, layer.padding,
         input_hook=lambda t: quantizer_forward(layer.input_wino_quant, t),
         weight_hook=lambda t: quantizer_forward(layer.weight_wino_quant, t))

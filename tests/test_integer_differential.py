@@ -11,6 +11,10 @@ two.  With arbitrary scales the weights still bind to the same integers on
 both backends (they are transformed exactly with the integral ``k·G``), so
 only the float ``S_BG`` rescale and ``AT y A`` may differ in the last ulps.
 The integer statistics must be identical either way.
+
+The tap-wise scales themselves are checked against the seed's staged
+``reference`` primitives on the same geometries: ``calibrate_tapwise_scales``
+reads its per-tap maxima from one fused forward.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ import pytest
 
 from repro import engine
 from repro.kernels import fast
-from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
+from repro.kernels import reference as ref
+from repro.quant import (calibrate_tapwise_scales, compute_scale,
+                         integer_winograd_conv2d, quantize_dequantize_spatial)
 from repro.winograd import get_transform, winograd_f6
-from repro.winograd.tiling import tile_counts
+from repro.winograd.tiling import pad_for_tiling, tile_counts
 
 ODD_SIZES = (3, 5, 7, 9, 11, 13, 15, 17, 19, 21)
 PRIME_SIZES = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -45,15 +51,23 @@ class Case:
     seed: int
     saturate: bool = False
 
-    def run(self, backend):
+    def operands(self):
+        """``(transform, x, weight, bias, calibration input)``."""
         rng = np.random.default_rng(self.seed)
         t = get_transform(self.transform)
         x = np.maximum(rng.normal(size=(self.n, self.cin, self.h, self.w)), 0.0)
         weight = rng.normal(size=(self.cout, self.cin, 3, 3))
         bias = rng.normal(size=self.cout)
-        x_cal = 0.5 * x if self.saturate else x
-        scales = calibrate_tapwise_scales(x_cal, weight, t, power_of_two=self.power_of_two,
-                                          padding=self.padding)
+        return t, x, weight, bias, 0.5 * x if self.saturate else x
+
+    def calibrate(self, backend=None):
+        t, _, weight, _, x_cal = self.operands()
+        return calibrate_tapwise_scales(x_cal, weight, t, power_of_two=self.power_of_two,
+                                        padding=self.padding, backend=backend)
+
+    def run(self, backend):
+        t, x, weight, bias, _ = self.operands()
+        scales = self.calibrate()
         return integer_winograd_conv2d(x, weight, t, scales, bias=bias,
                                        padding=self.padding, return_stats=True,
                                        backend=backend)
@@ -132,6 +146,40 @@ def test_fast_matches_reference(case):
     else:
         np.testing.assert_allclose(out_fast, out_ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(out_ref).max())
+
+
+def staged_tap_scales(case: Case) -> tuple[np.ndarray, np.ndarray]:
+    """``(S_B, S_G)`` of ``case`` from the seed's staged ``reference``
+    primitives: per-tap maxima of ``BT x B`` over the extracted tiles and of
+    ``G f GT``, after the int8 spatial fake quantization."""
+    t, _, weight, _, x_cal = case.operands()
+    x_hat = quantize_dequantize_spatial(
+        x_cal, float(compute_scale(np.abs(x_cal).max(), 8)), 8)
+    w_hat = quantize_dequantize_spatial(
+        weight, float(compute_scale(np.abs(weight).max(), 8)), 8)
+    padded, _, _ = pad_for_tiling(x_hat, t.m, t.r, case.padding)
+    tiles_w = ref.apply_transform_pair(ref.extract_tiles(padded, t.m, t.r), t.BT, t.B)
+    weight_w = ref.apply_transform_pair(w_hat, t.G, t.G.T)
+    scales = (compute_scale(np.abs(tiles_w).max(axis=(0, 1, 2, 3)), 8),
+              compute_scale(np.abs(weight_w).max(axis=(0, 1)), 8))
+    if case.power_of_two:
+        scales = tuple(np.power(2.0, np.ceil(np.log2(s))) for s in scales)
+    return scales
+
+
+@pytest.mark.parametrize("case", CASES, ids=repr)
+def test_calibration_matches_staged_reference(case):
+    want = staged_tap_scales(case)
+    for backend in ("reference", "fast"):
+        got = case.calibrate(backend)
+        for side, got_s, want_s in zip(("S_B", "S_G"), (got.input_wino, got.weight_wino),
+                                       want):
+            if backend == "reference" or case.power_of_two:
+                np.testing.assert_array_equal(got_s, want_s, err_msg=f"{backend} {side}")
+            else:
+                # fast's separable BT x B may round the last ulp differently.
+                np.testing.assert_allclose(got_s, want_s, rtol=1e-15, atol=0,
+                                           err_msg=f"{backend} {side}")
 
 
 # --------------------------------------------------------------------------- #

@@ -90,8 +90,22 @@ class TestRegistry:
 # --------------------------------------------------------------------------- #
 # The call contract every registered backend implements
 # --------------------------------------------------------------------------- #
+# The members a workload calls: the weight pair transform, the im2col
+# lowering and its GEMMs, and the fused Winograd forward and training step.
+CONTRACT = ["apply_transform_pair", "im2col", "col2im", "conv2d_gemm",
+            "conv2d_gemm_dw", "conv2d_gemm_dcols", "winograd_forward",
+            "winograd_autograd"]
+
+
 @pytest.mark.parametrize("name", available_backends())
 class TestCallContract:
+    def test_members_are_the_ones_a_workload_calls(self, name):
+        be = get_backend(name)
+        assert sorted(be.primitives()) == sorted(CONTRACT)
+        wrapped = []
+        be.instrumented(lambda member, fn: wrapped.append(member) or fn)
+        assert sorted(wrapped) == sorted(CONTRACT)
+
     def test_winograd_forward_w_r_and_out(self, rng, name):
         be, t = get_backend(name), winograd_f4()
         x_padded = rng.normal(size=(1, 2, 10, 14))   # 2x3 tiles, full 8x12
@@ -129,61 +143,12 @@ class TestCallContract:
 # Primitive-level equivalence
 # --------------------------------------------------------------------------- #
 class TestPrimitives:
-    def test_tile_contract_and_adjoints(self, rng):
-        xw = rng.normal(size=(2, 3, 4, 5, 6, 6))
-        ww = rng.normal(size=(7, 3, 6, 6))
-        out_ref = REF.tile_contract(xw, ww)
-        np.testing.assert_allclose(FAST.tile_contract(xw, ww), out_ref, atol=1e-12)
-        grad = rng.normal(size=out_ref.shape)
-        np.testing.assert_allclose(FAST.tile_contract_dx(grad, ww),
-                                   REF.tile_contract_dx(grad, ww), atol=1e-12)
-        np.testing.assert_allclose(FAST.tile_contract_dw(grad, xw),
-                                   REF.tile_contract_dw(grad, xw), atol=1e-12)
-
-    def test_tile_contract_integer_bit_exact(self, rng):
-        xw = rng.integers(-512, 512, size=(2, 3, 4, 4, 6, 6))
-        ww = rng.integers(-512, 512, size=(5, 3, 6, 6))
-        out_fast = FAST.tile_contract(xw, ww)
-        np.testing.assert_array_equal(out_fast, REF.tile_contract(xw, ww))
-        assert out_fast.dtype == np.int64
-
     def test_apply_transform_pair(self, rng):
         t = winograd_f4()
         tiles = rng.normal(size=(2, 3, 4, 4, 6, 6))
         np.testing.assert_allclose(
             FAST.apply_transform_pair(tiles, t.BT, t.B),
             REF.apply_transform_pair(tiles, t.BT, t.B), atol=1e-12)
-
-    def test_extract_tiles_view_matches_copy(self, rng):
-        x = rng.normal(size=(2, 3, 14, 18))
-        ref_tiles = REF.extract_tiles(x, 4, 3)
-        fast_tiles = FAST.extract_tiles(x, 4, 3)
-        np.testing.assert_array_equal(fast_tiles, ref_tiles)
-        assert not fast_tiles.flags.writeable  # no-copy view
-        assert ref_tiles.flags.c_contiguous
-
-    @pytest.mark.parametrize("m,r", [(2, 3), (4, 3), (6, 3)])
-    def test_scatter_tiles_add(self, rng, m, r):
-        alpha = m + r - 1
-        n_h, n_w = 3, 5
-        padded_shape = (2, 3, n_h * m + r - 1, n_w * m + r - 1)
-        tiles = rng.integers(-50, 50, size=(2, 3, n_h, n_w, alpha, alpha))
-        np.testing.assert_array_equal(
-            FAST.scatter_tiles_add(tiles, padded_shape, m, r),
-            REF.scatter_tiles_add(tiles, padded_shape, m, r))
-        ftiles = tiles.astype(np.float64)
-        np.testing.assert_allclose(
-            FAST.scatter_tiles_add(ftiles, padded_shape, m, r),
-            REF.scatter_tiles_add(ftiles, padded_shape, m, r), atol=1e-12)
-
-    def test_extract_tiles_public_copy_flag(self, rng):
-        from repro.winograd.tiling import extract_tiles
-        x = rng.normal(size=(1, 2, 10, 10))
-        copied = extract_tiles(x, 4, 3)
-        view = extract_tiles(x, 4, 3, copy=False)
-        np.testing.assert_array_equal(view, copied)
-        assert copied.flags.writeable and copied.flags.c_contiguous
-        assert not view.flags.writeable  # zero-copy strided view
 
     def test_fast_im2col_1x1_does_not_alias_input(self, rng):
         x = rng.normal(size=(2, 3, 5, 5))
@@ -316,12 +281,22 @@ class TestTransformCaching:
         assert ints.BT.dtype == np.int64
         assert ints.G is None  # G of F4 is fractional
 
-    def test_env_switch_affects_module_level_dispatch(self, monkeypatch, rng):
-        """scatter_tiles_add (public tiling API) follows the active backend."""
-        from repro.winograd.tiling import scatter_tiles_add
-        tiles = rng.integers(-9, 9, size=(1, 1, 2, 2, 6, 6))
-        with use_backend("reference"):
-            ref = scatter_tiles_add(tiles, (1, 1, 10, 10), 4, 3)
+    def test_env_switch_affects_module_level_dispatch(self, rng):
+        """nn.functional.col2im (a module-level entry point without a
+        backend= argument) dispatches to the active backend."""
+        calls = []
+
+        def spy(member, fn):
+            def call(*args, **kwargs):
+                calls.append(member)
+                return fn(*args, **kwargs)
+            return call
+
+        cols = rng.integers(-9, 9, size=(1, 18, 16))
+        with use_backend(REF.instrumented(spy)):
+            ref = F.col2im(cols, (1, 2, 4, 4), (3, 3), 1, 1)
+        assert calls == ["col2im"]
         with use_backend("fast"):
-            fast = scatter_tiles_add(tiles, (1, 1, 10, 10), 4, 3)
+            fast = F.col2im(cols, (1, 2, 4, 4), (3, 3), 1, 1)
+        assert calls == ["col2im"]
         np.testing.assert_array_equal(ref, fast)

@@ -19,8 +19,8 @@ import pytest
 from repro.kernels import get_backend
 from repro.nn.tensor import Tensor
 from repro.quant import calibrate_tapwise_scales, integer_winograd_conv2d
-from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor,
-                            winograd_f2, winograd_f4)
+from repro.winograd import (integer_transform_matrices, winograd_conv2d,
+                            winograd_conv2d_tensor, winograd_f2, winograd_f4)
 
 REF = get_backend("reference")
 FAST = get_backend("fast")
@@ -62,10 +62,10 @@ class TestEquivalence:
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_integer_primitives_bit_exact(self, rng):
-        xw = rng.integers(-512, 512, size=(2, 3, 4, 4, 6, 6))
-        ww = rng.integers(-512, 512, size=(5, 3, 6, 6))
-        out = FAST.tile_contract(xw, ww)
-        np.testing.assert_array_equal(out, REF.tile_contract(xw, ww))
+        bt = integer_transform_matrices(winograd_f4()).BT
+        tiles = rng.integers(-512, 512, size=(2, 3, 4, 4, 6, 6))
+        out = FAST.apply_transform_pair(tiles, bt, bt.T)
+        np.testing.assert_array_equal(out, REF.apply_transform_pair(tiles, bt, bt.T))
         assert out.dtype == np.int64
 
     @pytest.mark.parametrize("factory", [winograd_f2, winograd_f4])

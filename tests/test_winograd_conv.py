@@ -158,7 +158,7 @@ def _qat_layer(case: QatCase) -> tuple[QuantWinogradConv2d, np.ndarray, np.ndarr
     layer.bias.data = rng.normal(size=case.cout)
     with use_backend("reference"):
         composed_qat_forward(layer, Tensor(rng.normal(size=(
-            case.n, case.cin, case.h, case.w))), backend="reference")
+            case.n, case.cin, case.h, case.w))))
     if case.learned:
         layer.enable_learned_scales()
     x = rng.normal(size=(case.n, case.cin, case.h, case.w))
@@ -172,8 +172,7 @@ def _qat_step(layer: QuantWinogradConv2d, x: np.ndarray, grad: np.ndarray,
     layer = copy.deepcopy(layer)
     xt = Tensor(x, requires_grad=True)
     with use_backend(backend):
-        out = (composed_qat_forward(layer, xt, backend=backend) if composed
-               else layer(xt))
+        out = composed_qat_forward(layer, xt) if composed else layer(xt)
     out.backward(grad)
     result = {"out": out.data, "dx": xt.grad, "dw": layer.weight.grad,
               "db": layer.bias.grad}

@@ -11,8 +11,8 @@ from repro.winograd import (WinogradTransform, bit_growth, cook_toom_matrices,
                             transform_output_tile, transform_weight,
                             verify_transform_1d, winograd_f2, winograd_f4,
                             winograd_f6)
-from repro.winograd.tiling import (assemble_output_tiles, extract_tiles,
-                                   pad_for_tiling, scatter_tiles_add, tile_counts)
+from repro.kernels.reference import extract_tiles, scatter_tiles_add
+from repro.winograd.tiling import assemble_output_tiles, pad_for_tiling, tile_counts
 
 
 class TestPaperMatrices:
