@@ -355,6 +355,7 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
 
     # (a, a, Cin, N, nH, nW) input taps of the whole layer.
     v = _transform_taps(bt, np.array(view, order="C"))
+    v_shape, padded_shape = v.shape, x_padded.shape
     v_q, input_backward = _fake_quant_taps(
         v, _INPUT_FROM_TAPS, _INPUT_TO_TAPS, spec.input_scale,
         spec.input_bits, spec.input_log2_t, owned=True)
@@ -393,13 +394,13 @@ def _whole_layer_step(x_padded: np.ndarray, weight: np.ndarray, transform,
         del g
         # The Cube Unit's two transposed GEMMs, then the STE (and Eq. 3).
         dv, dlog2_in = input_backward(
-            np.matmul(w_q.transpose(0, 2, 1), dacc).reshape(v.shape))
+            np.matmul(w_q.transpose(0, 2, 1), dacc).reshape(v_shape))
         dw, dlog2_w = weight_backward(
             np.matmul(dacc, v_q.transpose(0, 2, 1)).reshape(a, a, cout, cin))
         del dacc
         dt = _transform_taps(bt.T, dv)
         del dv
-        dx_padded = _scatter_taps(dt, x_padded.shape, m)
+        dx_padded = _scatter_taps(dt, padded_shape, m)
         kmat = _pair_kron(transform.G, transform.G.T)         # (r², a²)
         dweight = (kmat @ dw.reshape(a * a, cout * cin)).T.reshape(
             cout, cin, r, r)

@@ -279,7 +279,7 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
     weight_wino = apply_transform_pair(weight, t.G, t.G.T)
     tiles_w, sides, full = _winograd_stages(x_padded, weight_wino, t, quant)
     out = np.ascontiguousarray(full[:, :, :out_h, :out_w])
-    full_shape = full.shape
+    full_shape, padded_shape = full.shape, x_padded.shape
     (tiles_q, _, _), (weight_q, _, _) = sides
 
     def backward(grad: np.ndarray) -> tuple:
@@ -302,7 +302,7 @@ def winograd_autograd(x_padded: np.ndarray, weight: np.ndarray, transform,
                                              quant.weight_log2_t,
                                              quant.weight_bits)
         dtiles = apply_transform_pair(dtiles_w, t.BT.T, t.B.T)
-        grads = (scatter_tiles_add(dtiles, x_padded.shape, t.m, t.r),
+        grads = (scatter_tiles_add(dtiles, padded_shape, t.m, t.r),
                  apply_transform_pair(dweight_w, t.G.T, t.G))
         if quant is None:
             return grads

@@ -143,7 +143,7 @@ def _conv2d_eager(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def _backward(grad: np.ndarray):
         grad2d = grad.reshape(n, cout, out_h * out_w)
-        dw = be.conv2d_gemm_dw(grad2d, cols).reshape(weight.shape)
+        dw = be.conv2d_gemm_dw(grad2d, cols).reshape(cout, cin, kh, kw)
         dcols = be.conv2d_gemm_dcols(w2d, grad2d)
         dx = be.col2im(dcols, (n, cin, h, w), (kh, kw), stride, padding)
         if bias is None:
@@ -165,7 +165,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows."""
     stride = stride or kernel
     x = as_tensor(x)
-    n, c, h, w = x.shape
+    x_shape = n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
     s0, s1, s2, s3 = x.data.strides
@@ -180,7 +180,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     out_data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
 
     def _backward(grad: np.ndarray):
-        dx = np.zeros_like(x.data, dtype=np.float64)
+        dx = np.zeros(x_shape, dtype=np.float64)
         ky, kx = np.unravel_index(argmax, (kernel, kernel))
         n_idx, c_idx, oh_idx, ow_idx = np.indices((n, c, out_h, out_w))
         rows = oh_idx * stride + ky
@@ -195,7 +195,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling."""
     stride = stride or kernel
     x = as_tensor(x)
-    n, c, h, w = x.shape
+    x_shape = n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
     s0, s1, s2, s3 = x.data.strides
@@ -208,7 +208,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     out_data = windows.mean(axis=(-1, -2))
 
     def _backward(grad: np.ndarray):
-        dx = np.zeros_like(x.data, dtype=np.float64)
+        dx = np.zeros(x_shape, dtype=np.float64)
         scale = 1.0 / (kernel * kernel)
         for i in range(kernel):
             for j in range(kernel):

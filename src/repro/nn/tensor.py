@@ -7,10 +7,14 @@ nodes with straight-through estimators, and through learned power-of-two scale
 factors.  Rather than depending on PyTorch (not available in this
 environment), we implement a compact but complete autograd engine.
 
-The design follows the classic tape-based approach: every :class:`Tensor`
-records the operation that produced it and a backward closure.  Calling
-:meth:`Tensor.backward` topologically sorts the graph and accumulates
-gradients into the leaves.
+The graph is made of nodes, not tensors.  An op whose output needs a
+gradient gives that output a private ``_Node`` holding the parents' nodes
+and the op's backward closure; a leaf tensor gets (once, cached) a node that
+points back to it so :meth:`Tensor.backward` can accumulate into its
+``.grad``.  No node refers to a non-leaf tensor, so an intermediate
+activation is freed as soon as its caller drops it: only the arrays a
+backward closure saved survive the forward.  Calling :meth:`Tensor.backward`
+topologically sorts the nodes and applies the closures in reverse.
 
 Only float64/float32 arrays are supported for differentiable tensors; integer
 arrays may be wrapped with ``requires_grad=False`` (useful for index tensors
@@ -78,10 +82,26 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(value, requires_grad=requires_grad)
 
 
+class _Node:
+    """One vertex of the autograd graph.
+
+    ``parents`` holds the parent nodes aligned with the op's inputs (``None``
+    for an input that needed no gradient), ``backward`` the op's closure, and
+    ``leaf`` -- for a leaf only -- the tensor whose ``.grad`` accumulates.
+    """
+
+    __slots__ = ("parents", "backward", "leaf")
+
+    def __init__(self, parents: tuple, backward, leaf: "Tensor | None" = None):
+        self.parents = parents
+        self.backward = backward
+        self.leaf = leaf
+
+
 class Tensor:
     """A numpy-backed tensor with reverse-mode autodiff support."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
@@ -98,8 +118,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
-        self._backward = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node: _Node | None = None
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -133,12 +152,7 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def clone(self) -> "Tensor":
-        out = self._make(self.data.copy(), (self,))
-        if out.requires_grad:
-            def _bw(grad):
-                return (grad,)
-            out._backward = _bw
-        return out
+        return self.from_op(self.data.copy(), (self,), lambda grad: (grad,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -149,12 +163,17 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
-    def _make(self, data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = parents
-        return out
+    def _graph_node(self) -> _Node | None:
+        """This tensor's graph vertex, or ``None`` if it needs no gradient.
+
+        An op output already has its node; a leaf gets one on first use,
+        cached so every use of the leaf meets at the same vertex.
+        """
+        if not self.requires_grad:
+            return None
+        if self._node is None:
+            self._node = _Node((), None, self)
+        return self._node
 
     @staticmethod
     def from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
@@ -162,13 +181,14 @@ class Tensor:
 
         ``backward`` receives the upstream gradient and must return a tuple of
         gradients aligned with ``parents`` (``None`` entries are allowed for
-        non-differentiable parents).
+        non-differentiable parents).  The output records a graph node only
+        when some parent needs a gradient; ``backward`` is dropped otherwise,
+        and so is every array it captured.
         """
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = parents
-            out._backward = backward
+        if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
+            return Tensor(data)
+        out = Tensor(data, requires_grad=True)
+        out._node = _Node(tuple(p._graph_node() for p in parents), backward)
         return out
 
     # ------------------------------------------------------------------ #
@@ -194,9 +214,10 @@ class Tensor:
 
         # Topological ordering of the graph (iterative DFS to avoid recursion
         # limits on deep networks).
-        topo: list[Tensor] = []
+        root = self._graph_node()
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -206,25 +227,25 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[int, np.ndarray] = {id(root): grad}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node._parents == () or node._backward is None:
-                # Leaf: accumulate.
-                if node.grad is None:
-                    node.grad = node_grad.astype(node.data.dtype, copy=True)
+            leaf = node.leaf
+            if leaf is not None:
+                if leaf.grad is None:
+                    leaf.grad = node_grad.astype(leaf.data.dtype, copy=True)
                 else:
-                    node.grad = node.grad + node_grad
+                    leaf.grad = leaf.grad + node_grad
                 continue
-            parent_grads = node._backward(node_grad)
-            for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
+            parent_grads = node.backward(node_grad)
+            for parent, pgrad in zip(node.parents, parent_grads):
+                if pgrad is None or parent is None:
                     continue
                 pgrad = np.asarray(pgrad, dtype=np.float64)
                 if id(parent) in grads:
@@ -240,23 +261,17 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make(self.data + other.data, (self, other))
-        if out.requires_grad:
-            a_shape, b_shape = self.shape, other.shape
+        a_shape, b_shape = self.shape, other.shape
 
-            def _bw(grad):
-                return (_unbroadcast(grad, a_shape), _unbroadcast(grad, b_shape))
+        def _bw(grad):
+            return (_unbroadcast(grad, a_shape), _unbroadcast(grad, b_shape))
 
-            out._backward = _bw
-        return out
+        return self.from_op(self.data + other.data, (self, other), _bw)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = self._make(-self.data, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: (-grad,)
-        return out
+        return self.from_op(-self.data, (self,), lambda grad: (-grad,))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
@@ -266,81 +281,68 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make(self.data * other.data, (self, other))
-        if out.requires_grad:
-            a, b = self, other
+        a, b = self.data, other.data
 
-            def _bw(grad):
-                return (
-                    _unbroadcast(grad * b.data, a.shape),
-                    _unbroadcast(grad * a.data, b.shape),
-                )
+        def _bw(grad):
+            return (
+                _unbroadcast(grad * b, a.shape),
+                _unbroadcast(grad * a, b.shape),
+            )
 
-            out._backward = _bw
-        return out
+        return self.from_op(a * b, (self, other), _bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make(self.data / other.data, (self, other))
-        if out.requires_grad:
-            a, b = self, other
+        a, b = self.data, other.data
 
-            def _bw(grad):
-                return (
-                    _unbroadcast(grad / b.data, a.shape),
-                    _unbroadcast(-grad * a.data / (b.data ** 2), b.shape),
-                )
+        def _bw(grad):
+            return (
+                _unbroadcast(grad / b, a.shape),
+                _unbroadcast(-grad * a / (b ** 2), b.shape),
+            )
 
-            out._backward = _bw
-        return out
+        return self.from_op(a / b, (self, other), _bw)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
-        out = self._make(self.data ** exponent, (self,))
-        if out.requires_grad:
-            a = self
+        a = self.data
 
-            def _bw(grad):
-                return (grad * exponent * (a.data ** (exponent - 1)),)
+        def _bw(grad):
+            return (grad * exponent * (a ** (exponent - 1)),)
 
-            out._backward = _bw
-        return out
+        return self.from_op(a ** exponent, (self,), _bw)
 
     # ------------------------------------------------------------------ #
     # Matrix multiplication
     # ------------------------------------------------------------------ #
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make(self.data @ other.data, (self, other))
-        if out.requires_grad:
-            a, b = self, other
+        a_data, b_data = self.data, other.data
 
-            def _bw(grad):
-                a_data, b_data = a.data, b.data
-                if a_data.ndim == 1 and b_data.ndim == 1:
-                    ga = grad * b_data
-                    gb = grad * a_data
-                elif a_data.ndim == 1:
-                    ga = grad @ np.swapaxes(b_data, -1, -2)
-                    gb = np.outer(a_data, grad) if b_data.ndim == 2 else None
-                    if gb is None:
-                        gb = np.einsum("i,...j->...ij", a_data, grad)
-                elif b_data.ndim == 1:
-                    ga = np.einsum("...i,j->...ij", grad, b_data)
-                    gb = np.einsum("...ij,...i->j", a_data, grad)
-                else:
-                    ga = grad @ np.swapaxes(b_data, -1, -2)
-                    gb = np.swapaxes(a_data, -1, -2) @ grad
-                    ga = _unbroadcast(ga, a_data.shape)
-                    gb = _unbroadcast(gb, b_data.shape)
-                return (ga, gb)
+        def _bw(grad):
+            if a_data.ndim == 1 and b_data.ndim == 1:
+                ga = grad * b_data
+                gb = grad * a_data
+            elif a_data.ndim == 1:
+                ga = grad @ np.swapaxes(b_data, -1, -2)
+                gb = np.outer(a_data, grad) if b_data.ndim == 2 else None
+                if gb is None:
+                    gb = np.einsum("i,...j->...ij", a_data, grad)
+            elif b_data.ndim == 1:
+                ga = np.einsum("...i,j->...ij", grad, b_data)
+                gb = np.einsum("...ij,...i->j", a_data, grad)
+            else:
+                ga = grad @ np.swapaxes(b_data, -1, -2)
+                gb = np.swapaxes(a_data, -1, -2) @ grad
+                ga = _unbroadcast(ga, a_data.shape)
+                gb = _unbroadcast(gb, b_data.shape)
+            return (ga, gb)
 
-            out._backward = _bw
-        return out
+        return self.from_op(a_data @ b_data, (self, other), _bw)
 
     def matmul(self, other) -> "Tensor":
         return self @ other
@@ -350,87 +352,62 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: (grad * data,)
-        return out
+        return self.from_op(data, (self,), lambda grad: (grad * data,))
 
     def log(self) -> "Tensor":
-        out = self._make(np.log(self.data), (self,))
-        if out.requires_grad:
-            a = self
-            out._backward = lambda grad: (grad / a.data,)
-        return out
+        a = self.data
+        return self.from_op(np.log(a), (self,), lambda grad: (grad / a,))
 
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: (grad * 0.5 / np.maximum(data, 1e-30),)
-        return out
+        return self.from_op(data, (self,),
+                            lambda grad: (grad * 0.5 / np.maximum(data, 1e-30),))
 
     def abs(self) -> "Tensor":
-        out = self._make(np.abs(self.data), (self,))
-        if out.requires_grad:
-            a = self
-            out._backward = lambda grad: (grad * np.sign(a.data),)
-        return out
+        a = self.data
+        return self.from_op(np.abs(a), (self,), lambda grad: (grad * np.sign(a),))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out = self._make(self.data * mask, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: (grad * mask,)
-        return out
+        return self.from_op(self.data * mask, (self,), lambda grad: (grad * mask,))
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: (grad * data * (1.0 - data),)
-        return out
+        return self.from_op(data, (self,),
+                            lambda grad: (grad * data * (1.0 - data),))
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: (grad * (1.0 - data * data),)
-        return out
+        return self.from_op(data, (self,),
+                            lambda grad: (grad * (1.0 - data * data),))
 
     def clamp(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            a = self
-            lo = -np.inf if low is None else low
-            hi = np.inf if high is None else high
+        a = self.data
+        lo = -np.inf if low is None else low
+        hi = np.inf if high is None else high
 
-            def _bw(grad):
-                mask = (a.data >= lo) & (a.data <= hi)
-                return (grad * mask,)
+        def _bw(grad):
+            mask = (a >= lo) & (a <= hi)
+            return (grad * mask,)
 
-            out._backward = _bw
-        return out
+        return self.from_op(np.clip(a, low, high), (self,), _bw)
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
-        out = self._make(np.asarray(data), (self,))
-        if out.requires_grad:
-            a_shape = self.shape
+        a_shape = self.shape
 
-            def _bw(grad):
-                g = np.asarray(grad)
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    for ax in sorted(a if a >= 0 else a + len(a_shape) for a in axes):
-                        g = np.expand_dims(g, ax)
-                return (np.broadcast_to(g, a_shape).copy(),)
+        def _bw(grad):
+            g = np.asarray(grad)
+            if axis is not None and not keepdims:
+                axes = axis if isinstance(axis, tuple) else (axis,)
+                for ax in sorted(a if a >= 0 else a + len(a_shape) for a in axes):
+                    g = np.expand_dims(g, ax)
+            return (np.broadcast_to(g, a_shape).copy(),)
 
-            out._backward = _bw
-        return out
+        return self.from_op(np.asarray(data), (self,), _bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -447,24 +424,21 @@ class Tensor:
         return out
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(np.asarray(data), (self,))
-        if out.requires_grad:
-            a = self
+        a = self.data
 
-            def _bw(grad):
-                full = a.data.max(axis=axis, keepdims=True)
-                mask = (a.data == full).astype(np.float64)
-                mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-                g = np.asarray(grad)
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    for ax in sorted(x if x >= 0 else x + a.data.ndim for x in axes):
-                        g = np.expand_dims(g, ax)
-                return (mask * g,)
+        def _bw(grad):
+            full = a.max(axis=axis, keepdims=True)
+            mask = (a == full).astype(np.float64)
+            mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
+            g = np.asarray(grad)
+            if axis is not None and not keepdims:
+                axes = axis if isinstance(axis, tuple) else (axis,)
+                for ax in sorted(x if x >= 0 else x + a.ndim for x in axes):
+                    g = np.expand_dims(g, ax)
+            return (mask * g,)
 
-            out._backward = _bw
-        return out
+        return self.from_op(np.asarray(a.max(axis=axis, keepdims=keepdims)),
+                            (self,), _bw)
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -475,22 +449,18 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            a_shape = self.shape
-            out._backward = lambda grad: (grad.reshape(a_shape),)
-        return out
+        a_shape = self.shape
+        return self.from_op(self.data.reshape(shape), (self,),
+                            lambda grad: (grad.reshape(a_shape),))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out = self._make(self.data.transpose(axes), (self,))
-        if out.requires_grad:
-            inverse = tuple(np.argsort(axes))
-            out._backward = lambda grad: (grad.transpose(inverse),)
-        return out
+        inverse = tuple(np.argsort(axes))
+        return self.from_op(self.data.transpose(axes), (self,),
+                            lambda grad: (grad.transpose(inverse),))
 
     @property
     def T(self) -> "Tensor":
@@ -506,58 +476,42 @@ class Tensor:
         return self.reshape(shape)
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make(self.data[index], (self,))
-        if out.requires_grad:
-            a_shape = self.shape
-            a_dtype = self.data.dtype
+        a_shape = self.shape
 
-            def _bw(grad):
-                full = np.zeros(a_shape, dtype=np.float64 if a_dtype != np.float32 else np.float64)
-                np.add.at(full, index, grad)
-                return (full,)
+        def _bw(grad):
+            full = np.zeros(a_shape, dtype=np.float64)
+            np.add.at(full, index, grad)
+            return (full,)
 
-            out._backward = _bw
-        return out
+        return self.from_op(self.data[index], (self,), _bw)
 
     def pad(self, pad_width) -> "Tensor":
-        out = self._make(np.pad(self.data, pad_width), (self,))
-        if out.requires_grad:
-            slices = tuple(
-                slice(before, before + dim)
-                for (before, _after), dim in zip(pad_width, self.shape)
-            )
-            out._backward = lambda grad: (grad[slices],)
-        return out
+        slices = tuple(
+            slice(before, before + dim)
+            for (before, _after), dim in zip(pad_width, self.shape)
+        )
+        return self.from_op(np.pad(self.data, pad_width), (self,),
+                            lambda grad: (grad[slices],))
 
     @staticmethod
     def stack(tensors: list["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [as_tensor(t) for t in tensors]
         data = np.stack([t.data for t in tensors], axis=axis)
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(tensors)
+        count = len(tensors)
 
-            def _bw(grad):
-                pieces = np.split(grad, len(tensors), axis=axis)
-                return tuple(np.squeeze(p, axis=axis) for p in pieces)
+        def _bw(grad):
+            pieces = np.split(grad, count, axis=axis)
+            return tuple(np.squeeze(p, axis=axis) for p in pieces)
 
-            out._backward = _bw
-        return out
+        return Tensor.from_op(data, tuple(tensors), _bw)
 
     @staticmethod
     def concatenate(tensors: list["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [as_tensor(t) for t in tensors]
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(tensors)
-            sizes = [t.shape[axis] for t in tensors]
-            splits = np.cumsum(sizes)[:-1]
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
-            def _bw(grad):
-                return tuple(np.split(grad, splits, axis=axis))
+        def _bw(grad):
+            return tuple(np.split(grad, splits, axis=axis))
 
-            out._backward = _bw
-        return out
+        return Tensor.from_op(data, tuple(tensors), _bw)

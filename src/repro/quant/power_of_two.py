@@ -87,13 +87,14 @@ def learned_pow2_fake_quantize(x: Tensor, log2_t: Parameter, n_bits: int,
     else:
         qmin, qmax = 0, (1 << n_bits) - 1
 
+    x_data = x.data
     scale = pow2_gradient_scale(log2_t.data)
-    out, inside = fake_quantize(x.data, scale, qmin, qmax)
+    out, inside = fake_quantize(x_data, scale, qmin, qmax)
 
     def _backward(grad: np.ndarray):
         # Gradient w.r.t. the data: clipped straight-through; w.r.t. log2(t):
         # Eq. (3), reduced over the broadcast axes to the parameter shape.
         return (grad * inside,
-                learned_scale_grad(grad, x.data, scale, qmin, qmax))
+                learned_scale_grad(grad, x_data, scale, qmin, qmax))
 
     return Tensor.from_op(out, (x, log2_t), _backward)
