@@ -350,7 +350,7 @@ def _bind_per_layer_compiledconv(model) -> None:
             module.forward = forward
 
 
-# Per-worker bound layer of the pickling-pool baseline in serve_cases.
+# Per-worker compiled job of the pickling-pool baseline in serve_cases.
 _PICKLE_CONV = None
 
 
@@ -373,13 +373,17 @@ def serve_cases(repeats: int, warmup: int) -> dict:
       served as **per-layer CompiledConv calls** (bound convolutions inside
       the eager module graph — the pre-serve serving strategy).
     * ``shm_pool_batch{4,8}`` — the shared-memory pool head to head with a
-      plain pickling ``multiprocessing.Pool`` on one bound F4 layer,
-      persistent pools, same chunking.
+      plain pickling ``multiprocessing.Pool`` on a ``ModelJob`` over a
+      one-conv F4 model (the bound layer ``W``), persistent pools, same
+      chunking.
     """
-    from repro.engine import ConvJob, clear_plan_cache
+    from repro.engine import clear_plan_cache
     from repro.models.resnet_cifar import resnet_tiny
+    from repro.nn.layers import Conv2d
+    from repro.nn.module import Sequential
     from repro.nn.tensor import no_grad
-    from repro.serve import ShmWorkerPool, compile_model
+    from repro.serve import ModelJob, ShmWorkerPool, compile_model
+    from repro.serve.pool import chunk_bounds
 
     results = {}
     clear_plan_cache()
@@ -428,7 +432,9 @@ def serve_cases(repeats: int, warmup: int) -> dict:
     _print_case("obs_overhead_serve", case)
 
     # -- shm pool vs a plain pickling multiprocessing.Pool ------------------ #
-    job = ConvJob(weight=W, padding=1, transform="F4")
+    conv = Conv2d(32, 32, 3, padding=1, bias=False)
+    conv.weight.data = W
+    job = ModelJob(Sequential(conv), transform="F4")
     try:
         shm_pool = ShmWorkerPool(job, num_workers=2)
     except Exception as exc:  # pragma: no cover - sandboxed environments
@@ -442,11 +448,10 @@ def serve_cases(repeats: int, warmup: int) -> dict:
     try:
         for n in (4, 8):
             x = _RNG.normal(size=(n, 32, 32, 32))
-            chunk = -(-n // 2)
-            chunks = [x[i:i + chunk] for i in range(0, n, chunk)]
+            chunks = [x[lo:hi] for lo, hi in chunk_bounds(n, 2)]
 
             def run_shm():
-                shm_pool.run(x, chunk_size=chunk)
+                shm_pool.run(x)
 
             def run_pickle():
                 np.concatenate(pickle_pool.map(_pickle_pool_chunk, chunks),
@@ -466,8 +471,8 @@ def serve_cases(repeats: int, warmup: int) -> dict:
         bare_pool = ShmWorkerPool(job, num_workers=2, heartbeat_interval=None)
         try:
             x = _RNG.normal(size=(8, 32, 32, 32))
-            case = _paired_case(lambda: bare_pool.run(x, chunk_size=4),
-                                lambda: shm_pool.run(x, chunk_size=4),
+            case = _paired_case(lambda: bare_pool.run(x),
+                                lambda: shm_pool.run(x),
                                 repeats, warmup, "bare_s", "supervised_s",
                                 "overhead_supervised_vs_bare")
             results["shm_pool_supervision_overhead"] = case

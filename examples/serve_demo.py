@@ -9,8 +9,10 @@ Walks the `repro.serve` subsystem end to end:
 2. **Micro-batched serving** — single-image requests submitted from client
    threads are coalesced into batches under a latency deadline and served;
    the server reports p50/p99 latency and throughput.
-3. **Shared-memory sharding** — the same bound layer run inline and through
-   ``BatchRunner``'s persistent shared-memory worker pool.
+3. **Pool-served network** — the same ResNet served through ``Server`` over
+   a 2-worker ``BatchRunner(ModelJob(...))``: each persistent shared-memory
+   worker compiles the network once, and the pooled result is bit-identical
+   to the model run inline on the same chunks.
 4. **Fault injection** — a scripted ``FaultPlan`` SIGKILLs and corrupts
    workers mid-batch; the supervisor respawns them, retries their chunks,
    and the recovered results are bit-identical to a fault-free run.
@@ -30,11 +32,13 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.engine import BatchRunner, ConvJob
+from repro.engine import BatchRunner
 from repro.models.resnet_cifar import resnet_tiny
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
-from repro.serve import FaultPlan, Server, ShmWorkerPool, compile_model
+from repro.serve import (FaultPlan, ModelJob, Server, ShmWorkerPool,
+                         compile_model)
+from repro.serve.pool import chunk_bounds
 from repro.utils import seed_everything
 
 
@@ -80,43 +84,35 @@ def main() -> None:
           f"p99={stats['latency_p99_ms']:.2f} ms, "
           f"{stats['throughput_rps']:.0f} req/s")
 
-    # --- 3. shared-memory worker pool ---------------------------------------
-    job = ConvJob(weight=rng.normal(size=(32, 32, 3, 3)), padding=1,
-                  transform="F4")
-    big = rng.normal(size=(8, 32, 32, 32))
-    print("\n[3] BatchRunner inline vs shared-memory pool, batch of 8 "
-          "(interleaved rounds, medians):")
-    runners = {"inline": BatchRunner(job),
-               "shm": BatchRunner(job, num_workers=2)}
-    try:
-        if runners["shm"].transport != "shm":        # sandboxed environments
+    # --- 3. a network served over the shared-memory worker pool -----------
+    job = ModelJob(model)
+    print("\n[3] resnet_tiny served through Server over a 2-worker "
+          "BatchRunner:")
+    with BatchRunner(job, num_workers=2) as runner:
+        if runner.transport != "shm":                # sandboxed environments
             print("    shared-memory worker pool unavailable here; "
                   "sections [4] and [5] need it")
             return
-        times = {name: [] for name in runners}
-        for runner in runners.values():
-            runner.run(big)                          # warm the workers
-        for _ in range(7):
-            for name, runner in runners.items():
-                start = time.perf_counter()
-                runner.run(big)
-                times[name].append(time.perf_counter() - start)
-        medians = {name: sorted(ts)[len(ts) // 2] for name, ts in times.items()}
-        for name, median in medians.items():
-            print(f"    {name:6s}: {median * 1e3:7.2f} ms/batch")
-        print(f"    shared memory (2 workers) vs inline: "
-              f"{medians['inline'] / medians['shm']:.2f}x")
-    finally:
-        for runner in runners.values():
-            runner.close()
+        # A size cap of 8 with a long delay releases exactly one batch of 8.
+        with Server(runner, max_batch_size=8, max_delay_ms=10_000) as server:
+            handles = [server.submit(image) for image in x]
+            pooled = np.stack([h.result(timeout=30) for h in handles])
+            stats = server.stats()
+    chunked = np.concatenate([compiled.infer(x[lo:hi])
+                              for lo, hi in chunk_bounds(len(x), 2)])
+    print(f"    batches={stats['batches']} (mean batch size "
+          f"{stats['mean_batch_size']:.0f}), "
+          f"p50={stats['latency_p50_ms']:.2f} ms")
+    print(f"    pooled result bit-identical to the inline chunked model: "
+          f"{np.array_equal(pooled, chunked)}")
 
     # --- 4. fault injection: kill + corrupt, recover bit-exactly -------------
     print("\n[4] fault injection (scripted chaos, deterministic):")
     with ShmWorkerPool(job, num_workers=2) as clean_pool:
-        expected = clean_pool.run(big, chunk_size=4)
+        expected = clean_pool.run(x)
     plan = FaultPlan().kill(worker=0, step=1).corrupt(worker=1, step=1)
     with ShmWorkerPool(job, num_workers=2, faults=plan) as chaos_pool:
-        recovered = chaos_pool.run(big, chunk_size=4)
+        recovered = chaos_pool.run(x)
         stats = chaos_pool.stats()
         print(f"    plan: SIGKILL worker 0 at its step 1, corrupt worker 1's "
               f"first reply payload")
@@ -137,7 +133,7 @@ def main() -> None:
     print("\n[5] observability (repro.obs):")
     with obs.enabled_scope():
         with ShmWorkerPool(job, num_workers=2) as pool:
-            pool.run(big, chunk_size=4)
+            pool.run(x)
         with Server(compiled, max_batch_size=8, max_delay_ms=2.0) as server:
             for image in images[:8]:
                 server.submit(image)

@@ -15,9 +15,10 @@ batches through the fixed plan:
   with the tap-wise fake quantization inside it for QAT layers).
 * :class:`CompiledConv` — a plan with bound (pre-transformed) weights, for
   inference streams.
-* :class:`BatchRunner` / :class:`ConvJob` — shard input streams across
-  shared-memory pool workers through the kernel-registry seam; workers
-  compile their job once and share plan-cache keys, so they never re-lower.
+* :class:`BatchRunner` — the one owner of a shared-memory worker pool:
+  shards a pool job's batches across workers that compile the job once and
+  share plan-cache keys, and degrades to inline execution of the same
+  chunks when the pool is lost.
 * :func:`warm_plans` — pre-lower every conv layer of a model by tracing one
   forward pass, so training loops and sweeps start with a hot plan cache.
 
@@ -35,7 +36,7 @@ from .executor import CompiledConv, execute, execute_tensor
 from .plan import (PLAN_CACHE_MAXSIZE, LayerPlan, PlanStats, clear_plan_cache,
                    lower_conv2d, lower_winograd, plan_cache_stats,
                    reset_plan_stats)
-from .runner import BatchRunner, ConvJob
+from .runner import BatchRunner
 
 __all__ = [
     "ArenaPool",
@@ -54,7 +55,6 @@ __all__ = [
     "execute",
     "execute_tensor",
     "BatchRunner",
-    "ConvJob",
     "warm_plans",
 ]
 

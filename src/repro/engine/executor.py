@@ -29,8 +29,7 @@ points (``winograd_forward`` / ``winograd_autograd``), which every
 * :class:`CompiledConv` — a layer with its weights *bound*: the Winograd
   weight transform is done once at bind time, and every subsequent call
   just lowers the input shape through the shared plan cache (a hit after the
-  first call) and runs :func:`execute`.  This is the unit :class:`repro.engine.BatchRunner` ships to its
-  workers.
+  first call) and runs :func:`execute`.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ pipelines with traffic):
   pre-transformed weights, folded BatchNorm, fused ReLU, and a plan-keyed
   workspace arena (zero fresh large allocations in steady state).  ``infer``
   accepts an absolute ``deadline`` and aborts between steps when it expires.
+  :class:`ModelJob` is the same compilation as a pool job: each worker
+  compiles the network once.
 * :class:`MicroBatcher` / :class:`InferenceRequest` — dynamic micro-batching
   with per-shape queues, a configurable latency deadline, bounded admission
   (load shedding past ``max_pending``), request cancellation, and
@@ -20,12 +22,14 @@ pipelines with traffic):
   by a :class:`WorkerSupervisor`: dead or stalled workers are detected
   (process sentinel + heartbeats), respawned with capped backoff, and their
   unacknowledged jobs retried bit-exactly on surviving workers.
-  :class:`repro.engine.BatchRunner` delegates to it when sharding and degrades
-  to inline execution if the pool becomes :class:`PoolUnavailable`.
+  :class:`repro.engine.BatchRunner` owns it: it shards batches over the pool
+  and, if the pool becomes :class:`PoolUnavailable`, degrades to inline
+  execution of the same chunks.
 * :class:`Server` — a synchronous facade with ``submit`` / ``infer`` /
-  ``infer_batch``, end-to-end deadlines, load shedding, an in-process
-  fallback model, p50/p99 latency + robustness stats, and graceful
-  drain-on-close.
+  ``infer_batch``, end-to-end deadlines, load shedding, p50/p99 latency +
+  robustness stats, and graceful drain-on-close; it serves a
+  :class:`CompiledModel` in process or a ``BatchRunner(ModelJob(...))``
+  over the pool.
 * :class:`FaultPlan` — deterministic, seeded fault injection (kill / delay /
   drop / corrupt at scripted worker steps) so every failure mode above is a
   tested scenario, not a stack trace.
@@ -42,12 +46,13 @@ from .errors import (PoolUnavailable, RequestCancelled, RequestTimeout,
                      ServerOverloaded, ServingError, WorkerCrashed,
                      WorkerJobError)
 from .faults import Fault, FaultPlan
-from .model import CompiledModel, compile_model, register_compiler
+from .model import CompiledModel, ModelJob, compile_model, register_compiler
 from .pool import ShmWorkerPool, WorkerSupervisor
 from .server import Server, ServerStats
 
 __all__ = [
     "CompiledModel",
+    "ModelJob",
     "compile_model",
     "register_compiler",
     "InferenceRequest",

@@ -17,8 +17,8 @@ right one.  These exception types make each failure mode first-class:
 * :class:`ServerOverloaded` — bounded admission rejected the request (load
   shedding); carries the queue depth and limit so clients can back off.
 * :class:`PoolUnavailable` — the pool has no live workers and respawning
-  failed; the signal :class:`~repro.engine.BatchRunner` and
-  :class:`~repro.serve.Server` use to degrade to in-process execution.
+  failed; the signal :class:`~repro.engine.BatchRunner` uses to degrade to
+  in-process execution.
 
 Deadlines everywhere in this package are **absolute** ``time.monotonic()``
 timestamps (see :func:`deadline_clock`); public entry points that take a
@@ -144,7 +144,7 @@ class ServerOverloaded(ServingError):
 class PoolUnavailable(ServingError):
     """No live workers remain and respawning failed.
 
-    :class:`~repro.engine.BatchRunner` and :class:`~repro.serve.Server`
-    treat this as the trigger for graceful degradation to in-process
-    execution rather than a hard failure.
+    :class:`~repro.engine.BatchRunner` treats this as the trigger for
+    graceful degradation to in-process execution rather than a hard
+    failure; anything else that raises it fails its requests.
     """

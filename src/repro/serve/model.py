@@ -58,7 +58,7 @@ from ..nn.tensor import Tensor, no_grad
 from ..quant.qconv import QuantConv2d, QuantWinogradConv2d
 from ..winograd.transforms import WinogradTransform, get_transform
 
-__all__ = ["CompiledModel", "compile_model", "register_compiler"]
+__all__ = ["CompiledModel", "ModelJob", "compile_model", "register_compiler"]
 
 
 def _relu_(x: np.ndarray, in_place: bool) -> np.ndarray:
@@ -606,3 +606,46 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
     if input_shape is not None:
         compiled.warmup(input_shape)
     return compiled
+
+
+class ModelJob:
+    """Pool job serving a whole network: each worker compiles it once.
+
+    Implements the pool-job protocol of :mod:`repro.serve.pool`, so
+    :class:`~repro.engine.BatchRunner` shards it across a supervised
+    :class:`~repro.serve.ShmWorkerPool` (or runs it inline) and
+    :class:`~repro.serve.Server` serves the runner like any model.
+    ``transform`` and ``backend`` go to :func:`compile_model` in each
+    worker, resolved against that process's own registries.
+    """
+
+    def __init__(self, model: Module,
+                 transform: WinogradTransform | str | None = "F4",
+                 backend: str | KernelBackend | None = None):
+        self.model = model
+        self.transform = transform
+        self.backend = backend
+        self._out_shapes: dict[tuple, tuple] = {}
+
+    def compile(self):
+        return compile_model(self.model, transform=self.transform,
+                             backend=self.backend).infer
+
+    def out_shape(self, in_shape: tuple) -> tuple:
+        """Reply shape for ``in_shape``, from one cached 1-row eval forward
+        in the parent per distinct per-sample shape."""
+        sample = tuple(in_shape[1:])
+        if sample not in self._out_shapes:
+            was_training = self.model.training
+            self.model.eval()
+            try:
+                with no_grad():
+                    out = self.model(Tensor(np.zeros((1,) + sample)))
+            finally:
+                if was_training:
+                    self.model.train()
+            self._out_shapes[sample] = out.shape[1:]
+        return (in_shape[0],) + self._out_shapes[sample]
+
+    def out_dtype(self, in_dtype) -> np.dtype:
+        return np.dtype(np.float64)

@@ -14,9 +14,15 @@ instead:
   ``("run", offset, shape, dtype)`` / ``("ok", shape, dtype, crc, trace)`` —
   never array data (``trace`` is the worker's drained span events when
   :mod:`repro.obs` tracing is on, ``None`` otherwise);
-* workers are **long-lived**: each compiles its :class:`~repro.engine.ConvJob`
-  once at startup (plan cache, transformed weights) and serves frames until
+* workers are **long-lived**: each compiles its job once at startup (plan
+  cache, transformed weights) and serves frames until
   :meth:`ShmWorkerPool.close`, so steady-state requests hit only warm caches.
+
+A *job* is any picklable object with ``compile() -> callable`` (built once
+per worker; the callable maps one input array to one output array),
+``out_shape(in_shape)`` and ``out_dtype(in_dtype)`` (so the parent sizes
+output segments without a round trip): :class:`~repro.serve.ModelJob` for
+serving and :class:`~repro.train.GradStepJob` for training.
 
 On top of the transport sits a :class:`WorkerSupervisor` (PR 6) that makes
 worker failure a recoverable event instead of a poisoned pool:
@@ -46,13 +52,13 @@ worker failure a recoverable event instead of a poisoned pool:
   is installed) and retried like a crash.
 
 When no live worker remains and respawning fails, the pool raises
-:class:`PoolUnavailable` — the signal callers (``BatchRunner``, ``Server``)
-use to degrade to in-process execution.
+:class:`PoolUnavailable` — the signal :class:`repro.engine.BatchRunner`, the
+pool's one owner in ``src/``, uses to degrade to in-process execution of the
+same :func:`chunk_bounds` chunks.
 
 Segments grow on demand (the parent allocates a bigger segment and tells the
 worker to re-attach), so the pool adapts to whatever batch shapes traffic
-brings.  :class:`repro.engine.BatchRunner` with ``num_workers > 0``
-delegates here.
+brings.
 """
 
 from __future__ import annotations
@@ -74,9 +80,38 @@ from ..obs import trace as _trace
 from .errors import (PoolUnavailable, RequestTimeout, ServingError,
                      WorkerCrashed, WorkerJobError, deadline_clock)
 
-__all__ = ["ShmWorkerPool", "WorkerSupervisor"]
+__all__ = ["ShmWorkerPool", "WorkerSupervisor", "chunk_bounds"]
 
 _ALIGN = 64
+
+
+def chunk_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
+    """Deterministic shard boundaries: fixed by ``num_shards``, even split.
+
+    ``ceil(n / num_shards)`` rows per shard.  The pool shards every batch
+    this way, keyed to its configured (not live) worker count, and the
+    inline paths that stand in for it cut the same chunks, so a batch's
+    result never depends on which process computed it.
+    """
+    if n < 1:
+        raise ValueError("cannot shard an empty batch")
+    chunk = -(-n // max(int(num_shards), 1))
+    return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
+
+
+def _release_free_heap() -> None:
+    """Hand the parent's free malloc pages back to the OS before a fork.
+
+    A forked worker starts with every resident page of the parent, free
+    heap chunks included, and counts them in its own RSS.  Whether glibc
+    has already trimmed those chunks depends on heap layout, so without
+    this a worker's peak RSS moves by ~12 MiB with unrelated code changes.
+    """
+    import ctypes
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):     # not glibc
+        pass
 
 
 def _pick_context(name: str | None) -> multiprocessing.context.BaseContext:
@@ -317,6 +352,7 @@ class _Worker:
                 args=(job, self.ring.shm.name, self.out_shm.name, child_conn,
                       index, faults, heartbeat_interval, checksum),
                 daemon=True)
+            _release_free_heap()
             self.proc.start()
         except BaseException:              # e.g. process spawn forbidden
             self.ring.destroy()
@@ -554,12 +590,12 @@ class WorkerSupervisor:
 
 
 class ShmWorkerPool:
-    """Supervised long-lived convolution workers on shared-memory transport.
+    """Supervised long-lived workers on shared-memory transport.
 
     Parameters
     ----------
     job:
-        The :class:`~repro.engine.ConvJob` every worker compiles once.
+        The pool job every worker compiles once (see the module docstring).
     num_workers:
         Worker process count (must be >= 1; inline execution is the
         caller's — :class:`~repro.engine.BatchRunner`'s — job).
@@ -666,10 +702,9 @@ class ShmWorkerPool:
     def _out_shape(self, in_shape: tuple) -> tuple:
         """Reply shape for one input chunk, from the job's own protocol.
 
-        Jobs describe their replies (``out_shape``/``out_dtype``, see
-        :class:`~repro.engine.ConvJob`) so the pool can size output segments
-        for *any* job kind — convolution chunks and gradient shards alike —
-        without a worker round trip.
+        Jobs describe their replies (``out_shape``/``out_dtype``) so the pool
+        can size output segments for *any* job kind — model batches and
+        gradient shards alike — without a worker round trip.
         """
         return tuple(self.job.out_shape(tuple(in_shape)))
 
@@ -850,16 +885,17 @@ class ShmWorkerPool:
                     break
 
     # ------------------------------------------------------------------ #
-    def run(self, x: np.ndarray, chunk_size: int | None = None,
+    def run(self, x: np.ndarray, *,
             deadline: float | None = None) -> np.ndarray:
         """One batch, sharded along the batch axis across the workers.
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp; a
         drive still in flight past it raises :class:`RequestTimeout` (the
         stalled workers are replaced, so later batches are unaffected).
-        Chunk boundaries depend only on ``num_workers``, never on the number
-        of currently-live workers, so results are bit-identical regardless
-        of which worker (or retry) computed each chunk.
+        Chunk boundaries are :func:`chunk_bounds` of ``num_workers``, never
+        of the number of currently-live workers, so results are
+        bit-identical regardless of which worker (or retry) computed each
+        chunk.
         """
         x = np.ascontiguousarray(x)
         n = x.shape[0]
@@ -871,26 +907,24 @@ class ShmWorkerPool:
         live = self._live()
         if not live:
             raise PoolUnavailable("worker pool has no live workers")
-        chunk = chunk_size or -(-n // self.num_workers)
-        starts = list(range(0, n, chunk))
+        bounds = chunk_bounds(n, self.num_workers)
         out_shape = self._out_shape(x.shape)
         result = np.empty(out_shape, dtype=self._out_dtype(x.dtype))
 
-        def make_sink(row0: int, rows: int):
+        def make_sink(lo: int, hi: int):
             def sink(arr: np.ndarray) -> None:
-                np.copyto(result[row0:row0 + rows], arr)
+                np.copyto(result[lo:hi], arr)
             return sink
 
-        for idx, start in enumerate(starts):
-            piece = x[start:start + chunk]
-            job = _Job(idx, piece, make_sink(start, piece.shape[0]))
+        for idx, (lo, hi) in enumerate(bounds):
+            job = _Job(idx, x[lo:hi], make_sink(lo, hi))
             live[idx % len(live)].queue.append(job)
-        with _trace.span("pool.run", cat="pool", jobs=len(starts),
+        with _trace.span("pool.run", cat="pool", jobs=len(bounds),
                          batch=int(n)):
             self._drive(deadline=deadline)
         return result
 
-    def map(self, inputs, deadline: float | None = None) -> list[np.ndarray]:
+    def map(self, inputs) -> list[np.ndarray]:
         """A stream of independent input arrays (one result per input)."""
         arrays = [np.ascontiguousarray(a) for a in inputs]
         results: list[np.ndarray | None] = [None] * len(arrays)
@@ -907,7 +941,7 @@ class ShmWorkerPool:
         for i, arr in enumerate(arrays):
             live[i % len(live)].queue.append(_Job(i, arr, make_sink(i)))
         with _trace.span("pool.map", cat="pool", jobs=len(arrays)):
-            self._drive(deadline=deadline)
+            self._drive()
         return results
 
     # ------------------------------------------------------------------ #

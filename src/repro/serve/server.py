@@ -2,8 +2,9 @@
 
 :class:`Server` ties the serving pieces together:
 
-* a :class:`~repro.serve.CompiledModel` (or any ``batch -> batch`` callable)
-  does the actual math;
+* a :class:`~repro.serve.CompiledModel`, a pool-backed
+  :class:`~repro.engine.BatchRunner` over a :class:`~repro.serve.ModelJob`,
+  or any ``batch -> batch`` callable does the actual math;
 * a :class:`~repro.serve.MicroBatcher` coalesces :meth:`submit`-ed
   single-image requests into batches under a latency deadline, per shape;
 * one or more worker threads block on the batcher's condition variable
@@ -11,7 +12,7 @@
   request handles;
 * every completed request feeds the latency/throughput accounting exposed by
   :meth:`stats` (p50/p99 latency, mean batch size, requests per second,
-  queue watermark, shed/timeout/fallback counters).
+  queue watermark, shed/timeout counters).
 
 Failure modes and guarantees (PR 6):
 
@@ -26,11 +27,11 @@ Failure modes and guarantees (PR 6):
   aborting between steps).  :meth:`infer`'s timeout rides the same
   path and cancels the queued request on expiry, so no orphaned work stays
   behind.
-* **Graceful degradation** — when the primary model raises
-  :class:`~repro.serve.PoolUnavailable` (its worker pool died and could not
-  be respawned), the batch is transparently re-run on the in-process
-  ``fallback`` model if one was given; the fall-back count is visible in
-  :meth:`stats`.
+* **Graceful degradation** — lives below the model boundary: a
+  :class:`~repro.engine.BatchRunner` whose worker pool died and could not be
+  respawned re-runs the batch inline on the same chunks, bit-identically.
+  A model that raises :class:`~repro.serve.PoolUnavailable` itself fails
+  its requests like any other error.
 * **At-most-once vs retried execution** — a request is computed at most
   once by *this* server; retries below the model boundary (a supervised
   :class:`~repro.serve.ShmWorkerPool` re-dispatching a dead worker's chunk)
@@ -53,7 +54,7 @@ from ..obs import metrics as _metrics
 from ..obs import profile as _obs_profile
 from ..obs import trace as _trace
 from .batcher import InferenceRequest, MicroBatcher
-from .errors import PoolUnavailable, RequestTimeout, deadline_clock
+from .errors import RequestTimeout
 
 __all__ = ["Server", "ServerStats"]
 
@@ -74,7 +75,6 @@ class ServerStats:
         self.batches = 0
         self.batched_requests = 0
         self.timeouts = 0
-        self.fallbacks = 0
         self._started_at = time.perf_counter()
 
     def _record(self, n_requests: int, latencies, *, batched: bool) -> None:
@@ -99,10 +99,6 @@ class ServerStats:
         with self._lock:
             self.timeouts += n
 
-    def record_fallback(self) -> None:
-        with self._lock:
-            self.fallbacks += 1
-
     def snapshot(self) -> dict:
         with self._lock:
             elapsed = max(time.perf_counter() - self._started_at, 1e-9)
@@ -113,7 +109,6 @@ class ServerStats:
                                     if self.batches else 0.0),
                 "throughput_rps": self.requests / elapsed,
                 "timeouts": self.timeouts,
-                "fallbacks": self.fallbacks,
             }
             if len(self._latencies):
                 p50, p95, p99 = self._latencies.percentile((50, 95, 99))
@@ -129,7 +124,8 @@ class Server:
     Parameters
     ----------
     model:
-        A :class:`~repro.serve.CompiledModel` or any callable
+        A :class:`~repro.serve.CompiledModel`, a
+        :class:`~repro.engine.BatchRunner`, or any callable
         ``fn(batch, deadline=None)`` mapping an NCHW batch to an output
         batch.  ``deadline`` is the batch's tightest absolute request
         deadline on :func:`~repro.serve.errors.deadline_clock` (``None``
@@ -145,21 +141,13 @@ class Server:
         Admission cap: total queued requests past which :meth:`submit`
         sheds load with :class:`~repro.serve.ServerOverloaded`
         (``None`` = unbounded, the pre-PR 6 behaviour).
-    fallback:
-        Optional in-process model used when ``model`` raises
-        :class:`~repro.serve.PoolUnavailable` — the graceful-degradation
-        path for pool-backed models.
     """
 
     def __init__(self, model, *, max_batch_size: int = 8,
                  max_delay_ms: float = 2.0, num_threads: int = 1,
-                 max_pending: int | None = None, fallback=None):
+                 max_pending: int | None = None):
         self._infer = model.infer if hasattr(model, "infer") else model
         self.model = model
-        self.fallback = fallback
-        self._fallback_infer = (None if fallback is None else
-                                (fallback.infer if hasattr(fallback, "infer")
-                                 else fallback))
         self.batcher = MicroBatcher(max_batch_size=max_batch_size,
                                     max_delay_ms=max_delay_ms,
                                     max_pending=max_pending)
@@ -194,17 +182,7 @@ class Server:
         with _trace.span("serve.batch", cat="serve", batch=len(batch)):
             try:
                 stacked = np.stack([request.x for request in batch])
-                try:
-                    out = self._infer(stacked, deadline=deadline)
-                except PoolUnavailable:
-                    # The model's worker pool is gone for good: degrade to the
-                    # in-process fallback rather than failing the batch.
-                    if self._fallback_infer is None:
-                        raise
-                    self.stats_.record_fallback()
-                    _trace.instant("serve.fallback", cat="fault",
-                                   batch=len(batch))
-                    out = self._fallback_infer(stacked)
+                out = self._infer(stacked, deadline=deadline)
                 for i, request in enumerate(batch):
                     request.set_result(out[i])
             except RequestTimeout as exc:
@@ -255,8 +233,7 @@ class Server:
     def infer_batch(self, x: np.ndarray) -> np.ndarray:
         """Synchronous whole-batch inference, bypassing the queue.
 
-        Still recorded in the server stats (as one direct batch), and still
-        covered by the pool-unavailable fallback path.
+        Still recorded in the server stats (as one direct batch).
         """
         if self._closed:
             raise RuntimeError("server is closed")
@@ -264,15 +241,7 @@ class Server:
         stacked = np.asarray(x)
         with _trace.span("serve.batch_direct", cat="serve",
                          batch=int(stacked.shape[0])):
-            try:
-                out = self._infer(stacked)
-            except PoolUnavailable:
-                if self._fallback_infer is None:
-                    raise
-                self.stats_.record_fallback()
-                _trace.instant("serve.fallback", cat="fault",
-                               batch=int(stacked.shape[0]))
-                out = self._fallback_infer(stacked)
+            out = self._infer(stacked)
         self.stats_.record_direct(stacked.shape[0],
                                   time.perf_counter() - start)
         return out

@@ -7,8 +7,8 @@ mode of the training loop gets a guarantee —
   supervised :class:`~repro.serve.ShmWorkerPool`; chunk boundaries are fixed
   by the configured worker count and each shard frame is a pure function
   input, so a retried shard is bit-identical (:mod:`repro.train.aggregation`);
-* **total pool loss** — :class:`DataParallelTrainer` reruns the same frames
-  inline, mid-run, with bit-identical results;
+* **total pool loss** — the trainer's :class:`~repro.engine.BatchRunner`
+  reruns the same frames inline, mid-run, with bit-identical results;
 * **training-process death** — :class:`CheckpointStore` commits atomic,
   checksummed checkpoints at step boundaries, and :meth:`Trainer.resume`
   restores model, optimizer slots, schedulers, and every RNG stream so the
@@ -19,7 +19,7 @@ mode of the training loop gets a guarantee —
 """
 
 from .aggregation import (GradStepJob, accumulate_replies, apply_step_results,
-                          chunk_bounds, encode_frame, flatten_state)
+                          encode_frame, flatten_state)
 from .checkpoint import CheckpointStore
 from .trainer import DataParallelTrainer, Trainer
 
@@ -34,3 +34,12 @@ __all__ = [
     "accumulate_replies",
     "apply_step_results",
 ]
+
+
+def __getattr__(name: str):
+    # The pool's chunk rule, re-exported without importing repro.serve (and
+    # multiprocessing) at ``import repro`` time.
+    if name == "chunk_bounds":
+        from ..serve.pool import chunk_bounds
+        return chunk_bounds
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,7 +43,7 @@ from ..nn import functional as F
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 
-__all__ = ["GradStepJob", "chunk_bounds", "flatten_state", "encode_frame",
+__all__ = ["GradStepJob", "flatten_state", "encode_frame",
            "accumulate_replies", "apply_step_results"]
 
 _HEADER = 4
@@ -66,19 +66,6 @@ def resolve_loss(loss):
         raise ValueError(f"unknown loss {loss!r}; "
                          f"expected one of {sorted(_LOSSES)} or a callable")
     return _LOSSES[loss]
-
-
-def chunk_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
-    """Deterministic shard boundaries: fixed by ``num_shards``, even split.
-
-    Matches the pool's own chunking convention (``ceil(n / num_shards)``
-    rows per shard) so a 4-worker trainer always produces the same shards
-    for a given batch size, healthy or degraded.
-    """
-    if n < 1:
-        raise ValueError("cannot shard an empty batch")
-    chunk = -(-n // max(int(num_shards), 1))
-    return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
 
 
 def flatten_state(model: Module) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +98,7 @@ class GradStepJob:
     """Pool job computing one gradient shard: forward + backward in-worker.
 
     Implements the pool-job protocol (``compile`` / ``out_shape`` /
-    ``out_dtype``, see :class:`~repro.engine.ConvJob`).  The job carries a
+    ``out_dtype``, see :mod:`repro.serve.pool`).  The job carries a
     deep-copied snapshot of the model purely as an *architecture template* —
     every frame overwrites all parameters and buffers before computing, so
     workers never go stale as training advances the parent's weights.

@@ -11,11 +11,12 @@ guarantee of this subsystem: ``kill -9`` the training process at any moment,
 call :meth:`Trainer.resume`, and the finished run's weights are bit-identical
 to an uninterrupted run's.
 
-:class:`DataParallelTrainer` shards each step's gradients across a
-supervised :class:`~repro.serve.ShmWorkerPool` (see
-:mod:`repro.train.aggregation` for why shard retries and the inline-degraded
-path are bit-exact), and falls back to inline execution of the *same* shard
-frames when the pool is lost for good.
+:class:`DataParallelTrainer` shards each step's gradients through a
+:class:`~repro.engine.BatchRunner` over a supervised
+:class:`~repro.serve.ShmWorkerPool` (see :mod:`repro.train.aggregation` for
+why shard retries and the inline-degraded path are bit-exact); the runner
+falls back to inline execution of the *same* shard frames when the pool is
+lost for good.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import signal
 import numpy as np
 
 from ..engine.arena import ArenaPool, use_arena
+from ..engine.runner import BatchRunner
 from ..nn.data import DataLoader
 from ..nn.module import Module
 from ..nn.optim import Optimizer
@@ -33,8 +35,7 @@ from ..nn.tensor import Tensor
 from ..obs import trace as _trace
 from ..utils.seeding import rng_state, set_rng_state
 from .aggregation import (GradStepJob, accumulate_replies, apply_step_results,
-                          chunk_bounds, encode_frame, flatten_state,
-                          resolve_loss)
+                          encode_frame, flatten_state, resolve_loss)
 from .checkpoint import CheckpointStore
 
 __all__ = ["Trainer", "DataParallelTrainer"]
@@ -246,16 +247,17 @@ class DataParallelTrainer(Trainer):
     """Shards each step's gradients across supervised shm pool workers.
 
     Every step: snapshot the model, encode ``num_workers`` frames with
-    boundaries fixed by :func:`~repro.train.aggregation.chunk_bounds`, drive
-    them through the pool (the supervisor handles deaths, stalls, and
-    corrupt replies with bit-exact retries), and accumulate the replies in
-    chunk-index order.  When the pool is lost for good
-    (:class:`~repro.serve.PoolUnavailable`) the trainer runs the *same*
-    frames through a locally-compiled copy of the same job — mid-run, with
+    boundaries fixed by :func:`~repro.serve.pool.chunk_bounds`, and run them
+    through a :class:`~repro.engine.BatchRunner` over a
+    :class:`~repro.train.aggregation.GradStepJob` (the pool's supervisor
+    handles deaths, stalls, and corrupt replies with bit-exact retries);
+    then accumulate the replies in chunk-index order.  When the pool is lost
+    for good the runner computes the *same* frames inline — mid-run, with
     bit-identical results — and stays inline from then on.
 
     ``num_workers=0`` skips the pool (and the sharding) entirely, collapsing
-    to the plain :class:`Trainer` step.
+    to the plain :class:`Trainer` step.  The remaining keywords configure
+    the pool (see :class:`~repro.serve.ShmWorkerPool`).
     """
 
     def __init__(self, model: Module, optimizer: Optimizer,
@@ -267,77 +269,47 @@ class DataParallelTrainer(Trainer):
                  **kwargs):
         super().__init__(model, optimizer, loader, **kwargs)
         self.num_workers = int(num_workers)
-        self._pool = None
-        self._job: GradStepJob | None = None
-        self._local_step = None
+        self._runner: BatchRunner | None = None
         if self.num_workers > 0:
-            self._job = GradStepJob(model, loss=self.loss)
-            from ..serve.pool import ShmWorkerPool
-            try:
-                self._pool = ShmWorkerPool(
-                    self._job, self.num_workers, mp_context=mp_context,
-                    faults=self.faults,
-                    heartbeat_interval=heartbeat_interval,
-                    heartbeat_timeout=heartbeat_timeout,
-                    max_job_retries=max_job_retries,
-                    max_respawn_attempts=max_respawn_attempts)
-            except Exception:
-                # Process spawning forbidden outright: degrade at birth.
-                self._pool = None
+            self._runner = BatchRunner(
+                GradStepJob(model, loss=self.loss), self.num_workers,
+                mp_context=mp_context, faults=self.faults,
+                heartbeat_interval=heartbeat_interval,
+                heartbeat_timeout=heartbeat_timeout,
+                max_job_retries=max_job_retries,
+                max_respawn_attempts=max_respawn_attempts)
 
     @property
     def degraded(self) -> bool:
         """True when sharded steps run inline (pool lost or never started)."""
-        return self.num_workers > 0 and self._pool is None
+        return self._runner is not None and self._runner.degraded
 
     def pool_stats(self) -> dict:
-        return {} if self._pool is None else self._pool.stats()
+        return {} if self._runner is None else self._runner.pool_stats()
 
     # ------------------------------------------------------------------ #
     def _compute_step(self, images: np.ndarray, labels: np.ndarray) -> float:
-        if self.num_workers <= 0:
+        if self._runner is None:
             return super()._compute_step(images, labels)
-        job = self._job
+        from ..serve.pool import chunk_bounds
+        job = self._runner.job
         n = images.shape[0]
         with _trace.span("train.encode_shards", cat="train", shards=self.num_workers):
             params_flat, buffers_flat = flatten_state(self.model)
             frames = [encode_frame(images[lo:hi], labels[lo:hi],
                                    params_flat, buffers_flat)
                       for lo, hi in chunk_bounds(n, self.num_workers)]
-        replies = None
-        if self._pool is not None:
-            from ..serve.errors import PoolUnavailable
-            try:
-                # Shard dispatch + wait: the pool's own spans (pool.map,
-                # pool.job, worker.job) break this window down further.
-                with _trace.span("train.shard_dispatch", cat="train",
-                                 shards=len(frames)):
-                    replies = self._pool.map(frames)
-            except PoolUnavailable:
-                self._degrade_inline()
-                _trace.instant("train.degraded_inline", cat="fault")
-        if replies is None:
-            # Same frames, same compiled job, same chunk order: the degraded
-            # step is bit-identical to the pooled one.  Partial pool results
-            # are discarded wholesale — recomputing a shard is free of side
-            # effects because frames are pure inputs.
-            compiled = self._local_grad_step()
-            replies = [compiled(frame) for frame in frames]
+        # Shard dispatch + wait: the pool's own spans (pool.map, pool.job,
+        # worker.job) break this window down further.
+        with _trace.span("train.shard_dispatch", cat="train",
+                         shards=len(frames)):
+            replies = self._runner.map(frames)
         with _trace.span("train.apply", cat="train"):
             mean_loss, grad_flat, bufs_flat = accumulate_replies(replies, job)
             apply_step_results(self.model, job, grad_flat, bufs_flat)
             self.optimizer.step()
         return float(mean_loss)
 
-    def _local_grad_step(self):
-        if self._local_step is None:
-            self._local_step = self._job.compile()
-        return self._local_step
-
-    def _degrade_inline(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
     def close(self) -> None:
-        self._degrade_inline()
+        if self._runner is not None:
+            self._runner.close()

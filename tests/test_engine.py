@@ -12,14 +12,16 @@ import pytest
 from composed_winograd import composed_winograd
 
 import repro.engine as engine
-from repro.engine import (BatchRunner, CompiledConv, ConvJob,
+from repro.engine import (BatchRunner, CompiledConv,
                           clear_plan_cache, execute, execute_tensor,
                           lower_conv2d, lower_winograd, plan_cache_stats,
                           reset_plan_stats, warm_plans)
 from repro.kernels import (ENV_VAR, UnknownBackendError, get_backend,
                            reset_backend, set_backend, use_backend)
 from repro.nn import functional as F
+from repro.nn.module import Sequential
 from repro.nn.tensor import Tensor
+from repro.serve.pool import chunk_bounds
 from repro.winograd import (winograd_conv2d, winograd_conv2d_tensor,
                             winograd_f2, winograd_f4, winograd_f6)
 
@@ -291,54 +293,69 @@ class TestCompiledAndWarm:
 # BatchRunner
 # --------------------------------------------------------------------------- #
 class TestBatchRunner:
-    def test_inline_matches_eager(self, rng):
+    def test_inline_matches_eager(self, rng, conv_job):
         x = rng.normal(size=(6, 3, 10, 10))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))
-        runner = BatchRunner(ConvJob(weight=w, bias=b, padding=1, transform="F4"))
+        runner = BatchRunner(conv_job(w, b))
         ref = winograd_conv2d(x, w, winograd_f4(), bias=b, padding=1)
-        np.testing.assert_allclose(runner.run(x), ref, atol=1e-10)
+        np.testing.assert_allclose(runner.infer(x), ref, atol=1e-10)
 
-    def test_inline_im2col_and_map(self, rng):
+    def test_inline_im2col_and_map(self, rng, conv_job):
         xs = [rng.normal(size=(2, 3, 8, 8)) for _ in range(3)]
         w = rng.normal(size=(4, 3, 3, 3))
-        runner = BatchRunner(ConvJob(weight=w, stride=2, padding=1))
+        runner = BatchRunner(conv_job(w, stride=2, transform=None))
         outs = runner.map(xs)
         for x, out in zip(xs, outs):
             np.testing.assert_allclose(out, F.conv2d_numpy(x, w, None, 2, 1),
                                        atol=1e-11)
 
-    def test_sharded_matches_inline(self, rng):
+    def test_sharded_matches_inline(self, rng, conv_job):
         x = rng.normal(size=(8, 3, 10, 10))
         w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4", backend="fast")
-        inline = BatchRunner(job).run(x)
+        job = conv_job(w, backend="fast")
+        inline = BatchRunner(job).infer(x)
         with BatchRunner(job, num_workers=2) as runner:
-            sharded = runner.run(x)
+            sharded = runner.infer(x)
         np.testing.assert_allclose(sharded, inline, atol=1e-12)
 
-    def test_empty_batch_round_trips(self, rng):
+    def test_empty_batch_round_trips(self, rng, conv_job):
         """Regression: an empty batch must not spawn worker round trips."""
-        w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
         empty = np.empty((0, 3, 10, 10))
-        assert BatchRunner(job).run(empty).shape == (0, 4, 10, 10)
+        assert BatchRunner(job).infer(empty).shape == (0, 4, 10, 10)
         assert BatchRunner(job).map([]) == []
         with BatchRunner(job, num_workers=2) as runner:
-            assert runner.run(empty).shape == (0, 4, 10, 10)
+            assert runner.infer(empty).shape == (0, 4, 10, 10)
             assert runner.map([]) == []
 
-    def test_ragged_final_chunk_round_trips(self, rng):
+    def test_ragged_final_chunk_round_trips(self, rng, conv_job):
         """Regression: a final chunk smaller than the shard size is fine."""
-        x = rng.normal(size=(7, 3, 10, 10))      # chunk_size 3 -> 3 + 3 + 1
-        w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
-        inline = BatchRunner(job).run(x)
-        with BatchRunner(job, num_workers=2, chunk_size=3) as runner:
-            sharded = runner.run(x)
+        x = rng.normal(size=(7, 3, 10, 10))      # 2 workers -> 4 + 3 rows
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
+        inline = BatchRunner(job).infer(x)
+        with BatchRunner(job, num_workers=2) as runner:
+            sharded = runner.infer(x)
         np.testing.assert_allclose(sharded, inline, atol=1e-12)
 
-    def test_pool_creation_failure_runs_inline(self, rng, monkeypatch):
+    def test_out_shape_runs_one_forward_per_sample_shape(self, rng, conv_job,
+                                                         monkeypatch):
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
+        calls = []
+        forward = Sequential.forward
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return forward(self, x)
+
+        monkeypatch.setattr(Sequential, "forward", counted)
+        assert job.out_shape((5, 3, 10, 10)) == (5, 4, 10, 10)
+        assert job.out_shape((2, 3, 10, 10)) == (2, 4, 10, 10)
+        assert job.out_shape((2, 3, 12, 12)) == (2, 4, 12, 12)
+        assert calls == [(1, 3, 10, 10), (1, 3, 12, 12)]
+        assert job.out_dtype(np.float32) == np.float64
+
+    def test_pool_creation_failure_runs_inline(self, rng, monkeypatch, conv_job):
         """A pool that cannot be created leaves the runner working inline."""
         from repro.serve.pool import ShmWorkerPool
 
@@ -347,15 +364,32 @@ class TestBatchRunner:
 
         monkeypatch.setattr(ShmWorkerPool, "__init__", forbidden)
         xs = [rng.normal(size=(3, 3, 10, 10)) for _ in range(2)]
-        w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
         inline = BatchRunner(job)
         with BatchRunner(job, num_workers=2) as runner:
-            assert runner.transport == "inline"
-            np.testing.assert_array_equal(runner.run(xs[0]),
-                                          inline.run(xs[0]))
+            assert runner.transport == "inline" and runner.degraded
+            assert runner.pool_stats() == {}
+            # Born inline, the runner still cuts the pool's chunks.
+            chunked = np.concatenate([inline.infer(xs[0][lo:hi])
+                                      for lo, hi in chunk_bounds(3, 2)])
+            np.testing.assert_array_equal(runner.infer(xs[0]), chunked)
             for got, want in zip(runner.map(xs), inline.map(xs)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_unknown_pool_option_raises(self, rng, conv_job):
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
+        with pytest.raises(TypeError):
+            BatchRunner(job, num_workers=2, heartbeat_intervl=None)
+
+    def test_inline_honours_deadline(self, rng, conv_job):
+        from repro.serve import RequestTimeout
+        from repro.serve.errors import deadline_clock
+        runner = BatchRunner(conv_job(rng.normal(size=(4, 3, 3, 3))))
+        x = rng.normal(size=(2, 3, 10, 10))
+        with pytest.raises(RequestTimeout):
+            runner.infer(x, deadline=deadline_clock() - 1.0)
+        np.testing.assert_array_equal(
+            runner.infer(x, deadline=deadline_clock() + 30.0), runner.infer(x))
 
 
 # --------------------------------------------------------------------------- #

@@ -232,10 +232,10 @@ class TestTracer:
 # --------------------------------------------------------------------------- #
 class TestCrossProcessStitching:
     def test_pool_run_yields_single_timeline(self, obs_on, rng):
-        from repro.engine import ConvJob
-        from repro.serve import ShmWorkerPool
-        w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
+        from repro.nn.layers import Conv2d
+        from repro.nn.module import Sequential
+        from repro.serve import ModelJob, ShmWorkerPool
+        job = ModelJob(Sequential(Conv2d(3, 4, 3, padding=1)))
         try:
             pool = ShmWorkerPool(job, num_workers=2)
         except (OSError, PermissionError) as exc:  # pragma: no cover

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.engine import BatchRunner, ConvJob
+from repro.engine import BatchRunner
 from repro.kernels import get_backend, set_backend, use_backend
 from repro.kernels.fast import winograd_forward
 from repro.models.resnet_cifar import resnet_tiny
@@ -454,41 +454,40 @@ class TestServer:
 # Shared-memory worker pool behind BatchRunner
 # --------------------------------------------------------------------------- #
 class TestShmPool:
-    def test_run_and_map_match_inline(self, rng):
+    def test_run_and_map_match_inline(self, rng, conv_job):
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))
-        job = ConvJob(weight=w, bias=b, padding=1, transform="F4")
+        job = conv_job(w, b)
         inline = BatchRunner(job)
         x = rng.normal(size=(5, 3, 12, 12))
         with _spawn_pool(job, 2) as pool:
-            np.testing.assert_allclose(pool.run(x), inline.run(x), atol=1e-12)
+            np.testing.assert_allclose(pool.run(x), inline.infer(x),
+                                       atol=1e-12)
             streams = [rng.normal(size=(2, 3, 12, 12)) for _ in range(3)]
             for got, want in zip(pool.map(streams), inline.map(streams)):
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_segment_growth_roundtrip(self, rng):
+    def test_segment_growth_roundtrip(self, rng, conv_job):
         w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
+        job = conv_job(w)
         inline = BatchRunner(job)
         with _spawn_pool(job, 2, ring_bytes=1 << 14) as pool:  # tiny segments
             small = rng.normal(size=(2, 3, 8, 8))
-            np.testing.assert_allclose(pool.run(small), inline.run(small),
+            np.testing.assert_allclose(pool.run(small), inline.infer(small),
                                        atol=1e-12)
             big = rng.normal(size=(9, 3, 32, 32))  # forces in+out growth
-            np.testing.assert_allclose(pool.run(big), inline.run(big),
+            np.testing.assert_allclose(pool.run(big), inline.infer(big),
                                        atol=1e-12)
 
-    def test_empty_batch_no_worker_roundtrip(self, rng):
-        w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
+    def test_empty_batch_no_worker_roundtrip(self, rng, conv_job):
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
         with _spawn_pool(job, 2) as pool:
             out = pool.run(np.empty((0, 3, 10, 10)))
         assert out.shape == (0, 4, 10, 10)
 
-    def test_pool_recovers_after_bad_input(self, rng):
+    def test_pool_recovers_after_bad_input(self, rng, conv_job):
         """An error mid-batch must not poison the pool for later batches."""
-        w = rng.normal(size=(4, 3, 3, 3))
-        job = ConvJob(weight=w, padding=1, transform="F4")
+        job = conv_job(rng.normal(size=(4, 3, 3, 3)))
         good = rng.normal(size=(4, 3, 10, 10))
         with _spawn_pool(job, 2) as pool:
             expected = pool.run(good)

@@ -1,22 +1,23 @@
 """Chaos suite: fault injection against the supervised serving stack (PR 6).
 
 Every failure mode the robustness layer claims to handle is exercised here
-with *deterministic* faults (:class:`repro.serve.FaultPlan`), and recovery is
-held to the strongest possible standard — bit-exact equality with a
-fault-free run:
+with *deterministic* faults (:class:`repro.serve.FaultPlan`) on a
+pool-served ``resnet_tiny`` (a :class:`repro.serve.ModelJob`), float and
+tap-wise quantized, and recovery is held to the strongest possible standard
+— bit-exact equality with a fault-free run:
 
 * worker SIGKILL mid-batch -> supervisor respawns + retries, results
   bit-exact, pool back at full strength;
 * dropped replies (hangs) -> heartbeat stall detection replaces the worker;
 * corrupted shm payloads -> checksum verification catches and retries;
-* deadline expiry under a stalled worker -> :class:`RequestTimeout`, later
-  batches unaffected;
+* deadline expiry under a stalled or slow worker -> :class:`RequestTimeout`
+  (from the pool and through ``Server``), later batches unaffected;
 * worker-side exceptions -> :class:`WorkerJobError` with the remote
   traceback, job index, and *all* sibling errors (none swallowed);
 * overload -> :class:`ServerOverloaded` shedding with watermark stats;
-* a pool that cannot be revived -> :class:`PoolUnavailable` and graceful
-  degradation to in-process execution (``BatchRunner`` inline, ``Server``
-  fallback model);
+* a pool that cannot be revived -> :class:`PoolUnavailable` inside
+  ``BatchRunner``, which degrades to inline execution of the same chunks,
+  bit-identical to the pool, also mid-serve under ``Server``;
 * cancelled / queue-expired requests are never computed;
 * workspace-arena leases are reclaimed on mid-inference aborts.
 """
@@ -29,12 +30,17 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import ArenaPool, BatchRunner, ConvJob
+from repro.datasets.synthetic import make_shapes_dataset
+from repro.engine import ArenaPool, BatchRunner
 from repro.models.resnet_cifar import resnet_tiny
+from repro.nn.data import DataLoader
 from repro.nn.module import Module, Sequential
-from repro.serve import (Fault, FaultPlan, PoolUnavailable, RequestTimeout,
-                         Server, ServerOverloaded, ShmWorkerPool,
-                         WorkerCrashed, WorkerJobError, compile_model)
+from repro.quant import (QatConfig, calibrate_model, convert_model,
+                         freeze_calibration)
+from repro.serve import (Fault, FaultPlan, ModelJob, PoolUnavailable,
+                         RequestTimeout, Server, ServerOverloaded,
+                         ShmWorkerPool, WorkerCrashed, WorkerJobError,
+                         compile_model)
 from repro.serve.errors import deadline_clock
 
 
@@ -45,24 +51,41 @@ def _spawn_pool(*args, **kwargs):
         pytest.skip(f"multiprocessing/shared memory unavailable: {exc}")
 
 
-def _job(rng) -> ConvJob:
-    w = rng.normal(size=(4, 3, 3, 3))
-    return ConvJob(weight=w, bias=rng.normal(size=(4,)), padding=1,
-                   transform="F4")
+def _spawn_runner(*args, **kwargs) -> BatchRunner:
+    runner = BatchRunner(*args, **kwargs)
+    if runner.transport != "shm":                      # pragma: no cover
+        pytest.skip("multiprocessing/shared memory unavailable")
+    return runner
 
 
-class _SentinelJob(ConvJob):
-    """A ConvJob whose compiled conv raises on inputs marked with 777."""
+@pytest.fixture(scope="module", params=["float", "tapwise"])
+def network(request):
+    """``resnet_tiny`` in eval mode: float, or tap-wise int8 F4 with frozen
+    power-of-two scales."""
+    model = resnet_tiny(seed=5)
+    if request.param == "tapwise":
+        model = convert_model(model, QatConfig(algorithm="F4", tapwise=True,
+                                               power_of_two=True))
+        calib = make_shapes_dataset(num_samples=32, seed=1)
+        calibrate_model(model, DataLoader(calib, batch_size=16,
+                                          shuffle=False), max_batches=2)
+        freeze_calibration(model)
+    model.eval()
+    return model
 
-    def compile(self):
-        base = super().compile()
 
-        def conv(x):
-            if x.size and float(x.flat[0]) == 777.0:
-                raise ValueError("sentinel input rejected")
-            return base(x)
+def _images(rng, n: int) -> np.ndarray:
+    return rng.normal(size=(n, 3, 32, 32))
 
-        return conv
+
+class _Sentinel(Module):
+    """Rejects inputs marked with 777; compile_model runs it as an opaque
+    step in front of the network."""
+
+    def forward(self, x):
+        if x.data.size and float(x.data.flat[0]) == 777.0:
+            raise ValueError("sentinel input rejected")
+        return x
 
 
 # --------------------------------------------------------------------------- #
@@ -109,10 +132,10 @@ class TestFaultPlan:
 # Pool supervision under injected faults
 # --------------------------------------------------------------------------- #
 class TestPoolChaos:
-    def test_kill_mid_batch_recovers_bit_exact(self, rng):
+    def test_kill_mid_batch_recovers_bit_exact(self, rng, network):
         """A SIGKILLed worker's chunk is retried bit-exactly; pool refills."""
-        job = _job(rng)
-        x = rng.normal(size=(6, 3, 12, 12))
+        job = ModelJob(network)
+        x = _images(rng, 6)
         with _spawn_pool(job, 2) as clean:
             expected = clean.run(x)
         plan = FaultPlan().kill(worker=0, step=1)
@@ -125,10 +148,10 @@ class TestPoolChaos:
         assert stats["restarts"] >= 1
         assert stats["retried_jobs"] >= 1
 
-    def test_kill_at_later_step_in_stream(self, rng):
+    def test_kill_at_later_step_in_stream(self, rng, network):
         """Faults are per-worker step-indexed, not global; map() recovers."""
-        job = _job(rng)
-        streams = [rng.normal(size=(2, 3, 12, 12)) for _ in range(4)]
+        job = ModelJob(network)
+        streams = [_images(rng, 2) for _ in range(4)]
         with _spawn_pool(job, 2) as clean:
             expected = clean.map(streams)
         plan = FaultPlan().kill(worker=0, step=2)
@@ -138,10 +161,10 @@ class TestPoolChaos:
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
 
-    def test_delay_fault_is_not_treated_as_death(self, rng):
+    def test_delay_fault_is_not_treated_as_death(self, rng, network):
         """A slow straggler keeps heartbeating; supervision must not fire."""
-        job = _job(rng)
-        x = rng.normal(size=(4, 3, 10, 10))
+        job = ModelJob(network)
+        x = _images(rng, 4)
         with _spawn_pool(job, 2) as clean:
             expected = clean.run(x)
         plan = FaultPlan().delay(worker=0, step=1, seconds=0.3)
@@ -151,10 +174,10 @@ class TestPoolChaos:
             stats = pool.stats()
         assert stats["deaths"] == 0 and stats["restarts"] == 0
 
-    def test_drop_fault_triggers_stall_detection(self, rng):
+    def test_drop_fault_triggers_stall_detection(self, rng, network):
         """A worker that computes but never replies is declared stalled."""
-        job = _job(rng)
-        x = rng.normal(size=(4, 3, 10, 10))
+        job = ModelJob(network)
+        x = _images(rng, 4)
         with _spawn_pool(job, 2) as clean:
             expected = clean.run(x)
         plan = FaultPlan().drop(worker=0, step=1)
@@ -165,10 +188,10 @@ class TestPoolChaos:
             stats = pool.stats()
         assert stats["deaths"] >= 1 and stats["restarts"] >= 1
 
-    def test_corrupt_payload_detected_and_retried(self, rng):
+    def test_corrupt_payload_detected_and_retried(self, rng, network):
         """Checksum verification catches scribbled shm payloads."""
-        job = _job(rng)
-        x = rng.normal(size=(6, 3, 12, 12))
+        job = ModelJob(network)
+        x = _images(rng, 6)
         with _spawn_pool(job, 2) as clean:
             expected = clean.run(x)
         plan = FaultPlan().corrupt(worker=0, step=1)
@@ -179,10 +202,11 @@ class TestPoolChaos:
         assert stats["retried_jobs"] >= 1
         assert stats["deaths"] == 0        # retried without killing anyone
 
-    def test_deadline_expiry_raises_without_poisoning_pool(self, rng):
+    def test_deadline_expiry_raises_without_poisoning_pool(self, rng,
+                                                           network):
         """A stalled batch times out; the next batch is clean and correct."""
-        job = _job(rng)
-        x = rng.normal(size=(4, 3, 10, 10))
+        job = ModelJob(network)
+        x = _images(rng, 4)
         plan = FaultPlan().drop(worker=0, step=1)
         with _spawn_pool(job, 2, faults=plan,
                          heartbeat_interval=None) as pool:
@@ -194,23 +218,23 @@ class TestPoolChaos:
         with _spawn_pool(job, 2) as clean:
             np.testing.assert_array_equal(got, clean.run(x))
 
-    def test_retry_cap_surfaces_worker_crashed(self, rng):
-        job = _job(rng)
+    def test_retry_cap_surfaces_worker_crashed(self, rng, network):
+        job = ModelJob(network)
         plan = FaultPlan().kill(worker=0, step=1)
-        x = rng.normal(size=(2, 3, 10, 10))
+        x = _images(rng, 2)
         with _spawn_pool(job, 1, faults=plan, max_job_retries=0) as pool:
             with pytest.raises(WorkerCrashed) as excinfo:
                 pool.run(x)
             assert excinfo.value.job_index == 0
             # The slot was still refilled: the pool survives the failure.
             out = pool.run(x)
-            assert out.shape == (2, 4, 10, 10)
+            assert out.shape == (2, 10)
 
-    def test_worker_error_carries_remote_traceback_and_siblings(self, rng):
+    def test_worker_error_carries_remote_traceback_and_siblings(self, rng,
+                                                                network):
         """Worker-side exceptions surface typed, with nothing swallowed."""
-        job = _SentinelJob(weight=rng.normal(size=(4, 3, 3, 3)), padding=1,
-                           transform="F4")
-        good = rng.normal(size=(2, 3, 10, 10))
+        job = ModelJob(Sequential(_Sentinel(), network))
+        good = _images(rng, 2)
         bad1 = good.copy()
         bad1.flat[0] = 777.0
         bad2 = good.copy() + 1.0
@@ -230,25 +254,28 @@ class TestPoolChaos:
             out = pool.map([good, good])
             np.testing.assert_array_equal(out[0], out[1])
 
-    def test_heartbeats_disabled_matches_inline(self, rng):
-        """heartbeat_interval=None is the bare PR 5 wire — results agree."""
-        job = _job(rng)
-        x = rng.normal(size=(5, 3, 12, 12))
-        inline = BatchRunner(job)
+    def test_heartbeats_disabled_matches_inline(self, rng, network):
+        """heartbeat_interval=None is the bare PR 5 wire — results agree
+        bit for bit with inline execution of the same chunks."""
+        job = ModelJob(network)
+        x = _images(rng, 5)
+        born_inline = BatchRunner(job, num_workers=2,
+                                  mp_context="__no_such_context__")
+        assert born_inline.degraded
         with _spawn_pool(job, 2, heartbeat_interval=None) as pool:
-            np.testing.assert_allclose(pool.run(x), inline.run(x), atol=1e-12)
+            np.testing.assert_array_equal(pool.run(x), born_inline.infer(x))
 
-    def test_kill_worker_helper_then_heal(self, rng):
+    def test_kill_worker_helper_then_heal(self, rng, network):
         """External SIGKILL (not scripted) is also survived via _heal."""
-        job = _job(rng)
-        x = rng.normal(size=(4, 3, 10, 10))
+        job = ModelJob(network)
+        x = _images(rng, 4)
         with _spawn_pool(job, 2) as pool:
             expected = pool.run(x)
             pool.kill_worker(0)
             np.testing.assert_array_equal(pool.run(x), expected)
             assert pool.healthy
 
-    def test_kill_leaves_supervision_markers_in_trace(self, rng):
+    def test_kill_leaves_supervision_markers_in_trace(self, rng, network):
         """A SIGKILL recovery renders as instant events on the timeline.
 
         With ``repro.obs`` on, the supervisor's actions — worker death,
@@ -258,8 +285,8 @@ class TestPoolChaos:
         """
         from repro import obs
         from repro.obs import trace as obs_trace
-        job = _job(rng)
-        x = rng.normal(size=(6, 3, 12, 12))
+        job = ModelJob(network)
+        x = _images(rng, 6)
         plan = FaultPlan().kill(worker=0, step=1)
         obs_trace.reset()
         with obs.enabled_scope():
@@ -278,43 +305,137 @@ class TestPoolChaos:
 
 
 # --------------------------------------------------------------------------- #
+# Pool-served network behind Server
+# --------------------------------------------------------------------------- #
+class TestServedPool:
+    def test_delay_past_request_deadline_times_out_then_recovers(
+            self, rng, network):
+        """A slow worker fails the deadlined batch with RequestTimeout; the
+        replaced worker serves the next batch correctly."""
+        job = ModelJob(network)
+        image = _images(rng, 1)[0]
+        expected = BatchRunner(job).infer(image[None])[0]
+        plan = FaultPlan().delay(worker=0, step=1, seconds=2.0)
+        with _spawn_runner(job, 2, faults=plan) as runner, \
+                Server(runner, max_batch_size=1, max_delay_ms=0) as server:
+            doomed = server.submit(image, deadline=0.3)
+            with pytest.raises(RequestTimeout):
+                doomed.result(timeout=10)
+            got = server.submit(image).result(timeout=10)
+            assert server.stats()["timeouts"] == 1
+            assert not runner.degraded
+        np.testing.assert_array_equal(got, expected)
+
+    def test_server_threads_take_turns_on_the_pool(self, rng, network):
+        """Server(num_threads=2) drives one runner from two threads; each
+        batch still gets its own results, bit-exact."""
+        job = ModelJob(network)
+        images = _images(rng, 32)
+        with _spawn_runner(job, 2) as runner, \
+                Server(runner, max_batch_size=1, max_delay_ms=0,
+                       num_threads=2) as server:
+            handles = [server.submit(image) for image in images]
+            outs = [h.result(timeout=30) for h in handles]
+            assert runner.pool_stats()["deaths"] == 0
+        expected = BatchRunner(job).map([image[None] for image in images])
+        for got, want in zip(outs, expected):
+            np.testing.assert_array_equal(got, want[0])
+
+    def test_overload_sheds_while_the_pool_is_busy(self, rng, network):
+        job = ModelJob(network)
+        images = _images(rng, 4)
+        plan = FaultPlan().delay(worker=0, step=1, seconds=1.0)
+        with _spawn_runner(job, 1, faults=plan) as runner, \
+                Server(runner, max_batch_size=1, max_delay_ms=0,
+                       max_pending=2) as server:
+            first = server.submit(images[0])
+            end = time.monotonic() + 10
+            while server.batcher.pending() and time.monotonic() < end:
+                time.sleep(0.005)              # the pool now holds `first`
+            queued = [server.submit(image) for image in images[1:3]]
+            with pytest.raises(ServerOverloaded):
+                server.submit(images[3])
+            outs = [h.result(timeout=10) for h in [first, *queued]]
+            stats = server.stats()
+        assert stats["shed"] >= 1 and stats["queue_high_watermark"] >= 2
+        expected = BatchRunner(job).map([image[None] for image in images[:3]])
+        for got, want in zip(outs, expected):
+            np.testing.assert_array_equal(got, want[0])
+
+    def test_cancel_skipped_and_retry_invisible_to_server(self, rng,
+                                                          network):
+        """A cancelled request never reaches the pool, and a chunk retried
+        after a worker death is served bit-exactly, computed once by the
+        server."""
+        job = ModelJob(network)
+        images = _images(rng, 3)
+        plan = (FaultPlan().delay(worker=0, step=1, seconds=0.5)
+                .kill(worker=0, step=2))
+        with _spawn_runner(job, 1, faults=plan) as runner, \
+                Server(runner, max_batch_size=1, max_delay_ms=0) as server:
+            first = server.submit(images[0])
+            end = time.monotonic() + 10
+            while server.batcher.pending() and time.monotonic() < end:
+                time.sleep(0.005)              # the pool now holds `first`
+            victim = server.submit(images[1])
+            assert victim.cancel()
+            third = server.submit(images[2])
+            outs = [first.result(timeout=10), third.result(timeout=10)]
+            stats, pool = server.stats(), runner.pool_stats()
+        assert stats["batches"] == 2 and stats["cancelled_skipped"] >= 1
+        assert pool["deaths"] == 1 and pool["retried_jobs"] == 1
+        expected = BatchRunner(job).map([images[0][None], images[2][None]])
+        for got, want in zip(outs, expected):
+            np.testing.assert_array_equal(got, want[0])
+
+
+# --------------------------------------------------------------------------- #
 # Graceful degradation when the pool is gone for good
 # --------------------------------------------------------------------------- #
+def _wipe_out(runner: BatchRunner) -> None:
+    """Kill every worker of the runner's pool and forbid revival."""
+    pool = runner._pool
+    pool.supervisor.max_respawn_attempts = 0
+    for index in range(pool.num_workers):
+        pool.kill_worker(index)
+    for worker in pool._workers:
+        worker.proc.join(5)
+
+
 class TestDegradation:
-    def test_runner_degrades_inline_when_pool_unrevivable(self, rng):
-        job = _job(rng)
-        x = rng.normal(size=(4, 3, 10, 10))
-        inline = BatchRunner(job)
-        expected = inline.run(x)
-        runner = BatchRunner(job, num_workers=1)
-        if runner.transport != "shm":                  # pragma: no cover
-            pytest.skip("multiprocessing/shared memory unavailable")
-        with runner:
-            pool = runner._shm_pool
-            pool.supervisor.max_respawn_attempts = 0   # forbid revival
-            pool.kill_worker(0)
-            pool._workers[0].proc.join(5)
-            got = runner.run(x)                        # degrades mid-run
-            assert runner.transport == "inline"
-            np.testing.assert_allclose(got, expected, atol=1e-12)
+    def test_runner_degrades_inline_when_pool_unrevivable(self, rng,
+                                                          network):
+        job = ModelJob(network)
+        x = _images(rng, 6)
+        with _spawn_runner(job, 2) as runner:
+            expected = runner.infer(x)                 # pooled
+            _wipe_out(runner)
+            got = runner.infer(x)                      # degrades mid-run
+            assert runner.transport == "inline" and runner.degraded
+            assert runner.pool_stats() == {}
+            np.testing.assert_array_equal(got, expected)
             # Later calls keep working inline.
-            np.testing.assert_allclose(runner.run(x), expected, atol=1e-12)
+            np.testing.assert_array_equal(runner.infer(x), expected)
 
-    def test_server_falls_back_to_inprocess_model(self, rng):
-        def primary(batch, deadline=None):
-            raise PoolUnavailable("worker pool gone")
+    def test_total_pool_loss_mid_serve_is_bit_identical(self, rng, network):
+        """Through Server, a wiped-out pool degrades inside BatchRunner and
+        the served results match the pool's bit for bit."""
+        job = ModelJob(network)
+        images = _images(rng, 6)
 
-        def backup(batch, deadline=None):
-            return batch * 3.0
+        def serve_round(server):
+            # One batch of exactly six requests (the size cap releases it).
+            handles = [server.submit(image) for image in images]
+            return np.stack([h.result(timeout=30) for h in handles])
 
-        x = rng.normal(size=(3, 8, 8))
-        with Server(primary, fallback=backup, max_batch_size=2,
-                    max_delay_ms=1) as server:
-            np.testing.assert_allclose(server.infer(x, timeout=10), x * 3.0)
-            np.testing.assert_allclose(server.infer_batch(np.stack([x])),
-                                       np.stack([x]) * 3.0)
-            stats = server.stats()
-        assert stats["fallbacks"] == 2
+        with _spawn_runner(job, 2) as runner, \
+                Server(runner, max_batch_size=6,
+                       max_delay_ms=10_000) as server:
+            pooled = serve_round(server)
+            _wipe_out(runner)
+            degraded = serve_round(server)
+            assert runner.degraded
+        np.testing.assert_array_equal(degraded, pooled)
 
     def test_server_without_fallback_propagates(self, rng):
         def primary(batch, deadline=None):

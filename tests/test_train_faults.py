@@ -261,7 +261,7 @@ class TestTotalPoolLoss:
         with trainer:
             trainer.fit(epochs=1)
             assert not trainer.degraded
-            pool = trainer._pool
+            pool = trainer._runner._pool
             pool.supervisor.max_respawn_attempts = 0   # forbid revival
             for index in range(pool.num_workers):
                 pool.kill_worker(index)
