@@ -11,13 +11,14 @@ available) ``fork`` start method workers even inherit plans the parent had
 already lowered.
 
 With ``num_workers > 0`` the runner delegates to
-:class:`repro.serve.ShmWorkerPool`: supervised long-lived workers fed
-through ``multiprocessing.shared_memory`` ring buffers.  When the pool
-cannot be created (no shared memory, process spawning forbidden) the runner
-executes inline instead of failing construction, and a pool that later
-loses every worker for good (:class:`~repro.serve.PoolUnavailable` after
-the supervisor's respawn attempts are exhausted) likewise degrades to
-inline mid-run instead of failing the batch.  Inline execution cuts the
+:class:`repro.serve.ShmWorkerPool`: supervised long-lived workers, each fed
+through one ``multiprocessing.shared_memory`` input and one output segment.
+When the pool cannot be created (no shared memory, process spawning
+forbidden) the runner executes inline instead of failing construction, and
+a pool that later loses every worker for good
+(:class:`~repro.serve.PoolUnavailable` after the pool's respawn attempts
+are exhausted) likewise degrades to inline mid-run instead of failing the
+batch.  Inline execution cuts the
 same :func:`~repro.serve.pool.chunk_bounds` chunks the pool cuts, so a
 degraded result is bit-identical to the pooled one.  ``num_workers=0``
 executes inline in the calling process as one chunk.
@@ -48,7 +49,7 @@ class BatchRunner:
     pool_options:
         Forwarded to :class:`~repro.serve.ShmWorkerPool`: ``mp_context``,
         ``faults``, ``heartbeat_interval``/``heartbeat_timeout``,
-        ``max_job_retries``, ``max_respawn_attempts``, ``ring_bytes``.
+        ``max_job_retries``, ``max_respawn_attempts``.
     """
 
     def __init__(self, job, num_workers: int = 0, **pool_options):
@@ -56,8 +57,8 @@ class BatchRunner:
         self.num_workers = int(num_workers)
         self._pool = None
         self._local = None                 # compiled lazily on first use
-        # A pool is driven by one thread at a time (Server(num_threads>1)
-        # calls infer concurrently).
+        # Server(num_threads>1) calls infer concurrently: the pool takes its
+        # own lock, but the inline path and the switch to it need this one.
         self._lock = threading.Lock()
         if self.num_workers > 0:
             from ..serve.pool import ShmWorkerPool

@@ -17,11 +17,12 @@ pipelines with traffic):
   with per-shape queues, a configurable latency deadline, bounded admission
   (load shedding past ``max_pending``), request cancellation, and
   pre-dispatch expiry of deadlined requests.
-* :class:`ShmWorkerPool` — persistent worker processes fed through
-  ``multiprocessing.shared_memory`` ring buffers instead of pickle, watched
-  by a :class:`WorkerSupervisor`: dead or stalled workers are detected
-  (process sentinel + heartbeats), respawned with capped backoff, and their
-  unacknowledged jobs retried bit-exactly on surviving workers.
+* :class:`ShmWorkerPool` — persistent worker processes, each holding at
+  most one job and fed through one input and one output
+  ``multiprocessing.shared_memory`` segment instead of pickle.  The pool
+  supervises them: dead or stalled workers are detected (process sentinel +
+  heartbeats), respawned with capped backoff, and their unacknowledged jobs
+  retried bit-exactly on surviving workers.
   :class:`repro.engine.BatchRunner` owns it: it shards batches over the pool
   and, if the pool becomes :class:`PoolUnavailable`, degrades to inline
   execution of the same chunks.
@@ -47,7 +48,7 @@ from .errors import (PoolUnavailable, RequestCancelled, RequestTimeout,
                      WorkerJobError)
 from .faults import Fault, FaultPlan
 from .model import CompiledModel, ModelJob, compile_model, register_compiler
-from .pool import ShmWorkerPool, WorkerSupervisor
+from .pool import ShmWorkerPool
 from .server import Server, ServerStats
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "InferenceRequest",
     "MicroBatcher",
     "ShmWorkerPool",
-    "WorkerSupervisor",
     "Server",
     "ServerStats",
     "ServingError",

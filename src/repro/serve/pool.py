@@ -6,13 +6,14 @@ small writes, and deserialised on the other side, twice per round trip.
 This pool moves array bytes through ``multiprocessing.shared_memory``
 instead:
 
-* each worker owns an **input ring buffer** (one shm segment the parent
-  writes request frames into, head/tail managed parent-side) and an **output
-  region** (one shm segment the worker writes results into), so array bytes
-  cross the process boundary as a single ``memcpy`` each way;
+* each worker holds at most one job and owns one **input segment** and one
+  **output segment**; every frame is written at offset 0 (the parent copies
+  the chunk in, the worker writes its result out), so array bytes cross the
+  process boundary as a single ``memcpy`` each way and only the pages the
+  largest frame needs are ever touched;
 * the control plane stays on a pipe, but carries only tiny tuples —
-  ``("run", offset, shape, dtype)`` / ``("ok", shape, dtype, crc, trace)`` —
-  never array data (``trace`` is the worker's drained span events when
+  ``("run", shape, dtype)`` / ``("ok", shape, dtype, crc, trace)`` — never
+  array data (``trace`` is the worker's drained span events when
   :mod:`repro.obs` tracing is on, ``None`` otherwise);
 * workers are **long-lived**: each compiles its job once at startup (plan
   cache, transformed weights) and serves frames until
@@ -24,8 +25,8 @@ per worker; the callable maps one input array to one output array),
 output segments without a round trip): :class:`~repro.serve.ModelJob` for
 serving and :class:`~repro.train.GradStepJob` for training.
 
-On top of the transport sits a :class:`WorkerSupervisor` (PR 6) that makes
-worker failure a recoverable event instead of a poisoned pool:
+The pool supervises its workers, so worker failure is a recoverable event
+instead of a poisoned pool:
 
 * **death detection** — every drive waits on the workers' process sentinels
   alongside their control pipes, and each worker runs a heartbeat thread
@@ -42,14 +43,18 @@ worker failure a recoverable event instead of a poisoned pool:
 * **typed errors** — a job that raises *inside* a worker surfaces as
   :class:`WorkerJobError` carrying the remote traceback and job index, with
   every sibling error from the same batch attached (none swallowed);
-* **deadlines** — :meth:`run`/:meth:`map` accept an absolute monotonic
-  ``deadline``; an expired drive terminates + respawns the in-flight workers
-  (so no stale reply can poison the next batch) and raises
-  :class:`RequestTimeout`;
+* **deadlines** — :meth:`run` accepts an absolute monotonic ``deadline``;
+  an expired drive terminates + respawns the in-flight workers (so no stale
+  reply can poison the next batch) and raises :class:`RequestTimeout`;
 * **fault injection** — a :class:`~repro.serve.FaultPlan` ships to the
   workers and deterministically kills/delays/drops/corrupts at scripted
   steps; corruption is caught by payload checksums (enabled whenever a plan
   is installed) and retried like a crash.
+
+One thread drives the pool at a time: :meth:`run` and :meth:`map` hold the
+pool's lock for their whole body, parent-side calls into the job included,
+so a multi-threaded caller (say, ``Server(num_threads>1)`` over
+``pool.run``) takes turns instead of interleaving frames on one slot.
 
 When no live worker remains and respawning fails, the pool raises
 :class:`PoolUnavailable` — the signal :class:`repro.engine.BatchRunner`, the
@@ -63,6 +68,7 @@ brings.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -80,9 +86,15 @@ from ..obs import trace as _trace
 from .errors import (PoolUnavailable, RequestTimeout, ServingError,
                      WorkerCrashed, WorkerJobError, deadline_clock)
 
-__all__ = ["ShmWorkerPool", "WorkerSupervisor", "chunk_bounds"]
+__all__ = ["ShmWorkerPool", "chunk_bounds"]
 
-_ALIGN = 64
+# Initial input-segment size per worker; the output segment starts at half.
+# Both grow on demand.
+_SEGMENT_BYTES = 1 << 22
+# Capped exponential backoff: between spawn attempts for a dead worker slot,
+# and before each re-dispatch of a retried job.
+_RESPAWN_BACKOFF_S, _RESPAWN_BACKOFF_CAP_S = 0.05, 1.0
+_RETRY_BACKOFF_S, _RETRY_BACKOFF_CAP_S = 0.01, 0.25
 
 
 def chunk_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
@@ -130,7 +142,7 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     the child must not enrol the segment with the child's resource tracker,
     or the tracker would unlink it a second time at child exit.  Python 3.13
     has ``track=False`` for exactly this; earlier versions need the manual
-    unregister (see :func:`_parent_unlink` for the parent-side rebalance).
+    unregister (see :func:`_release` for the parent-side rebalance).
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
@@ -144,14 +156,16 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         return seg
 
 
-def _parent_unlink(shm: shared_memory.SharedMemory) -> None:
-    """Unlink a parent-owned segment, keeping the resource tracker balanced.
+def _release(shm: shared_memory.SharedMemory) -> None:
+    """Close and unlink a parent-owned segment, keeping the resource tracker
+    balanced.
 
     Under the (default) ``fork`` start method the workers share the parent's
     resource-tracker process, so the child-side unregister in :func:`_attach`
     also removed the *parent's* registration; re-register before unlinking so
     the tracker doesn't log a spurious KeyError.
     """
+    shm.close()
     try:
         from multiprocessing import resource_tracker
         resource_tracker.register(shm._name, "shared_memory")
@@ -187,8 +201,7 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
     if _trace._ENABLED:
         _trace.reset()
     conv = job.compile()
-    in_shm = _attach(in_name)
-    out_shm = _attach(out_name)
+    shm = {"in": _attach(in_name), "out": _attach(out_name)}
     my_faults = faults.for_worker(index) if faults is not None else {}
     send_lock = threading.Lock()
     busy = threading.Event()
@@ -220,23 +233,24 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
                 fault = my_faults.get(step)
                 if fault is not None and fault.kind == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
-                _, offset, shape, dtype_str = msg
+                _, shape, dtype_str = msg
                 busy.set()
                 try:
                     try:
                         x = np.ndarray(shape, dtype=np.dtype(dtype_str),
-                                       buffer=in_shm.buf, offset=offset)
+                                       buffer=shm["in"].buf)
                         with _trace.span("worker.job", cat="worker",
                                          worker=index, step=step,
                                          shape=str(tuple(shape))):
                             y = np.ascontiguousarray(conv(x))
                         crc = zlib.crc32(y.tobytes()) if checksum else None
                         out_view = np.ndarray(y.shape, dtype=y.dtype,
-                                              buffer=out_shm.buf)
+                                              buffer=shm["out"].buf)
                         np.copyto(out_view, y)
                         if fault is not None and fault.kind == "corrupt":
                             raw = np.ndarray((max(y.nbytes, 1),),
-                                             dtype=np.uint8, buffer=out_shm.buf)
+                                             dtype=np.uint8,
+                                             buffer=shm["out"].buf)
                             raw[:8] ^= 0xFF
                         if fault is not None and fault.kind == "delay":
                             time.sleep(fault.seconds)
@@ -250,13 +264,10 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
                                _trace.drain() if _trace._ENABLED else None))
                 finally:
                     busy.clear()
-            elif tag == "attach_in":
-                in_shm.close()
-                in_shm = _attach(msg[1])
-                _send(("attached",))
-            elif tag == "attach_out":
-                out_shm.close()
-                out_shm = _attach(msg[1])
+            elif tag == "attach":
+                _, side, name = msg
+                shm[side].close()
+                shm[side] = _attach(name)
                 _send(("attached",))
             elif tag == "stop":
                 break
@@ -264,54 +275,9 @@ def _shm_worker_loop(job, in_name: str, out_name: str, conn, index: int = 0,
         pass
     finally:
         stop.set()
-        in_shm.close()
-        out_shm.close()
+        for seg in shm.values():
+            seg.close()
         conn.close()
-
-
-class _InputRing:
-    """Parent-side byte-ring allocator over one shared-memory segment.
-
-    Frames are claimed with :meth:`put` and released FIFO with :meth:`pop`
-    (workers consume their pipe messages in order, so FIFO release is exact).
-    Today :meth:`_Worker.try_send` keeps at most one frame in flight — the
-    single-slot *output* region forces that — so the wrap/tail logic below is
-    headroom for the multi-slot-output pipelining noted in the ROADMAP, not a
-    path current traffic exercises.
-    """
-
-    def __init__(self, capacity: int):
-        self.shm = shared_memory.SharedMemory(create=True, size=capacity)
-        self.capacity = capacity
-        self.head = 0
-        self.pending: deque[tuple[int, int]] = deque()   # (offset, nbytes)
-
-    def _free_bytes(self) -> int:
-        return self.capacity - sum(n for _, n in self.pending)
-
-    def put(self, arr: np.ndarray) -> int | None:
-        """Copy ``arr`` into the ring; returns its offset or None if full."""
-        nbytes = -(-max(arr.nbytes, 1) // _ALIGN) * _ALIGN
-        if nbytes > self._free_bytes():
-            return None
-        offset = self.head
-        if offset + nbytes > self.capacity:              # wrap to the start
-            if self.pending and self.pending[0][0] < nbytes:
-                return None                              # tail still in the way
-            offset = 0
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=self.shm.buf,
-                          offset=offset)
-        np.copyto(view, arr)
-        self.head = offset + nbytes
-        self.pending.append((offset, nbytes))
-        return offset
-
-    def pop(self) -> None:
-        self.pending.popleft()
-
-    def destroy(self) -> None:
-        self.shm.close()
-        _parent_unlink(self.shm)
 
 
 class _Job:
@@ -328,107 +294,82 @@ class _Job:
 
 
 class _Worker:
-    """Parent-side handle: process + pipe + rings + in-flight bookkeeping."""
+    """Parent-side handle: process + pipe + its two segments + its one job."""
 
-    def __init__(self, ctx, job, ring_bytes: int, out_bytes: int, *,
-                 index: int = 0, faults=None,
+    def __init__(self, ctx, job, *, index: int = 0, faults=None,
                  heartbeat_interval: float | None = None,
                  checksum: bool = False):
         self.index = index
         self.dead = False
         self.last_seen = deadline_clock()
         self._cleaned = False
-        self.ring = _InputRing(ring_bytes)
+        self.shm: dict[str, shared_memory.SharedMemory] = {}
         try:
-            self.out_shm = shared_memory.SharedMemory(create=True,
-                                                      size=out_bytes)
-        except BaseException:
-            self.ring.destroy()            # don't leak the segment
-            raise
-        try:
+            for side, size in (("in", _SEGMENT_BYTES),
+                               ("out", _SEGMENT_BYTES // 2)):
+                self.shm[side] = shared_memory.SharedMemory(create=True,
+                                                            size=size)
             self.conn, child_conn = ctx.Pipe()
             self.proc = ctx.Process(
                 target=_shm_worker_loop,
-                args=(job, self.ring.shm.name, self.out_shm.name, child_conn,
-                      index, faults, heartbeat_interval, checksum),
+                args=(job, self.shm["in"].name, self.shm["out"].name,
+                      child_conn, index, faults, heartbeat_interval,
+                      checksum),
                 daemon=True)
             _release_free_heap()
             self.proc.start()
         except BaseException:              # e.g. process spawn forbidden
-            self.ring.destroy()
-            self.out_shm.close()
-            _parent_unlink(self.out_shm)
+            for seg in self.shm.values():  # don't leak the segments
+                _release(seg)
             raise
         child_conn.close()
         self.queue: deque[_Job] = deque()     # jobs not yet sent
-        self.inflight: deque[_Job] = deque()  # jobs awaiting replies
+        self.inflight: _Job | None = None     # the job awaiting its reply
 
     @property
     def sentinel(self):
         return self.proc.sentinel
 
-    # -- control-plane recv ---------------------------------------------- #
-    def _recv_ctrl(self):
-        """Receive the next non-heartbeat control message."""
-        while True:
+    def _grow(self, side: str, nbytes: int) -> None:
+        """Swap ``side``'s segment for one of at least ``2 * nbytes``."""
+        old = self.shm[side]
+        self.shm[side] = shared_memory.SharedMemory(
+            create=True, size=max(nbytes * 2, old.size))
+        self.conn.send(("attach", side, self.shm[side].name))
+        while True:                         # skip stray heartbeats
             msg = self.conn.recv()
             self.last_seen = deadline_clock()
             if msg[0] != "hb":
-                return msg
-
-    # -- segment growth ------------------------------------------------- #
-    def _grow_in(self, min_bytes: int) -> None:
-        old = self.ring
-        new_cap = max(min_bytes * 2, old.capacity)
-        self.ring = _InputRing(new_cap)
-        self.conn.send(("attach_in", self.ring.shm.name))
-        assert self._recv_ctrl()[0] == "attached"
-        old.destroy()
-
-    def _grow_out(self, min_bytes: int) -> None:
-        old = self.out_shm
-        self.out_shm = shared_memory.SharedMemory(create=True,
-                                                  size=max(min_bytes * 2,
-                                                           old.size))
-        self.conn.send(("attach_out", self.out_shm.name))
-        assert self._recv_ctrl()[0] == "attached"
-        old.close()
-        _parent_unlink(old)
+                break
+        assert msg[0] == "attached"
+        _release(old)
 
     # -- request / reply ------------------------------------------------- #
     def try_send(self, out_nbytes_for) -> bool:
         """Stage and dispatch the next queued job, if the worker is free.
 
-        At most one frame is in flight per worker: the single-slot output
-        region is only safe to rewrite once the parent has copied the
-        previous reply out of it (:meth:`receive`), and the next ``run``
-        message is what tells the worker that happened.
+        At most one job is in flight per worker: its frame sits at offset 0
+        of the input segment, and its reply is only safe to overwrite once
+        the parent has copied it out of the output segment
+        (:meth:`receive`); the next ``run`` message is what tells the worker
+        that happened.
 
-        Raises ``OSError``/``BrokenPipeError`` when the worker is gone; the
-        caller treats that as a death event (the job is already in
-        ``inflight`` and will be reclaimed by the supervisor).
+        Raises ``OSError``/``BrokenPipeError``/``EOFError`` when the worker
+        is gone; the caller treats that as a death event (the job is still
+        queued or in flight, and is reclaimed when the worker is buried).
         """
-        if not self.queue or self.inflight or self.dead:
+        if not self.queue or self.inflight is not None or self.dead:
             return False
         job = self.queue[0]
         chunk = job.array
-        need = -(-max(chunk.nbytes, 1) // _ALIGN) * _ALIGN
-        if need > self.ring.capacity:
-            self._grow_in(need)
-        out_need = out_nbytes_for(chunk)
-        if out_need > self.out_shm.size:
-            self._grow_out(out_need)
-        offset = self.ring.put(chunk)
-        if offset is None:  # pragma: no cover - capacity grown above
-            return False
-        self.queue.popleft()
-        self.inflight.append(job)
-        try:
-            self.conn.send(("run", offset, chunk.shape, chunk.dtype.str))
-        except BaseException:
-            # Keep the ring/inflight bookkeeping consistent for reclamation.
-            self.ring.pop()
-            raise
+        for side, nbytes in (("in", chunk.nbytes),
+                             ("out", out_nbytes_for(chunk))):
+            if nbytes > self.shm[side].size:
+                self._grow(side, nbytes)
+        np.copyto(np.ndarray(chunk.shape, dtype=chunk.dtype,
+                             buffer=self.shm["in"].buf), chunk)
+        self.inflight = self.queue.popleft()
+        self.conn.send(("run", chunk.shape, chunk.dtype.str))
         self.last_seen = deadline_clock()
         if _trace._ENABLED:
             job.sent_at = deadline_clock()
@@ -450,8 +391,7 @@ class _Worker:
         tag = msg[0]
         if tag == "hb":
             return ("hb", None)
-        job = self.inflight.popleft()
-        self.ring.pop()
+        job, self.inflight = self.inflight, None
         if tag == "err":
             _, exc_type, message, tb, events = msg
             if events:
@@ -461,7 +401,7 @@ class _Worker:
         if events:
             _trace.absorb(events)
         out = np.ndarray(shape, dtype=np.dtype(dtype_str),
-                         buffer=self.out_shm.buf)
+                         buffer=self.shm["out"].buf)
         if crc is not None and zlib.crc32(out.tobytes()) != crc:
             return ("corrupt", job)
         job.sink(out)                      # sink copies out of the segment
@@ -482,9 +422,8 @@ class _Worker:
             self.conn.close()
         except OSError:  # pragma: no cover
             pass
-        self.ring.destroy()
-        self.out_shm.close()
-        _parent_unlink(self.out_shm)
+        for seg in self.shm.values():
+            _release(seg)
 
     def stop(self) -> None:
         """Graceful shutdown: ask the worker to exit, then clean up."""
@@ -512,83 +451,6 @@ class _Worker:
         self._cleanup()
 
 
-class WorkerSupervisor:
-    """Detects dead workers, respawns them, and re-dispatches their jobs.
-
-    Owned by a :class:`ShmWorkerPool`; all methods run on the pool's driving
-    thread (no internal locking needed).  Counters are exposed through
-    :meth:`ShmWorkerPool.stats`.
-    """
-
-    def __init__(self, pool: "ShmWorkerPool", *, max_job_retries: int = 2,
-                 max_respawn_attempts: int = 3,
-                 respawn_backoff_s: float = 0.05,
-                 respawn_backoff_cap_s: float = 1.0,
-                 retry_backoff_s: float = 0.01,
-                 retry_backoff_cap_s: float = 0.25):
-        self.pool = pool
-        self.max_job_retries = int(max_job_retries)
-        self.max_respawn_attempts = int(max_respawn_attempts)
-        self.respawn_backoff_s = float(respawn_backoff_s)
-        self.respawn_backoff_cap_s = float(respawn_backoff_cap_s)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.retry_backoff_cap_s = float(retry_backoff_cap_s)
-        self.deaths = 0
-        self.restarts = 0
-        self.retried_jobs = 0
-        self.corrupt_replies = 0
-
-    def bury(self, worker: _Worker, reason: str) -> list[_Job]:
-        """Tear a dead/stalled worker down; returns its unacknowledged jobs."""
-        orphans = list(worker.inflight) + list(worker.queue)
-        worker.inflight.clear()
-        worker.queue.clear()
-        worker.dead = True
-        worker.destroy()
-        self.deaths += 1
-        _trace.instant("pool.worker_death", cat="fault", worker=worker.index,
-                       reason=reason, orphaned_jobs=len(orphans))
-        return orphans
-
-    def revive(self, worker: _Worker) -> _Worker | None:
-        """Replace a buried worker with a fresh process (backoff on failure).
-
-        The replacement compiles the pool's job at startup — its plan cache
-        is warm again before it sees traffic (and under the ``fork`` start
-        method it also inherits every plan the parent has lowered since).
-        Replacements run *without* the pool's fault plan: scripted faults
-        apply to the first generation of each worker slot, so a killed
-        worker's replacement is healthy — but payload checksums stay on.
-        """
-        pool = self.pool
-        slot = pool._workers.index(worker)
-        delay = self.respawn_backoff_s
-        for _ in range(self.max_respawn_attempts):
-            try:
-                fresh = _Worker(pool._ctx, pool.job, pool.ring_bytes,
-                                pool.out_bytes, index=worker.index,
-                                faults=None,
-                                heartbeat_interval=pool.heartbeat_interval,
-                                checksum=pool._checksum)
-            except Exception:
-                time.sleep(min(delay, self.respawn_backoff_cap_s))
-                delay *= 2
-                continue
-            pool._workers[slot] = fresh
-            self.restarts += 1
-            _trace.instant("pool.respawn", cat="fault", worker=worker.index)
-            return fresh
-        _trace.instant("pool.respawn_failed", cat="fault",
-                       worker=worker.index,
-                       attempts=self.max_respawn_attempts)
-        return None
-
-    def backoff_for(self, job: _Job) -> float:
-        """Capped exponential backoff before a job's next retry dispatch."""
-        return min(self.retry_backoff_s * (2 ** max(job.retries - 1, 0)),
-                   self.retry_backoff_cap_s)
-
-
 class ShmWorkerPool:
     """Supervised long-lived workers on shared-memory transport.
 
@@ -599,8 +461,6 @@ class ShmWorkerPool:
     num_workers:
         Worker process count (must be >= 1; inline execution is the
         caller's — :class:`~repro.engine.BatchRunner`'s — job).
-    ring_bytes:
-        Initial input-ring capacity per worker (grown on demand).
     mp_context:
         multiprocessing start method; defaults to ``fork`` where available
         so workers inherit warm caches.
@@ -611,7 +471,7 @@ class ShmWorkerPool:
         Workers beat every ``heartbeat_interval`` seconds *while computing*;
         a worker holding a job silent for ``heartbeat_timeout`` is declared
         stalled and replaced.  ``heartbeat_interval=None`` disables the
-        heartbeat machinery entirely (bare PR 5 wire behaviour).
+        heartbeat machinery entirely (the bare, unsupervised-liveness wire).
     max_job_retries:
         How many times one job may be re-dispatched after worker deaths or
         corrupt replies before surfacing :class:`WorkerCrashed`.
@@ -621,8 +481,8 @@ class ShmWorkerPool:
         raises :class:`PoolUnavailable`.
     """
 
-    def __init__(self, job, num_workers: int, ring_bytes: int = 1 << 22,
-                 mp_context: str | None = None, *, faults=None,
+    def __init__(self, job, num_workers: int, *,
+                 mp_context: str | None = None, faults=None,
                  heartbeat_interval: float | None = 0.25,
                  heartbeat_timeout: float | None = 5.0,
                  max_job_retries: int = 2, max_respawn_attempts: int = 3):
@@ -631,27 +491,28 @@ class ShmWorkerPool:
         self._ctx = _pick_context(mp_context)
         self.job = job
         self.num_workers = int(num_workers)
-        self.ring_bytes = int(ring_bytes)
-        self.out_bytes = int(ring_bytes) // 2
         self.faults = faults
         self._checksum = faults is not None
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (None if heartbeat_interval is None
                                   else heartbeat_timeout)
-        self._supervisor = WorkerSupervisor(
-            self, max_job_retries=max_job_retries,
-            max_respawn_attempts=max_respawn_attempts)
+        self.max_job_retries = int(max_job_retries)
+        self.max_respawn_attempts = int(max_respawn_attempts)
+        self.deaths = self.restarts = 0
+        self.retried_jobs = self.corrupt_replies = 0
+        self._lock = threading.Lock()       # one driving thread at a time
         self._workers: list[_Worker] = []
         try:
             for i in range(self.num_workers):
-                self._workers.append(
-                    _Worker(self._ctx, job, self.ring_bytes, self.out_bytes,
-                            index=i, faults=faults,
-                            heartbeat_interval=heartbeat_interval,
-                            checksum=self._checksum))
+                self._workers.append(self._spawn(i, faults))
         except Exception:
             self.close()
             raise
+
+    def _spawn(self, index: int, faults) -> _Worker:
+        return _Worker(self._ctx, self.job, index=index, faults=faults,
+                       heartbeat_interval=self.heartbeat_interval,
+                       checksum=self._checksum)
 
     # ------------------------------------------------------------------ #
     # Health / introspection
@@ -668,20 +529,15 @@ class ShmWorkerPool:
     def healthy(self) -> bool:
         return self.live_workers == self.num_workers
 
-    @property
-    def supervisor(self) -> WorkerSupervisor:
-        return self._supervisor
-
     def stats(self) -> dict:
         """Supervision counters: deaths, restarts, retries, corruption."""
-        sup = self._supervisor
         return {
             "num_workers": self.num_workers,
             "live_workers": self.live_workers,
-            "deaths": sup.deaths,
-            "restarts": sup.restarts,
-            "retried_jobs": sup.retried_jobs,
-            "corrupt_replies": sup.corrupt_replies,
+            "deaths": self.deaths,
+            "restarts": self.restarts,
+            "retried_jobs": self.retried_jobs,
+            "corrupt_replies": self.corrupt_replies,
         }
 
     def kill_worker(self, index: int) -> None:
@@ -692,11 +548,52 @@ class ShmWorkerPool:
                 return
         raise ValueError(f"no live worker with index {index}")
 
-    def _heal(self) -> None:
-        """Respawn any dead worker slots before accepting a new batch."""
-        for worker in list(self._workers):
-            if worker.dead:
-                self._supervisor.revive(worker)
+    # ------------------------------------------------------------------ #
+    # Supervision: bury and revive worker slots
+    # ------------------------------------------------------------------ #
+    def _bury(self, worker: _Worker, reason: str) -> list[_Job]:
+        """Tear a dead/stalled worker down and respawn its slot.
+
+        Returns the buried worker's unacknowledged jobs for the caller to
+        retry or drop.
+        """
+        orphans = [worker.inflight] if worker.inflight is not None else []
+        orphans += worker.queue
+        worker.inflight = None
+        worker.queue.clear()
+        worker.dead = True
+        worker.destroy()
+        self.deaths += 1
+        _trace.instant("pool.worker_death", cat="fault", worker=worker.index,
+                       reason=reason, orphaned_jobs=len(orphans))
+        self._revive(worker)
+        return orphans
+
+    def _revive(self, worker: _Worker) -> None:
+        """Replace a buried worker with a fresh process (backoff on failure).
+
+        The replacement compiles the pool's job at startup — its plan cache
+        is warm again before it sees traffic (and under the ``fork`` start
+        method it also inherits every plan the parent has lowered since).
+        Replacements run *without* the pool's fault plan: scripted faults
+        apply to the first generation of each worker slot, so a killed
+        worker's replacement is healthy — but payload checksums stay on.
+        """
+        slot = self._workers.index(worker)
+        delay = _RESPAWN_BACKOFF_S
+        for _ in range(self.max_respawn_attempts):
+            try:
+                self._workers[slot] = self._spawn(worker.index, None)
+            except Exception:
+                time.sleep(min(delay, _RESPAWN_BACKOFF_CAP_S))
+                delay *= 2
+                continue
+            self.restarts += 1
+            _trace.instant("pool.respawn", cat="fault", worker=worker.index)
+            return
+        _trace.instant("pool.respawn_failed", cat="fault",
+                       worker=worker.index,
+                       attempts=self.max_respawn_attempts)
 
     # ------------------------------------------------------------------ #
     def _out_shape(self, in_shape: tuple) -> tuple:
@@ -730,6 +627,30 @@ class ShmWorkerPool:
                                   0.01))
         return min(candidates) if candidates else None
 
+    def _scatter(self, arrays: list[np.ndarray], sinks: list,
+                 deadline: float | None, span: str, **span_args) -> None:
+        """Queue one job per array round-robin over the live workers and
+        drive them to completion; the caller holds the pool's lock.
+
+        ``sinks[i]`` receives job ``i``'s reply, still in the worker's
+        output segment (it must copy).  A deadline that passed while the
+        caller waited for the lock fails before anything is dispatched.
+        """
+        now = deadline_clock()
+        if deadline is not None and now >= deadline:
+            raise RequestTimeout("batch deadline expired before dispatch",
+                                 deadline=deadline, now=now)
+        for worker in list(self._workers):       # heal dead slots first
+            if worker.dead:
+                self._revive(worker)
+        live = self._live()
+        if not live:
+            raise PoolUnavailable("worker pool has no live workers")
+        for i, (arr, sink) in enumerate(zip(arrays, sinks)):
+            live[i % len(live)].queue.append(_Job(i, arr, sink))
+        with _trace.span(span, cat="pool", jobs=len(arrays), **span_args):
+            self._drive(deadline)
+
     def _drive(self, deadline: float | None = None) -> None:
         """Scatter queued jobs and gather replies until everything drains.
 
@@ -740,7 +661,6 @@ class ShmWorkerPool:
         Worker deaths (sentinel, EOF, or heartbeat silence) trigger
         respawn-and-retry instead of an error, up to the per-job retry cap.
         """
-        sup = self._supervisor
         failures: list[ServingError] = []
 
         def fail(exc: ServingError) -> None:
@@ -752,7 +672,7 @@ class ShmWorkerPool:
         def retry_jobs(jobs: list[_Job], reason: str) -> None:
             for job_ in jobs:
                 job_.retries += 1
-                if job_.retries > sup.max_job_retries:
+                if job_.retries > self.max_job_retries:
                     fail(WorkerCrashed(
                         f"job {job_.index} abandoned after "
                         f"{job_.retries - 1} retries ({reason})",
@@ -765,18 +685,17 @@ class ShmWorkerPool:
                     raise PoolUnavailable(
                         f"no live workers left to retry job {job_.index} "
                         f"({reason})")
-                sup.retried_jobs += 1
+                self.retried_jobs += 1
                 _trace.instant("pool.retry", cat="fault", job=job_.index,
                                attempt=job_.retries, reason=reason)
-                time.sleep(sup.backoff_for(job_))
-                target = min(live,
-                             key=lambda w: len(w.queue) + len(w.inflight))
+                time.sleep(min(_RETRY_BACKOFF_S * 2 ** (job_.retries - 1),
+                               _RETRY_BACKOFF_CAP_S))
+                target = min(live, key=lambda w: len(w.queue)
+                             + (w.inflight is not None))
                 target.queue.append(job_)
 
         def on_dead(w: _Worker, reason: str) -> None:
-            orphans = sup.bury(w, reason)
-            sup.revive(w)
-            retry_jobs(orphans, reason)
+            retry_jobs(self._bury(w, reason), reason)
 
         def pump(w: _Worker) -> None:
             try:
@@ -785,7 +704,7 @@ class ShmWorkerPool:
                     if kind in ("ok", "hb"):
                         continue
                     if kind == "corrupt":
-                        sup.corrupt_replies += 1
+                        self.corrupt_replies += 1
                         retry_jobs([payload], "corrupt reply payload")
                     elif kind == "err":
                         job_, exc_type, message, tb = payload
@@ -800,7 +719,8 @@ class ShmWorkerPool:
             while True:
                 live = self._live()
                 if not live:
-                    if any(w.queue or w.inflight for w in self._workers):
+                    if any(w.queue or w.inflight is not None
+                           for w in self._workers):
                         raise PoolUnavailable(
                             "no live workers remain and respawning failed")
                     break
@@ -812,7 +732,7 @@ class ShmWorkerPool:
                             w.try_send(self._out_nbytes)
                         except (BrokenPipeError, EOFError, OSError):
                             on_dead(w, "control pipe closed at dispatch")
-                busy = [w for w in self._live() if w.inflight]
+                busy = [w for w in self._live() if w.inflight is not None]
                 if not busy:
                     if any(w.queue for w in self._live()) and not failures:
                         continue               # redistributed work to send
@@ -831,8 +751,8 @@ class ShmWorkerPool:
                         pump(w)
                 if self.heartbeat_timeout is not None:
                     now = deadline_clock()
-                    for w in list(self._live()):
-                        if w.inflight and \
+                    for w in self._live():
+                        if w.inflight is not None and \
                                 now - w.last_seen > self.heartbeat_timeout:
                             on_dead(w, "stalled: no heartbeat for "
                                        f"{now - w.last_seen:.2f}s")
@@ -862,11 +782,10 @@ class ShmWorkerPool:
         for w in self._workers:
             w.queue.clear()
         for w in list(self._workers):
-            if not w.dead and w.inflight:
+            if not w.dead and w.inflight is not None:
                 _trace.instant("pool.deadline_abort", cat="fault",
-                               worker=w.index, inflight=len(w.inflight))
-                self._supervisor.bury(w, "deadline expired")
-                self._supervisor.revive(w)
+                               worker=w.index, job=w.inflight.index)
+                self._bury(w, "deadline expired")
 
     def _quiesce(self, grace: float = 5.0) -> None:
         """Drain or replace every worker with in-flight work (error path)."""
@@ -874,14 +793,13 @@ class ShmWorkerPool:
             w.queue.clear()
         for w in list(self._workers):
             end = deadline_clock() + grace
-            while w.inflight and not w.dead:
+            while w.inflight is not None and not w.dead:
                 try:
                     if not w.conn.poll(max(end - deadline_clock(), 0.0)):
                         raise TimeoutError
                     w.receive()
                 except BaseException:          # worker gone or wedged
-                    self._supervisor.bury(w, "quiesce")
-                    self._supervisor.revive(w)
+                    self._bury(w, "quiesce")
                     break
 
     # ------------------------------------------------------------------ #
@@ -899,49 +817,31 @@ class ShmWorkerPool:
         """
         x = np.ascontiguousarray(x)
         n = x.shape[0]
-        if n == 0:
-            # Nothing to shard: empty result of the right shape, no workers.
-            shape = self._out_shape(x.shape)
-            return np.empty(shape, dtype=self._out_dtype(x.dtype))
-        self._heal()
-        live = self._live()
-        if not live:
-            raise PoolUnavailable("worker pool has no live workers")
-        bounds = chunk_bounds(n, self.num_workers)
-        out_shape = self._out_shape(x.shape)
-        result = np.empty(out_shape, dtype=self._out_dtype(x.dtype))
-
-        def make_sink(lo: int, hi: int):
-            def sink(arr: np.ndarray) -> None:
-                np.copyto(result[lo:hi], arr)
-            return sink
-
-        for idx, (lo, hi) in enumerate(bounds):
-            job = _Job(idx, x[lo:hi], make_sink(lo, hi))
-            live[idx % len(live)].queue.append(job)
-        with _trace.span("pool.run", cat="pool", jobs=len(bounds),
-                         batch=int(n)):
-            self._drive(deadline=deadline)
+        with self._lock:
+            result = np.empty(self._out_shape(x.shape),
+                              dtype=self._out_dtype(x.dtype))
+            if n == 0:
+                return result    # nothing to shard, no worker round trips
+            bounds = chunk_bounds(n, self.num_workers)
+            self._scatter([x[lo:hi] for lo, hi in bounds],
+                          [functools.partial(np.copyto, result[lo:hi])
+                           for lo, hi in bounds],
+                          deadline, "pool.run", batch=int(n))
         return result
 
     def map(self, inputs) -> list[np.ndarray]:
         """A stream of independent input arrays (one result per input)."""
         arrays = [np.ascontiguousarray(a) for a in inputs]
         results: list[np.ndarray | None] = [None] * len(arrays)
-        self._heal()
-        live = self._live()
-        if not live and arrays:
-            raise PoolUnavailable("worker pool has no live workers")
 
-        def make_sink(i: int):
-            def sink(arr: np.ndarray) -> None:
-                results[i] = arr.copy()
-            return sink
+        def store(i: int, out: np.ndarray) -> None:
+            results[i] = out.copy()
 
-        for i, arr in enumerate(arrays):
-            live[i % len(live)].queue.append(_Job(i, arr, make_sink(i)))
-        with _trace.span("pool.map", cat="pool", jobs=len(arrays)):
-            self._drive()
+        if arrays:
+            with self._lock:
+                self._scatter(arrays, [functools.partial(store, i)
+                                       for i in range(len(arrays))],
+                              None, "pool.map")
         return results
 
     # ------------------------------------------------------------------ #

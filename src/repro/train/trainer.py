@@ -249,7 +249,7 @@ class DataParallelTrainer(Trainer):
     Every step: snapshot the model, encode ``num_workers`` frames with
     boundaries fixed by :func:`~repro.serve.pool.chunk_bounds`, and run them
     through a :class:`~repro.engine.BatchRunner` over a
-    :class:`~repro.train.aggregation.GradStepJob` (the pool's supervisor
+    :class:`~repro.train.aggregation.GradStepJob` (the pool's supervision
     handles deaths, stalls, and corrupt replies with bit-exact retries);
     then accumulate the replies in chunk-index order.  When the pool is lost
     for good the runner computes the *same* frames inline — mid-run, with
@@ -264,9 +264,7 @@ class DataParallelTrainer(Trainer):
                  loader: DataLoader, *, num_workers: int = 0,
                  mp_context: str | None = None,
                  heartbeat_interval: float | None = 0.25,
-                 heartbeat_timeout: float | None = 5.0,
-                 max_job_retries: int = 2, max_respawn_attempts: int = 3,
-                 **kwargs):
+                 heartbeat_timeout: float | None = 5.0, **kwargs):
         super().__init__(model, optimizer, loader, **kwargs)
         self.num_workers = int(num_workers)
         self._runner: BatchRunner | None = None
@@ -275,9 +273,7 @@ class DataParallelTrainer(Trainer):
                 GradStepJob(model, loss=self.loss), self.num_workers,
                 mp_context=mp_context, faults=self.faults,
                 heartbeat_interval=heartbeat_interval,
-                heartbeat_timeout=heartbeat_timeout,
-                max_job_retries=max_job_retries,
-                max_respawn_attempts=max_respawn_attempts)
+                heartbeat_timeout=heartbeat_timeout)
 
     @property
     def degraded(self) -> bool:

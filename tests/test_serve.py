@@ -13,6 +13,7 @@ Covers the PR 5 acceptance criteria:
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.quant import (QatConfig, QuantConv2d, QuantWinogradConv2d,
                          calibrate_tapwise_scales, integer_winograd_conv2d)
 from repro.serve import (CompiledModel, MicroBatcher, Server, ShmWorkerPool,
                          compile_model)
+from repro.serve import pool as pool_module
 from repro.winograd import winograd_f4
 
 
@@ -467,17 +469,46 @@ class TestShmPool:
             for got, want in zip(pool.map(streams), inline.map(streams)):
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_segment_growth_roundtrip(self, rng, conv_job):
+    def test_segment_growth_roundtrip(self, rng, conv_job, monkeypatch):
         w = rng.normal(size=(4, 3, 3, 3))
         job = conv_job(w)
         inline = BatchRunner(job)
-        with _spawn_pool(job, 2, ring_bytes=1 << 14) as pool:  # tiny segments
+        monkeypatch.setattr(pool_module, "_SEGMENT_BYTES", 1 << 14)
+        with _spawn_pool(job, 2) as pool:              # tiny segments
             small = rng.normal(size=(2, 3, 8, 8))
             np.testing.assert_allclose(pool.run(small), inline.infer(small),
                                        atol=1e-12)
             big = rng.normal(size=(9, 3, 32, 32))  # forces in+out growth
             np.testing.assert_allclose(pool.run(big), inline.infer(big),
                                        atol=1e-12)
+            for worker in pool._workers:
+                assert worker.shm["in"].size > 1 << 14
+                assert worker.shm["out"].size > 1 << 13
+
+    def test_one_frame_slot_bounds_worker_shm_footprint(self, rng, conv_job):
+        """Every frame lands at offset 0 of its worker's segments, so a
+        steady stream touches only the pages one frame needs, not the whole
+        4 MiB input segment."""
+        def rss_shmem_kb(pid: int) -> int | None:
+            try:
+                with open(f"/proc/{pid}/status") as fh:
+                    for line in fh:
+                        if line.startswith("RssShmem:"):
+                            return int(line.split()[1])
+            except OSError:
+                pass
+            return None
+
+        if rss_shmem_kb(os.getpid()) is None:
+            pytest.skip("no RssShmem in /proc/<pid>/status")
+        job = conv_job(rng.normal(size=(1, 3, 3, 3)))
+        frame = rng.normal(size=(14, 3, 32, 32))          # 344,064 bytes
+        with _spawn_pool(job, 2) as pool:
+            for _ in range(32):
+                pool.map([frame, frame])
+            footprint = [rss_shmem_kb(w.proc.pid) for w in pool._workers]
+        assert all(kb is not None and kb < 1024 for kb in footprint), \
+            footprint
 
     def test_empty_batch_no_worker_roundtrip(self, rng, conv_job):
         job = conv_job(rng.normal(size=(4, 3, 3, 3)))

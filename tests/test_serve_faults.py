@@ -24,6 +24,7 @@ tap-wise quantized, and recovery is held to the strongest possible standard
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -35,6 +36,7 @@ from repro.engine import ArenaPool, BatchRunner
 from repro.models.resnet_cifar import resnet_tiny
 from repro.nn.data import DataLoader
 from repro.nn.module import Module, Sequential
+from repro.nn.tensor import is_grad_enabled
 from repro.quant import (QatConfig, calibrate_model, convert_model,
                          freeze_calibration)
 from repro.serve import (Fault, FaultPlan, ModelJob, PoolUnavailable,
@@ -218,6 +220,18 @@ class TestPoolChaos:
         with _spawn_pool(job, 2) as clean:
             np.testing.assert_array_equal(got, clean.run(x))
 
+    def test_lapsed_deadline_fails_before_dispatch(self, rng, network):
+        """A batch whose deadline passed before it reached the pool (say,
+        while it waited for another thread's drive) is refused without
+        sending a frame, so no busy worker has to be replaced."""
+        job = ModelJob(network)
+        x = _images(rng, 4)
+        with _spawn_pool(job, 2) as pool:
+            with pytest.raises(RequestTimeout):
+                pool.run(x, deadline=deadline_clock() - 1.0)
+            assert pool.stats()["deaths"] == 0
+            assert pool.run(x).shape == (4, 10)
+
     def test_retry_cap_surfaces_worker_crashed(self, rng, network):
         job = ModelJob(network)
         plan = FaultPlan().kill(worker=0, step=1)
@@ -341,6 +355,42 @@ class TestServedPool:
         for got, want in zip(outs, expected):
             np.testing.assert_array_equal(got, want[0])
 
+    def test_threads_take_turns_on_a_bare_pool(self, rng, network):
+        """Three threads driving one pool directly each get their own
+        batches' results, bit-exact: the pool's lock serialises them, and
+        the job's parent-side shape probe (an eager forward under the
+        process-wide ``no_grad``) with them."""
+        job = ModelJob(network)
+        batches = [[_images(rng, 8) for _ in range(12)] for _ in range(3)]
+        outs: list[list] = [[] for _ in batches]
+        errors: list[BaseException] = []
+        with _spawn_pool(job, 2) as pool:
+            def drive(t: int) -> None:
+                try:
+                    outs[t] = [pool.run(x) for x in batches[t]]
+                except BaseException as exc:       # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=drive, args=(t,))
+                       for t in range(len(batches))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)        # interleave the drivers often
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors and pool.stats()["deaths"] == 0
+        assert is_grad_enabled()
+        inline = BatchRunner(job, num_workers=2,           # the same chunks
+                             mp_context="__no_such_context__")
+        for thread_batches, thread_outs in zip(batches, outs):
+            for x, got in zip(thread_batches, thread_outs, strict=True):
+                np.testing.assert_array_equal(got, inline.infer(x))
+
     def test_overload_sheds_while_the_pool_is_busy(self, rng, network):
         job = ModelJob(network)
         images = _images(rng, 4)
@@ -395,7 +445,7 @@ class TestServedPool:
 def _wipe_out(runner: BatchRunner) -> None:
     """Kill every worker of the runner's pool and forbid revival."""
     pool = runner._pool
-    pool.supervisor.max_respawn_attempts = 0
+    pool.max_respawn_attempts = 0
     for index in range(pool.num_workers):
         pool.kill_worker(index)
     for worker in pool._workers:

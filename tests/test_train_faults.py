@@ -262,7 +262,7 @@ class TestTotalPoolLoss:
             trainer.fit(epochs=1)
             assert not trainer.degraded
             pool = trainer._runner._pool
-            pool.supervisor.max_respawn_attempts = 0   # forbid revival
+            pool.max_respawn_attempts = 0   # forbid revival
             for index in range(pool.num_workers):
                 pool.kill_worker(index)
             for worker in pool._workers:
