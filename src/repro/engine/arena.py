@@ -1,23 +1,20 @@
-"""Plan-keyed workspace arenas: reuse large buffers across inference calls.
+"""Slot-keyed workspace arenas: reuse large buffers across inference calls.
 
-Execution plans (:class:`repro.engine.LayerPlan`) record the shape of every
-pipeline-stage array a layer materialises, but the executor historically
-allocated those arrays fresh on every call (ROADMAP open item).  For a
-serving loop that streams thousands of same-shape batches through a fixed
-plan, that is pure allocator traffic: the shapes never change.
+A serving loop streams thousands of same-shape batches through fixed plans
+(:class:`repro.engine.LayerPlan`); allocating every stage's array fresh on
+each call would be pure allocator traffic, since the shapes never change.
 
 :class:`WorkspaceArena` is a dictionary of reusable buffers keyed by
 ``(owner, stage)``:
 
 * ``owner`` — the ``slot`` argument when given (typically the executing
   *step*, so two ResNet blocks with the *same* interned plan never scribble
-  over each other's buffers mid-network), else the plan itself.  Keying by
-  the stable slot rather than the plan matters for longevity: a backend
-  switch mints fresh plan objects for the same shapes, and slot-keyed
-  buffers simply get reused instead of accumulating per evicted plan.  The
+  over each other's buffers mid-network), else the plan itself.  A slot
+  outlives the plans it executes (a new batch size lowers a new plan), so
+  its buffers are reshaped in place instead of accumulating per plan.  The
   arena keeps a strong reference to the owner so ids stay unique.
-* ``stage`` — the plan's workspace-stage name (``"padded"``, ``"out"``, ...),
-  whose shape defaults from ``plan.workspace``.
+* ``stage`` — a name for the buffer's role (``"padded"``, ``"out"``, ...);
+  the caller passes its shape.
 
 A buffer is (re)allocated only when its shape or dtype changes — in steady
 state :meth:`get` performs a single dict lookup and returns the same array
@@ -70,19 +67,16 @@ class WorkspaceArena:
         self._owners: dict[tuple, object] = {}   # strong refs keep ids unique
         self._ids: set[int] = set()
 
-    def get(self, plan, stage: str, shape: tuple | None = None,
-            dtype=np.float64, slot=None) -> np.ndarray:
-        """The reusable buffer for ``stage`` of ``plan`` (allocated on demand).
+    def get(self, plan, stage: str, shape: tuple, dtype=np.float64,
+            slot=None) -> np.ndarray:
+        """The reusable ``shape`` buffer for ``stage`` (allocated on demand).
 
-        ``shape`` defaults to ``plan.workspace[stage]``.  The buffer contents
-        are *unspecified* — callers overwrite them entirely (use
-        :meth:`get_zeroed` for buffers whose halo must be zero).  Buffers are
-        keyed by ``slot`` (falling back to the plan) so a long-lived caller
-        owns exactly one buffer per stage, re-shaped in place when its plan
-        changes (new batch size, backend switch) rather than accumulated.
+        The buffer contents are *unspecified* — callers overwrite them
+        entirely.  Buffers are keyed by ``slot`` (falling back to the plan)
+        so a long-lived caller owns exactly one buffer per stage, re-shaped
+        in place when its plan changes (a new batch size) rather than
+        accumulated.
         """
-        if shape is None:
-            shape = plan.workspace[stage]
         owner = plan if slot is None else slot
         key = (id(owner), stage)
         buf = self._buffers.get(key)
@@ -93,13 +87,6 @@ class WorkspaceArena:
             self._buffers[key] = buf
             self._owners[key] = owner
             self._ids.add(id(buf))
-        return buf
-
-    def get_zeroed(self, plan, stage: str, shape: tuple | None = None,
-                   dtype=np.float64, slot=None) -> np.ndarray:
-        """Like :meth:`get` but with every element reset to zero."""
-        buf = self.get(plan, stage, shape, dtype, slot)
-        buf.fill(0)
         return buf
 
     def owns(self, array: np.ndarray) -> bool:

@@ -186,7 +186,7 @@ def _winograd_execute(plan: LayerPlan, be: KernelBackend, x: np.ndarray,
                                **kwargs)
     if (full_h, full_w) == (plan.out_h, plan.out_w):
         return full
-    out = arena.get(plan, "out", slot=slot)
+    out = arena.get(plan, "out", shape=plan.out_shape, slot=slot)
     np.copyto(out, full[:, :, :plan.out_h, :plan.out_w])
     return out
 
@@ -321,8 +321,13 @@ class CompiledConv:
         self.kind = "im2col" if transform is None else "winograd"
         if self.kind == "winograd" and stride != 1:
             raise ValueError("Winograd plans support unit stride only")
-        self._w_r = None if transform is None else bind_tap_major_weights(
-            self.backend, self.weight, transform)
+        self._w_r = self._bind_weights()
+
+    def _bind_weights(self) -> np.ndarray | None:
+        """The ``w_r=`` every call passes: tap-major Winograd weights."""
+        if self.transform is None:
+            return None
+        return bind_tap_major_weights(self.backend, self.weight, self.transform)
 
     def plan_for(self, in_shape: tuple) -> LayerPlan:
         """The (cached) plan this layer uses for inputs of ``in_shape``."""

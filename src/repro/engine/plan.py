@@ -9,19 +9,17 @@ call.  This module is the compiler half of the fix:
 * :func:`lower_winograd` / :func:`lower_conv2d` compile one layer *shape*
   (input shape, weight shape, stride/padding, transform, backend) into a
   :class:`LayerPlan` holding the resolved kernel backend, the Winograd
-  transform, the precomputed padding/tiling geometry, the workspace shapes of
-  every pipeline stage, and (optionally) the layer's quantization parameters.
+  transform and the precomputed padding/tiling geometry: exactly what the
+  executor reads.
 
 * Plans are interned in a process-wide LRU keyed by the lowering arguments,
   so repeated calls with the same layer shape — the overwhelmingly common
   case in training loops and sweeps — return the *same* immutable plan
-  object.  The backend enters the key by identity, not name, so an
-  instrumented copy of a registered backend gets plans of its own.
+  object.  The backend enters the key by identity, not name, and each plan
+  holds its backend, so a plan lowered for one backend is never returned for
+  another (an instrumented copy of a registered backend gets plans of its
+  own, and a process-wide switch needs no eviction).
   :func:`plan_cache_stats` exposes hit/miss counters.
-
-* The cache is evicted whenever the active kernel backend changes
-  (:func:`repro.kernels.set_backend` and friends notify us), because plans
-  capture a resolved :class:`~repro.kernels.KernelBackend` instance.
 
 The executor half lives in :mod:`repro.engine.executor`.
 """
@@ -30,13 +28,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
-from ..kernels import KernelBackend, add_backend_listener, get_backend
+from ..kernels import KernelBackend, get_backend
 from ..winograd.tiling import tile_counts
-from ..winograd.transforms import (WinogradTransform, get_transform,
-                                   integer_transform_matrices, winograd_f4)
+from ..winograd.transforms import WinogradTransform, get_transform, winograd_f4
 
 __all__ = [
     "LayerPlan",
@@ -58,9 +54,7 @@ class LayerPlan:
 
     Instances are immutable and shared: the lowering functions intern them in
     a process-wide cache, so two calls with the same layer shape get the same
-    object.  ``workspace`` maps pipeline-stage names to the array shapes the
-    executor materialises (useful both for executing and for reasoning about
-    the layer's memory footprint).
+    object.
     """
 
     kind: str                                   # "winograd" | "im2col"
@@ -75,10 +69,7 @@ class LayerPlan:
     transform: WinogradTransform | None = None
     n_h: int = 0
     n_w: int = 0
-    padded_shape: tuple[int, int, int, int] | None = None
     pad_width: tuple | None = None              # np.pad spec for the input
-    workspace: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
-    quant: MappingProxyType | None = None       # quantization parameters, if any
 
     @property
     def out_shape(self) -> tuple[int, int, int, int]:
@@ -126,11 +117,6 @@ def reset_plan_stats() -> None:
         _STATS.hits = _STATS.misses = _STATS.evictions = 0
 
 
-# Plans capture a resolved backend, so a process-wide backend switch must
-# invalidate them (set_backend / use_backend / reset_backend all notify).
-add_backend_listener(clear_plan_cache)
-
-
 def _intern(key: tuple, build) -> LayerPlan:
     with _LOCK:
         plan = _CACHE.get(key)
@@ -153,48 +139,15 @@ def _intern(key: tuple, build) -> LayerPlan:
     return plan
 
 
-def _freeze_quant(quant) -> tuple[tuple | None, MappingProxyType | None]:
-    """Normalise quantization metadata into (hashable key part, plan field)."""
-    if quant is None:
-        return None, None
-    items = tuple(sorted(dict(quant).items()))
-    return items, MappingProxyType(dict(items))
-
-
-def _check_integer_exact(transform: WinogradTransform, cin: int,
-                         wino_bits: int) -> None:
-    if integer_transform_matrices(transform).BT is None:
-        raise ValueError(
-            f"transform {transform.name or transform} has a non-integer BT; "
-            "the integer path supports F2/F4-style integral input transforms")
-    bound = cin * (1 << (int(wino_bits) - 1)) ** 2
-    if bound >= 1 << 53:
-        raise ValueError(
-            f"integer Winograd accumulator bound Cin * 2**(2*(wino_bits-1)) = "
-            f"{cin} * 2**{2 * (int(wino_bits) - 1)} reaches 2**53 (wino_bits="
-            f"{wino_bits}); the integer path is only exact below 2**53")
-
-
 def lower_winograd(in_shape: tuple, weight_shape: tuple,
                    transform: WinogradTransform | str | None = None,
                    padding: int = 1,
-                   backend: str | KernelBackend | None = None,
-                   quant=None) -> LayerPlan:
+                   backend: str | KernelBackend | None = None) -> LayerPlan:
     """Compile a unit-stride Winograd convolution layer into a cached plan.
 
     ``transform`` may be a :class:`WinogradTransform` instance (the cached
     singletons hash by identity) or a registry name (``"F2"``/``"F4"``/...);
-    ``None`` selects F4, the paper's headline configuration.  ``quant`` is an
-    optional mapping of quantization parameters recorded verbatim on the plan
-    (and folded into the cache key, so differently-quantized instances of the
-    same shape get distinct plans).
-
-    For the integer tap-wise path (``quant={"path": "integer", "wino_bits":
-    b, ...}``) lowering also checks that the path is exact: ``BT`` must be
-    integral, and the worst-case accumulator ``Cin · (2**(b-1))²`` must stay
-    below 2**53, the largest bound under which every backend (``fast``
-    carries the integers in float64) computes it exactly.  Either failure
-    raises ``ValueError``.
+    ``None`` selects F4, the paper's headline configuration.
     """
     be = get_backend(backend)
     if isinstance(transform, str):
@@ -202,19 +155,16 @@ def lower_winograd(in_shape: tuple, weight_shape: tuple,
     transform = transform or winograd_f4()
     n, cin, h, w = (int(v) for v in in_shape)
     cout, cin_w, kh, kw = (int(v) for v in weight_shape)
-    m, r, alpha = transform.m, transform.r, transform.alpha
+    m, r = transform.m, transform.r
     if kh != r or kw != r:
         raise ValueError(f"kernel size ({kh}, {kw}) does not match transform r={r}")
     if cin != cin_w:
         raise ValueError(f"channel mismatch: input has {cin}, weight expects {cin_w}")
 
-    if quant is not None and quant.get("path") == "integer":
-        _check_integer_exact(transform, cin, quant["wino_bits"])
-    quant_key, quant_field = _freeze_quant(quant)
     # The cached plan holds ``be``, so its id cannot be reused while the
     # entry lives.
     key = ("winograd", (n, cin, h, w), (cout, cin_w, kh, kw), padding,
-           transform, id(be), quant_key)
+           transform, id(be))
 
     def build() -> LayerPlan:
         out_h = h + 2 * padding - r + 1
@@ -229,30 +179,18 @@ def lower_winograd(in_shape: tuple, weight_shape: tuple,
         pad_width = ((0, 0), (0, 0),
                      (padding, padding + pad_bottom),
                      (padding, padding + pad_right))
-        padded_shape = (n, cin, h + 2 * padding + pad_bottom,
-                        w + 2 * padding + pad_right)
-        workspace = MappingProxyType({
-            "padded": padded_shape,
-            "tiles": (n, cin, n_h, n_w, alpha, alpha),
-            "weight_wino": (cout, cin, alpha, alpha),
-            "prod": (n, cout, n_h, n_w, alpha, alpha),
-            "out_tiles": (n, cout, n_h, n_w, m, m),
-            "out": (n, cout, out_h, out_w),
-        })
         return LayerPlan(kind="winograd", backend=be, in_shape=(n, cin, h, w),
                          weight_shape=(cout, cin_w, kh, kw), stride=1,
                          padding=padding, out_h=out_h, out_w=out_w,
                          transform=transform, n_h=n_h, n_w=n_w,
-                         padded_shape=padded_shape, pad_width=pad_width,
-                         workspace=workspace, quant=quant_field)
+                         pad_width=pad_width)
 
     return _intern(key, build)
 
 
 def lower_conv2d(in_shape: tuple, weight_shape: tuple, stride: int = 1,
                  padding: int = 0,
-                 backend: str | KernelBackend | None = None,
-                 quant=None) -> LayerPlan:
+                 backend: str | KernelBackend | None = None) -> LayerPlan:
     """Compile an im2col convolution layer into a cached plan."""
     be = get_backend(backend)
     n, cin, h, w = (int(v) for v in in_shape)
@@ -260,23 +198,16 @@ def lower_conv2d(in_shape: tuple, weight_shape: tuple, stride: int = 1,
     if cin != cin_w:
         raise ValueError(f"channel mismatch: input has {cin}, weight expects {cin_w}")
 
-    quant_key, quant_field = _freeze_quant(quant)
     key = ("im2col", (n, cin, h, w), (cout, cin_w, kh, kw), stride, padding,
-           id(be), quant_key)
+           id(be))
 
     def build() -> LayerPlan:
         out_h = (h + 2 * padding - kh) // stride + 1
         out_w = (w + 2 * padding - kw) // stride + 1
         if out_h <= 0 or out_w <= 0:
             raise ValueError("input too small for the requested kernel/padding")
-        workspace = MappingProxyType({
-            "cols": (n, cin * kh * kw, out_h * out_w),
-            "w2d": (cout, cin * kh * kw),
-            "out": (n, cout, out_h, out_w),
-        })
         return LayerPlan(kind="im2col", backend=be, in_shape=(n, cin, h, w),
                          weight_shape=(cout, cin_w, kh, kw), stride=stride,
-                         padding=padding, out_h=out_h, out_w=out_w,
-                         workspace=workspace, quant=quant_field)
+                         padding=padding, out_h=out_h, out_w=out_w)
 
     return _intern(key, build)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import engine
 from ..datasets.synthetic import make_shapes_dataset
 from ..nn.data import ArrayDataset, DataLoader, train_val_split
 from ..nn.module import Module
@@ -159,15 +158,6 @@ class QuantizationStudy:
         if self._baseline_model is None:
             model = self.model_fn(num_classes=self.settings.num_classes,
                                   seed=self.settings.seed)
-            # Pre-lower every conv layer into the shared plan cache (a single
-            # side-effect-free traced forward), so the training loop and every
-            # quantized sweep configuration after it start on interned plans
-            # instead of re-planning identical layers batch after batch.
-            example_shape = ((self.settings.batch_size,)
-                             + tuple(self.train_set.images.shape[1:]))
-            lowered = engine.warm_plans(model, example_shape)
-            self._log(f"engine: pre-lowered {lowered} layer plan(s) "
-                      f"for input {example_shape}")
             train_float_baseline(model, self.train_loader, self.val_loader,
                                  epochs=self.settings.baseline_epochs,
                                  lr=self.settings.lr,

@@ -25,9 +25,9 @@ compute module can depend on it without import cycles.
 from . import fast, reference
 from .einsum_cache import cached_einsum
 from .registry import (DEFAULT_BACKEND, ENV_VAR, KernelBackend, TapFakeQuant,
-                       TapRequant, UnknownBackendError, add_backend_listener,
-                       available_backends, get_backend, register_backend,
-                       reset_backend, set_backend, use_backend)
+                       TapRequant, UnknownBackendError, available_backends,
+                       get_backend, register_backend, reset_backend,
+                       set_backend, use_backend)
 
 __all__ = [
     "KernelBackend",
@@ -40,7 +40,6 @@ __all__ = [
     "reset_backend",
     "use_backend",
     "register_backend",
-    "add_backend_listener",
     "cached_einsum",
     "ENV_VAR",
     "DEFAULT_BACKEND",

@@ -23,6 +23,11 @@ Selection, in decreasing precedence:
 2. a process-wide :func:`set_backend` / :func:`use_backend` override;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
 4. the built-in default, ``"fast"``.
+
+The choice is resolved when a plan is lowered or a layer is bound (a
+:class:`~repro.engine.CompiledConv`, each step of a compiled model), and the
+plan or layer keeps the resolved instance: a later process-wide switch only
+affects what is lowered or bound after it.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ __all__ = [
     "set_backend",
     "reset_backend",
     "use_backend",
-    "add_backend_listener",
     "ENV_VAR",
     "DEFAULT_BACKEND",
 ]
@@ -159,8 +163,8 @@ class KernelBackend:
     # ``stats``, a dict, then receives the integer maxima
     # ``input_tile_int_max`` (``|BT x B|``), ``accumulator_int_max`` and
     # ``input_q_max`` (the requantized taps).  The transform's ``BT`` must be
-    # integral and every accumulator below 2**53; ``engine.lower_winograd``
-    # checks both for the integer path.  With a :class:`TapFakeQuant`
+    # integral and every accumulator below 2**53;
+    # ``quant.integer_winograd_conv2d`` checks both.  With a :class:`TapFakeQuant`
     # ``quant`` the float forward fake-quantizes both tap sides (``w_r``
     # then stands for the transformed weights the weight side quantizes);
     # it is the forward of ``winograd_autograd(quant=...)``, bit for bit.
@@ -201,7 +205,6 @@ class KernelBackend:
 
 _BACKENDS: dict[str, KernelBackend] = {}
 _ACTIVE: KernelBackend | None = None
-_LISTENERS: list[Callable[[], None]] = []
 
 
 def register_backend(backend: KernelBackend) -> KernelBackend:
@@ -213,23 +216,6 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 def available_backends() -> list[str]:
     """Names of all registered backends, sorted."""
     return sorted(_BACKENDS)
-
-
-def add_backend_listener(listener: Callable[[], None]) -> Callable[[], None]:
-    """Register a callback fired whenever the active backend changes.
-
-    Used by caches keyed (implicitly or explicitly) on the active backend —
-    most importantly the :mod:`repro.engine` plan cache, which must drop its
-    compiled :class:`~repro.engine.LayerPlan` entries when ``set_backend`` /
-    ``use_backend`` / ``reset_backend`` switch the process-wide backend.
-    """
-    _LISTENERS.append(listener)
-    return listener
-
-
-def _notify_backend_changed() -> None:
-    for listener in _LISTENERS:
-        listener()
 
 
 def _lookup(name: str, source: str = "the backend= argument") -> KernelBackend:
@@ -272,47 +258,28 @@ def get_backend(backend: str | KernelBackend | None = None) -> KernelBackend:
 def set_backend(backend: str | KernelBackend) -> KernelBackend:
     """Set the process-wide active backend; returns the resolved instance.
 
-    Fails fast with :class:`UnknownBackendError` on an unregistered name, and
-    notifies registered listeners (evicting e.g. the engine's plan cache) —
-    but only when the effective backend actually changes, so a redundant
-    ``set_backend`` of the already-active backend keeps caches warm.
+    Fails fast with :class:`UnknownBackendError` on an unregistered name.
+    Only later resolutions see the switch: a bound layer or compiled model
+    keeps the backend it resolved when it was built.
     """
     global _ACTIVE
-    new = get_backend(backend)
-    changed = new is not _current()
-    _ACTIVE = new
-    if changed:
-        _notify_backend_changed()
+    _ACTIVE = get_backend(backend)
     return _ACTIVE
 
 
 def reset_backend() -> None:
     """Drop any override so the next :func:`get_backend` re-reads the env var."""
     global _ACTIVE
-    had_override = _ACTIVE is not None
     _ACTIVE = None
-    if had_override:
-        _notify_backend_changed()
 
 
 @contextlib.contextmanager
 def use_backend(backend: str | KernelBackend):
-    """Context manager that temporarily switches the active backend.
-
-    Listeners fire on entry and exit only if the context actually switches
-    the effective backend (a no-op ``use_backend`` of the current backend
-    leaves dependent caches untouched).
-    """
+    """Context manager that temporarily switches the active backend."""
     global _ACTIVE
-    new = get_backend(backend)
-    switched = new is not _current()
     prev = _ACTIVE
-    _ACTIVE = new
-    if switched:
-        _notify_backend_changed()
+    _ACTIVE = get_backend(backend)
     try:
         yield _ACTIVE
     finally:
         _ACTIVE = prev
-        if switched:
-            _notify_backend_changed()

@@ -13,8 +13,7 @@ The im2col lowering and its three GEMMs (forward, dW, dX) dispatch through
 lower-then-execute through :mod:`repro.engine`: the layer shape is compiled
 once into a cached :class:`~repro.engine.LayerPlan` and repeated same-shape
 calls execute the interned plan (a fused single-node autograd op in the
-``conv2d`` case).  The eager composed implementation is kept as the fallback
-for anything the lowering rejects.
+``conv2d`` case).
 """
 
 from __future__ import annotations
@@ -109,9 +108,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Shapes follow the usual NCHW / OIHW convention.  ``backend`` selects the
     kernel backend for the forward GEMM and both backward GEMMs of this call.
     The layer shape is lowered once to a cached plan and executed as a single
-    fused autograd node.  The lowering accepts exactly the shapes the eager
-    path accepts (and raises the same errors, just earlier and clearer);
-    :func:`_conv2d_eager` stays available as the composed escape hatch.
+    fused autograd node.
     """
     from .. import engine
 
@@ -124,34 +121,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     plan = engine.lower_conv2d(x.shape, weight.shape, stride, padding, backend=be)
     return engine.execute_tensor(plan, x, weight, bias)
-
-
-def _conv2d_eager(x: Tensor, weight: Tensor, bias: Tensor | None,
-                  stride: int, padding: int, be: KernelBackend) -> Tensor:
-    """Composed im2col convolution (the pre-plan path, kept as fallback)."""
-    n, cin, h, w = x.shape
-    cout, _cin, kh, kw = weight.shape
-    cols = be.im2col(x.data, (kh, kw), stride, padding)
-    w2d = weight.data.reshape(cout, cin * kh * kw)
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    out_data = be.conv2d_gemm(w2d, cols).reshape(n, cout, out_h, out_w)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, cout, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def _backward(grad: np.ndarray):
-        grad2d = grad.reshape(n, cout, out_h * out_w)
-        dw = be.conv2d_gemm_dw(grad2d, cols).reshape(cout, cin, kh, kw)
-        dcols = be.conv2d_gemm_dcols(w2d, grad2d)
-        dx = be.col2im(dcols, (n, cin, h, w), (kh, kw), stride, padding)
-        if bias is None:
-            return (dx, dw)
-        db = grad.sum(axis=(0, 2, 3))
-        return (dx, dw, db)
-
-    return Tensor.from_op(out_data, parents, _backward)
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:

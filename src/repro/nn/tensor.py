@@ -23,37 +23,43 @@ and quantized payloads).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    enabled = True          # the default every thread starts with
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables gradient tracking.
+    """Context manager that disables gradient tracking in this thread.
 
     Mirrors ``torch.no_grad``.  Used heavily in evaluation loops and in the
     calibration passes of the quantization observers where gradients are not
-    needed and would only waste memory.
+    needed and would only waste memory.  The flag is per thread, so
+    overlapping blocks in different threads cannot leave another thread's
+    autograd off.
     """
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def is_grad_enabled() -> bool:
-    """Return whether gradient recording is currently enabled."""
-    return _GRAD_ENABLED
+    """Return whether gradient recording is enabled in this thread."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,7 +122,7 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
         self.name = name
@@ -185,7 +191,7 @@ class Tensor:
         when some parent needs a gradient; ``backward`` is dropped otherwise,
         and so is every array it captured.
         """
-        if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
+        if not (_GRAD_MODE.enabled and any(p.requires_grad for p in parents)):
             return Tensor(data)
         out = Tensor(data, requires_grad=True)
         out._node = _Node(tuple(p._graph_node() for p in parents), backward)

@@ -26,9 +26,9 @@ requantization, int64 tap contraction) and is the bit-exact oracle.  The
 cache-resident tap-major pipeline, so the contraction runs on BLAS; float64
 represents every integer below 2**53 exactly, so as long as every
 accumulator stays below that bound its result is bit-identical to the int64
-one.  :func:`repro.engine.lower_winograd` enforces the bound for the integer
-path (``Cin · max(|qmin|, qmax)² < 2**53`` at ``wino_bits``), and also
-rejects transforms whose ``BT`` is not integral (e.g. F6).
+one.  :func:`integer_winograd_conv2d` enforces the bound
+(``Cin · (2**(wino_bits-1))² < 2**53``) before it runs, and also rejects
+transforms whose ``BT`` is not integral (e.g. F6).
 
 :func:`calibrate_tapwise_scales` reads the per-tap maxima it needs from the
 same fused forward, through the scale callbacks of a
@@ -44,7 +44,8 @@ import numpy as np
 
 from ..kernels import KernelBackend, TapFakeQuant, TapRequant, get_backend
 from ..winograd.tiling import pad_for_tiling
-from ..winograd.transforms import WinogradTransform, _fractional_lcm
+from ..winograd.transforms import (WinogradTransform, _fractional_lcm,
+                                   integer_transform_matrices)
 from .quantizer import compute_scale, quant_range
 
 __all__ = ["TapwiseScales", "calibrate_tapwise_scales", "integer_winograd_conv2d",
@@ -143,23 +144,29 @@ def integer_winograd_conv2d(x: np.ndarray, weight: np.ndarray,
     The geometry (padding spec, tile counts, output size) comes from a cached
     :class:`~repro.engine.LayerPlan`: pass one via ``plan`` (it takes
     precedence over ``transform``/``padding``/``backend``), or let the
-    function lower/look one up in the shared plan cache keyed by this layer's
-    quantization parameters.  Either way repeated same-shape calls — the
-    accelerator simulation sweeps — reuse interned geometry instead of
-    re-deriving it.  Lowering raises ``ValueError`` when the transform's
-    ``BT`` is not integral or an accumulator could reach 2**53 (see the
-    module docstring).
+    function lower/look one up in the shared plan cache.  Either way repeated
+    same-shape calls — the accelerator simulation sweeps — reuse interned
+    geometry instead of re-deriving it.  Raises ``ValueError`` when the
+    transform's ``BT`` is not integral or an accumulator could reach 2**53
+    (see the module docstring).
     """
     from .. import engine
 
     if plan is None:
-        plan = engine.lower_winograd(
-            x.shape, weight.shape, transform, padding, backend=backend,
-            quant={"path": "integer", "spatial_bits": spatial_bits,
-                   "wino_bits": wino_bits})
+        plan = engine.lower_winograd(x.shape, weight.shape, transform, padding,
+                                     backend=backend)
     transform = plan.transform
     a = transform.alpha
     cout, cin = weight.shape[:2]
+    if integer_transform_matrices(transform).BT is None:
+        raise ValueError(
+            f"transform {transform.name or transform} has a non-integer BT; "
+            "the integer path supports F2/F4-style integral input transforms")
+    if cin * (1 << (int(wino_bits) - 1)) ** 2 >= 1 << 53:
+        raise ValueError(
+            f"integer Winograd accumulator bound Cin * 2**(2*(wino_bits-1)) = "
+            f"{cin} * 2**{2 * (int(wino_bits) - 1)} reaches 2**53 (wino_bits="
+            f"{wino_bits}); the integer path is only exact below 2**53")
     qmin_s, qmax_s = quant_range(spatial_bits)
     qmin_w, qmax_w = quant_range(wino_bits)
 

@@ -206,26 +206,6 @@ class QuantWinogradConv2d(Module):
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def plan_for(self, in_shape: tuple,
-                 backend: str | KernelBackend | None = None):
-        """The layer's cached :class:`~repro.engine.LayerPlan` for one shape.
-
-        The plan records this layer's quantization parameters alongside the
-        resolved backend and tiling geometry (and they are part of the cache
-        key, so differently-quantized twins of the same shape do not share).
-        ``backend`` overrides the layer's own backend.
-        """
-        from .. import engine
-
-        return engine.lower_winograd(
-            in_shape, self.weight.shape, self.transform, self.padding,
-            backend=backend if backend is not None else self.backend,
-            quant={
-                "spatial_bits": self.spatial_bits,
-                "wino_bits": self.wino_bits,
-                "granularity": self.granularity.value,
-            })
-
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
         if self.act_quant is not None:
@@ -241,8 +221,10 @@ class QuantWinogradConv2d(Module):
 
         from .. import engine
 
-        return engine.execute_tensor(self.plan_for(x.shape), x, weight,
-                                     self.bias, quant=self.tap_fake_quant())
+        plan = engine.lower_winograd(x.shape, weight.shape, self.transform,
+                                     self.padding, backend=self.backend)
+        return engine.execute_tensor(plan, x, weight, self.bias,
+                                     quant=self.tap_fake_quant())
 
     def tap_fake_quant(self) -> TapFakeQuant:
         """The kernel spec of this layer's Winograd-domain quantizers.

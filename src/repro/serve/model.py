@@ -24,18 +24,19 @@ What compilation buys over calling the module graph layer by layer:
   inference does zero fresh large allocations.  Concurrent ``infer`` calls lease distinct arenas from
   an :class:`~repro.engine.ArenaPool` (in-flight batches never share
   buffers).
-* **Quantized layers** — a calibrated :class:`~repro.quant.QuantConv2d`
-  lowers to its activation fake-quant step plus an ordinary convolution step
-  over its fake-quantized weights, so BN folding and ReLU fusion apply to it
-  too; a calibrated :class:`~repro.quant.QuantWinogradConv2d` runs the
-  backend's fused fake-quantized forward through the same executor.  Both
-  are bit-identical to the eval-mode layer.
+* **Quantized layers** — a calibrated :class:`~repro.quant.QuantConv2d` or
+  :class:`~repro.quant.QuantWinogradConv2d` lowers to its activation
+  fake-quant step plus an ordinary convolution step over its fake-quantized
+  weights; the tap-wise layer's step also carries the layer's
+  :class:`~repro.kernels.TapFakeQuant`, so the backend's fused forward
+  quantizes the Winograd-domain taps.  ReLU fusion applies to both, and BN
+  folding to the im2col one (folding would change the weights a tap-wise
+  layer quantizes).  Both are bit-identical to the eval-mode layer.
 
-The compiled model follows the process-wide kernel backend dynamically: when
-:func:`repro.kernels.set_backend` switches backends mid-serve, the shared
-plan cache is evicted (PR 2) and each step transparently re-lowers and
-re-binds against the new backend on its next call — never returning results
-computed with a stale backend.
+Every convolution step is bound to one kernel backend when the model is
+compiled (a layer's own ``backend``, else ``compile_model(backend=)``, else
+the process-wide backend at that moment), so a later
+:func:`repro.kernels.set_backend` leaves a compiled model as it is.
 
 Modules with data flow the walker cannot see (unknown user modules) become
 *opaque* steps that call the module's own eval-mode forward, so compilation
@@ -44,12 +45,14 @@ never changes results — only how fast the known structure runs.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 
 from .. import engine
 from ..engine.arena import ArenaPool, WorkspaceArena
-from ..engine.executor import bind_tap_major_weights
-from ..kernels import KernelBackend, get_backend
+from ..kernels import KernelBackend, TapFakeQuant
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 from ..nn import layers as L
@@ -87,63 +90,43 @@ class _Step:
         return type(self).__name__
 
 
-class _ConvStep(_Step):
-    """A convolution bound to plan + pre-transformed weights, run by
-    :func:`repro.engine.execute` in the leased arena (float layers, and the
-    fake-quantized weights of a calibrated :class:`~repro.quant.QuantConv2d`).
+class _ConvStep(_Step, engine.CompiledConv):
+    """A :class:`~repro.engine.CompiledConv` run in the leased arena, with an
+    optional fused ReLU.
 
-    ``backend_arg`` of ``None`` means *follow the process-wide backend*: the
-    step re-resolves it per call and re-binds its weights whenever the
-    effective backend changes (the plan cache was evicted at the same moment,
-    so the re-lowering below compiles fresh plans for the new backend).
+    ``quant``, a :class:`~repro.kernels.TapFakeQuant`, makes it the step of a
+    calibrated tap-wise layer: the kernel then fake-quantizes the
+    Winograd-domain taps, and transforms the weights itself (no ``w_r``), as
+    the eval-mode layer does.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None, *,
                  stride: int = 1, padding: int = 0,
                  transform: WinogradTransform | None = None,
-                 backend_arg: str | KernelBackend | None = None,
-                 relu: bool = False):
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        self.stride = stride
-        self.padding = padding
-        self.transform = transform
-        self.kind = "winograd" if transform is not None else "im2col"
-        self.backend_arg = backend_arg
+                 backend: str | KernelBackend | None = None,
+                 relu: bool = False, quant: TapFakeQuant | None = None):
+        self.quant = quant              # read by _bind_weights in __init__
+        super().__init__(np.asarray(weight, dtype=np.float64), bias,
+                         stride=stride, padding=padding, transform=transform,
+                         backend=backend)
         self.fused_relu = relu
-        self._be: KernelBackend | None = None
-        self._w_r = None            # tap-major Winograd weights (w_r=)
         self._profiled_labels: set[str] = set()   # plans seen while profiling
 
-    # -- binding ---------------------------------------------------------- #
-    def _backend(self) -> KernelBackend:
-        be = get_backend(self.backend_arg)
-        if be is not self._be:
-            if self.kind == "winograd":
-                self._w_r = bind_tap_major_weights(be, self.weight,
-                                                   self.transform)
-            self._be = be
-        return be
+    def _bind_weights(self) -> np.ndarray | None:
+        return None if self.quant is not None else super()._bind_weights()
 
-    def plan_for(self, in_shape: tuple, be: KernelBackend):
-        if self.kind == "winograd":
-            return engine.lower_winograd(in_shape, self.weight.shape,
-                                         self.transform, self.padding, backend=be)
-        return engine.lower_conv2d(in_shape, self.weight.shape, self.stride,
-                                   self.padding, backend=be)
-
-    # -- execution -------------------------------------------------------- #
     def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
-        plan = self.plan_for(x.shape, self._backend())
+        plan = self.plan_for(x.shape)
         if _obs_profile._ENABLED:
             self._profiled_labels.add(_obs_profile.plan_label(plan))
         out = engine.execute(plan, x, self.weight, self.bias, w_r=self._w_r,
-                             arena=arena, slot=self)
+                             arena=arena, slot=self, quant=self.quant)
         return _relu_(out, in_place=True) if self.fused_relu else out
 
     def describe(self) -> str:
         tname = self.transform.name if self.transform is not None else "im2col"
-        return (f"conv[{tname}] {self.weight.shape} s={self.stride} "
+        kind = "conv" if self.quant is None else "qwino"
+        return (f"{kind}[{tname}] {self.weight.shape} s={self.stride} "
                 f"p={self.padding}" + (" +relu" if self.fused_relu else ""))
 
 
@@ -251,6 +234,47 @@ class _ResidualStep(_Step):
         return f"residual[{inner}]"
 
 
+_EVAL_LOCK = threading.Lock()
+_EVAL_USERS: dict[int, list] = {}     # id(module) -> [callers, saved modes]
+
+
+@contextlib.contextmanager
+def _eval_mode(module: Module):
+    """Hold the live ``module`` and all its sub-modules in eval mode.
+
+    Concurrent callers share the switch: the first one in saves every
+    sub-module's mode and switches them to eval, and the last one out
+    restores each saved mode, both under one lock.  So no caller runs a
+    module in training mode (which would update its BatchNorm statistics)
+    because another caller's block ended first, concurrent blocks still run
+    in parallel, and a sub-module that was in eval mode stays there.
+    """
+    key = id(module)
+    with _EVAL_LOCK:
+        entry = _EVAL_USERS.get(key)
+        if entry is None:
+            entry = _EVAL_USERS[key] = [
+                0, [(m, m.training) for m in module.modules()]]
+            module.eval()
+        entry[0] += 1
+    try:
+        yield
+    finally:
+        with _EVAL_LOCK:
+            entry[0] -= 1
+            if entry[0] == 0:
+                del _EVAL_USERS[key]
+                for m, training in entry[1]:
+                    m.training = training
+
+
+def _eval_forward(module: Module, x: np.ndarray) -> np.ndarray:
+    """The live ``module``'s eval-mode, no-grad forward of ``x``."""
+    with _eval_mode(module), no_grad():
+        out = module(Tensor(x))
+    return out.data if isinstance(out, Tensor) else np.asarray(out)
+
+
 class _OpaqueStep(_Step):
     """Fallback: run the live module's own forward in eval mode, no grad.
 
@@ -263,51 +287,10 @@ class _OpaqueStep(_Step):
         self.module = module
 
     def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
-        was_training = self.module.training
-        if was_training:
-            self.module.eval()
-        try:
-            with no_grad():
-                out = self.module(Tensor(x))
-        finally:
-            if was_training:
-                self.module.train()
-        return out.data if isinstance(out, Tensor) else np.asarray(out)
+        return _eval_forward(self.module, x)
 
     def describe(self) -> str:
         return f"opaque({type(self.module).__name__})"
-
-
-class _QuantWinogradStep(_Step):
-    """Calibrated tap-wise quantized Winograd conv, replayed bit-exactly.
-
-    Binds the spatially fake-quantized weights once (via
-    :meth:`QuantWinogradConv2d.bind_inference_weights`) and runs what the
-    eval-mode module runs: the activation fake-quant, then the backend's
-    fused fake-quantized forward through :func:`repro.engine.execute` with
-    the layer's :class:`~repro.kernels.TapFakeQuant`.  The output is
-    bit-identical to the module's.
-    """
-
-    def __init__(self, layer: QuantWinogradConv2d,
-                 backend_arg: str | KernelBackend | None = None):
-        self.layer = layer
-        self.backend_arg = backend_arg
-        self._weight = layer.bind_inference_weights()
-        self._quant = layer.tap_fake_quant()
-
-    def run(self, x: np.ndarray, arena: WorkspaceArena) -> np.ndarray:
-        layer = self.layer
-        if layer.act_quant is not None:
-            x = layer.act_quant.fake_quantize_array(x)
-        bias = None if layer.bias is None else layer.bias.data
-        plan = layer.plan_for(x.shape, get_backend(self.backend_arg))
-        return engine.execute(plan, x, self._weight, bias, arena=arena,
-                              slot=self, quant=self._quant)
-
-    def describe(self) -> str:
-        return (f"qwino[{self.layer.transform.name}] {self.layer.weight.shape} "
-                f"bits={self.layer.spatial_bits}/{self.layer.wino_bits}")
 
 
 class _ActQuantStep(_Step):
@@ -344,9 +327,9 @@ def register_compiler(module_type: type):
 
 
 class _CompileCtx:
-    def __init__(self, transform: WinogradTransform | None, backend_arg):
+    def __init__(self, transform: WinogradTransform | None, backend):
         self.transform = transform
-        self.backend_arg = backend_arg
+        self.backend = backend
 
 
 def _conv_transform(conv: L.Conv2d, ctx: _CompileCtx) -> WinogradTransform | None:
@@ -382,7 +365,7 @@ def _fold_bn_into_conv(step: _ConvStep, bn: L.BatchNorm2d) -> _ConvStep:
     weight = step.weight * scale.reshape(-1, 1, 1, 1)
     bias = shift if step.bias is None else step.bias * scale + shift
     return _ConvStep(weight, bias, stride=step.stride, padding=step.padding,
-                     transform=step.transform, backend_arg=step.backend_arg,
+                     transform=step.transform, backend=step.backend,
                      relu=step.fused_relu)
 
 
@@ -391,7 +374,8 @@ def _compile_linear_list(entries: list, ctx: _CompileCtx) -> list[_Step]:
     steps: list[_Step] = []
     for entry in entries:
         if isinstance(entry, L.BatchNorm2d) and steps and \
-                isinstance(steps[-1], _ConvStep) and not steps[-1].fused_relu:
+                isinstance(steps[-1], _ConvStep) and not steps[-1].fused_relu \
+                and steps[-1].quant is None:
             steps[-1] = _fold_bn_into_conv(steps[-1], entry)
             continue
         step = entry if isinstance(entry, _Step) else _compile_leaf(entry, ctx)
@@ -417,7 +401,7 @@ def _compile_leaf(module: Module, ctx: _CompileCtx) -> _Step | None:
         return _ConvStep(module.weight.data, bias, stride=module.stride,
                          padding=module.padding,
                          transform=_conv_transform(module, ctx),
-                         backend_arg=module.backend or ctx.backend_arg)
+                         backend=module.backend or ctx.backend)
     if isinstance(module, L.BatchNorm2d):
         scale, shift = module.fold_scale_shift()
         return _BNStep(scale, shift)
@@ -434,8 +418,6 @@ def _compile_leaf(module: Module, ctx: _CompileCtx) -> _Step | None:
     if isinstance(module, L.Linear):
         bias = None if module.bias is None else module.bias.data
         return _LinearStep(module.weight.data, bias)
-    if isinstance(module, QuantWinogradConv2d) and module.is_calibrated():
-        return _QuantWinogradStep(module, module.backend or ctx.backend_arg)
     return _OpaqueStep(module)          # incl. uncalibrated (stateful) layers
 
 
@@ -449,7 +431,24 @@ def _compile_quant_conv(layer: QuantConv2d, ctx: _CompileCtx):
     return [_ActQuantStep(layer.act_quant),
             _ConvStep(layer.bind_inference_weights(), bias, stride=layer.stride,
                       padding=layer.padding,
-                      backend_arg=layer.backend or ctx.backend_arg)]
+                      backend=layer.backend or ctx.backend)]
+
+
+@register_compiler(QuantWinogradConv2d)
+def _compile_quant_winograd(layer: QuantWinogradConv2d, ctx: _CompileCtx):
+    """Activation fake-quant (when ``spatial_bits`` is set), then a Winograd
+    conv step carrying the layer's tap-wise fake quantization: bit-identical
+    to the eval-mode layer."""
+    if not layer.is_calibrated():
+        return [_OpaqueStep(layer)]
+    bias = None if layer.bias is None else layer.bias.data
+    conv = _ConvStep(layer.bind_inference_weights(), bias,
+                     padding=layer.padding, transform=layer.transform,
+                     backend=layer.backend or ctx.backend,
+                     quant=layer.tap_fake_quant())
+    if layer.act_quant is None:
+        return [conv]
+    return [_ActQuantStep(layer.act_quant), conv]
 
 
 # Structural compilers for the reference model classes: each returns the
@@ -585,22 +584,17 @@ def compile_model(model: Module, input_shape: tuple | None = None, *,
         Winograd transform for eligible (3x3, unit-stride) convolutions;
         ``None`` keeps every convolution on the im2col path.
     backend:
-        Pin the compiled model to one kernel backend; ``None`` (default)
-        follows the process-wide selection dynamically — a mid-serve
-        ``set_backend`` evicts the plan cache and the steps re-bind.  A
-        layer's own ``backend`` still takes precedence.
+        The kernel backend every convolution step is bound to; ``None``
+        (default) binds the process-wide backend at compile time.  A layer's
+        own ``backend`` still takes precedence.  The binding is fixed: a
+        later ``set_backend`` does not change a compiled model.
     """
     if isinstance(transform, str):
         transform = get_transform(transform)
     ctx = _CompileCtx(transform, backend)
-
-    was_training = getattr(model, "training", False)
-    model.eval()     # fold_scale_shift & quantized snapshots need eval stats
-    try:
+    # fold_scale_shift & quantized snapshots need eval stats
+    with _eval_mode(model):
         steps = _compile_linear_list(_linearize(model, ctx), ctx)
-    finally:
-        if was_training:
-            model.train()
 
     compiled = CompiledModel(steps)
     if input_shape is not None:
@@ -636,14 +630,7 @@ class ModelJob:
         in the parent per distinct per-sample shape."""
         sample = tuple(in_shape[1:])
         if sample not in self._out_shapes:
-            was_training = self.model.training
-            self.model.eval()
-            try:
-                with no_grad():
-                    out = self.model(Tensor(np.zeros((1,) + sample)))
-            finally:
-                if was_training:
-                    self.model.train()
+            out = _eval_forward(self.model, np.zeros((1,) + sample))
             self._out_shapes[sample] = out.shape[1:]
         return (in_shape[0],) + self._out_shapes[sample]
 

@@ -13,8 +13,8 @@
   training (Section III-A) runs inside the kernel.
 
 Both entry points *lower-then-execute*: the layer shape is compiled once into
-a cached :class:`~repro.engine.LayerPlan` (transform, padding/tiling
-geometry, workspace shapes) and executed through :mod:`repro.engine`, whose
+a cached :class:`~repro.engine.LayerPlan` (backend, transform, padding/tiling
+geometry) and executed through :mod:`repro.engine`, whose
 kernels dispatch through :mod:`repro.kernels`.  Every public entry point
 takes an optional ``backend=`` argument (``"fast"``/``"reference"``/a
 :class:`~repro.kernels.KernelBackend`) for per-call opt-out; by default the

@@ -1,7 +1,7 @@
 """Tests for the execution-plan layer (:mod:`repro.engine`).
 
-Covers plan-cache semantics (interning, hit/miss counters, eviction on
-backend switches), numerical equivalence of the planned/fused executor
+Covers plan-cache semantics (interning, hit/miss counters, plans keyed on
+the backend they hold, so a backend switch needs no eviction), numerical equivalence of the planned/fused executor
 against the eager composed paths (forward and backward, float tolerance;
 bit-exact for integer accumulation), the bound :class:`CompiledConv`, the
 :class:`BatchRunner` sharding, and the fail-fast backend-name diagnostics.
@@ -15,7 +15,7 @@ import repro.engine as engine
 from repro.engine import (BatchRunner, CompiledConv,
                           clear_plan_cache, execute, execute_tensor,
                           lower_conv2d, lower_winograd, plan_cache_stats,
-                          reset_plan_stats, warm_plans)
+                          reset_plan_stats)
 from repro.kernels import (ENV_VAR, UnknownBackendError, get_backend,
                            reset_backend, set_backend, use_backend)
 from repro.nn import functional as F
@@ -63,51 +63,53 @@ class TestPlanCache:
         by_instance = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), winograd_f4(), 1)
         assert by_name is by_instance
 
-    def test_quant_metadata_is_part_of_key_and_recorded(self):
-        base = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", 1)
-        quantized = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", 1,
-                                   quant={"wino_bits": 8, "granularity": "per_tap"})
-        assert base is not quantized
-        assert base.quant is None
-        assert quantized.quant["wino_bits"] == 8
-        assert quantized.quant["granularity"] == "per_tap"
+    def test_tapwise_layers_of_one_shape_share_a_plan(self):
+        """A layer's quantization goes to the kernel, not into its plan."""
+        from repro.quant import QuantWinogradConv2d
+        x = Tensor(np.ones((1, 2, 8, 8)))
+        QuantWinogradConv2d(2, 3, wino_bits=8)(x)
+        QuantWinogradConv2d(2, 3, wino_bits=10, tapwise=False)(x)
+        stats = plan_cache_stats()
+        assert stats.misses == 1 and stats.hits == 1 and stats.size == 1
 
     def test_geometry_fields(self):
         plan = lower_winograd((2, 3, 11, 13), (4, 3, 3, 3), winograd_f4(), 1)
         assert (plan.out_h, plan.out_w) == (11, 13)
         assert (plan.n_h, plan.n_w) == (3, 4)
-        assert plan.padded_shape == (2, 3, 3 * 4 + 2, 4 * 4 + 2)
-        assert plan.workspace["tiles"] == (2, 3, 3, 4, 6, 6)
-        assert plan.workspace["out"] == (2, 4, 11, 13)
+        # Padded to 3*4+2 rows and 4*4+2 columns.
+        assert plan.pad_width == ((0, 0), (0, 0), (1, 2), (1, 4))
+        assert plan.out_shape == (2, 4, 11, 13)
         conv_plan = lower_conv2d((2, 3, 11, 13), (4, 3, 3, 3), 2, 1)
         assert (conv_plan.out_h, conv_plan.out_w) == (6, 7)
-        assert conv_plan.workspace["cols"] == (2, 27, 42)
+        assert conv_plan.out_shape == (2, 4, 6, 7)
 
-    def test_eviction_on_set_backend(self):
-        lower_winograd((2, 3, 12, 12), (4, 3, 3, 3), winograd_f4(), 1)
-        assert plan_cache_stats().size == 1
+    def test_plan_lowered_after_switch_carries_the_new_backend(self):
+        shape = ((2, 3, 12, 12), (4, 3, 3, 3), winograd_f4(), 1)
+        with use_backend("fast"):
+            before = lower_winograd(*shape)
         try:
             set_backend("reference")
-            assert plan_cache_stats().size == 0
-            assert plan_cache_stats().evictions >= 1
+            after = lower_winograd(*shape)
         finally:
             reset_backend()
-        assert plan_cache_stats().size == 0  # reset also evicts
+        assert after is not before
+        assert after.backend is get_backend("reference")
+        assert before.backend is get_backend("fast")
 
-    def test_eviction_on_use_backend_context(self):
+    def test_backend_switches_evict_nothing(self):
+        shape = ((2, 3, 12, 12), (4, 3, 3, 3), winograd_f4(), 1)
+        with use_backend("fast"):
+            fast = lower_winograd(*shape)
         with use_backend("reference"):
-            lower_winograd((2, 3, 12, 12), (4, 3, 3, 3), winograd_f4(), 1)
-            assert plan_cache_stats().size == 1
-        assert plan_cache_stats().size == 0  # exit switched back -> evicted
-
-    def test_noop_backend_switch_keeps_cache(self):
-        active = get_backend().name
-        lower_winograd((2, 3, 12, 12), (4, 3, 3, 3), winograd_f4(), 1)
-        set_backend(active)                 # already active: no eviction
-        assert plan_cache_stats().size == 1
-        with use_backend(active):           # no-op context: no eviction
-            assert plan_cache_stats().size == 1
-        assert plan_cache_stats().size == 1
+            ref = lower_winograd(*shape)
+        set_backend("reference")
+        reset_backend()
+        stats = plan_cache_stats()
+        assert stats.size == 2 and stats.evictions == 0
+        with use_backend("fast"):
+            assert lower_winograd(*shape) is fast
+        with use_backend("reference"):
+            assert lower_winograd(*shape) is ref
 
     def test_plans_capture_the_requested_backend(self):
         ref = lower_winograd((1, 2, 8, 8), (3, 2, 3, 3), "F4", 1,
@@ -220,19 +222,15 @@ class TestPlannedEquivalence:
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))
-        be = get_backend("fast")
         grads = {}
-        for label in ("planned", "eager"):
+        for backend in ("fast", "reference"):
             xt = Tensor(x.copy(), requires_grad=True)
             wt = Tensor(w.copy(), requires_grad=True)
             bt = Tensor(b.copy(), requires_grad=True)
-            if label == "planned":
-                out = F.conv2d(xt, wt, bt, stride=2, padding=1, backend=be)
-            else:
-                out = F._conv2d_eager(xt, wt, bt, stride=2, padding=1, be=be)
+            out = F.conv2d(xt, wt, bt, stride=2, padding=1, backend=backend)
             out.sum().backward()
-            grads[label] = (out.data, xt.grad, wt.grad, bt.grad)
-        for got, want in zip(grads["planned"], grads["eager"]):
+            grads[backend] = (out.data, xt.grad, wt.grad, bt.grad)
+        for got, want in zip(grads["fast"], grads["reference"]):
             np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_no_grad_skips_graph(self, rng):
@@ -273,20 +271,6 @@ class TestCompiledAndWarm:
         compiled = CompiledConv(w, stride=2, padding=1)
         ref = F.conv2d_numpy(x, w, None, 2, 1)
         np.testing.assert_allclose(compiled(x), ref, atol=1e-11)
-
-    def test_warm_plans_pre_lowers_model_layers(self):
-        from repro.models.small import micro_net
-        model = micro_net(seed=0)
-        lowered = warm_plans(model, (2, 3, 8, 8))
-        assert lowered >= 2  # the two conv layers
-        assert model.training  # training mode restored
-        stats_before = plan_cache_stats()
-        from repro.nn.tensor import no_grad
-        model.eval()
-        with no_grad():
-            model(Tensor(np.zeros((2, 3, 8, 8))))
-        after = plan_cache_stats()
-        assert after.misses == stats_before.misses  # all hits, no re-lowering
 
 
 # --------------------------------------------------------------------------- #

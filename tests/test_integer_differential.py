@@ -27,8 +27,9 @@ import pytest
 from repro import engine
 from repro.kernels import fast
 from repro.kernels import reference as ref
-from repro.quant import (calibrate_tapwise_scales, compute_scale,
-                         integer_winograd_conv2d, quantize_dequantize_spatial)
+from repro.quant import (TapwiseScales, calibrate_tapwise_scales,
+                         compute_scale, integer_winograd_conv2d,
+                         quantize_dequantize_spatial)
 from repro.winograd import get_transform, winograd_f6
 from repro.winograd.tiling import pad_for_tiling, tile_counts
 
@@ -183,25 +184,33 @@ def test_calibration_matches_staged_reference(case):
 
 
 # --------------------------------------------------------------------------- #
-# Exactness guard at lowering
+# Exactness guard of integer_winograd_conv2d
 # --------------------------------------------------------------------------- #
-def _lower_integer(cin: int, wino_bits: int, transform="F4"):
-    return engine.lower_winograd(
-        (1, cin, 8, 8), (1, cin, 3, 3), transform, 1,
-        quant={"path": "integer", "spatial_bits": 8, "wino_bits": wino_bits})
+def _run_integer(cin: int, wino_bits: int, transform="F4", plan=None):
+    t = get_transform(transform) if isinstance(transform, str) else transform
+    ones = np.ones((t.alpha, t.alpha))
+    return integer_winograd_conv2d(
+        np.ones((1, cin, 8, 8)), np.ones((1, cin, 3, 3)), t,
+        TapwiseScales(1.0, 1.0, ones, ones), wino_bits=wino_bits, plan=plan)
 
 
 def test_guard_rejects_accumulators_reaching_2_53():
     # 2 * (2**26)**2 == 2**53: the first bound float64 cannot carry exactly.
     with pytest.raises(ValueError, match=r"2\*\*53"):
-        _lower_integer(cin=2, wino_bits=27)
+        _run_integer(cin=2, wino_bits=27)
 
 
 def test_guard_accepts_realistic_layers():
-    plan = _lower_integer(cin=4096, wino_bits=10)
-    assert plan.quant["wino_bits"] == 10
+    out = _run_integer(cin=4096, wino_bits=10)
+    assert out.shape == (1, 1, 8, 8) and np.isfinite(out).all()
 
 
 def test_guard_rejects_fractional_bt():
     with pytest.raises(ValueError, match="non-integer BT"):
-        _lower_integer(cin=2, wino_bits=8, transform=winograd_f6())
+        _run_integer(cin=2, wino_bits=8, transform=winograd_f6())
+
+
+def test_guard_covers_a_passed_plan():
+    plan = engine.lower_winograd((1, 2, 8, 8), (1, 2, 3, 3), winograd_f6(), 1)
+    with pytest.raises(ValueError, match="non-integer BT"):
+        _run_integer(cin=2, wino_bits=8, plan=plan)

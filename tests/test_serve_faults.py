@@ -358,8 +358,8 @@ class TestServedPool:
     def test_threads_take_turns_on_a_bare_pool(self, rng, network):
         """Three threads driving one pool directly each get their own
         batches' results, bit-exact: the pool's lock serialises them, and
-        the job's parent-side shape probe (an eager forward under the
-        process-wide ``no_grad``) with them."""
+        the job's parent-side shape probe (an eager forward under
+        ``no_grad``) with them."""
         job = ModelJob(network)
         batches = [[_images(rng, 8) for _ in range(12)] for _ in range(3)]
         outs: list[list] = [[] for _ in batches]

@@ -2,6 +2,8 @@
 
 import copy
 import inspect
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -261,6 +263,50 @@ class TestGraphSemantics:
         clone(x).sum().backward()
         assert all(p.grad is None for p in model.parameters())
         assert all(p.grad is not None for p in clone.parameters())
+
+
+class TestGradModeThreads:
+    """``no_grad`` switches autograd off for the calling thread only."""
+
+    def test_overlapping_no_grad_blocks_leave_grad_on(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                start = threading.Barrier(3)
+
+                def work():
+                    start.wait()
+                    for _ in range(200):
+                        with no_grad():
+                            Tensor(np.ones(4), requires_grad=True)
+
+                threads = [threading.Thread(target=work) for _ in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert is_grad_enabled()
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_no_grad_in_one_thread_leaves_other_threads_on(self):
+        inside, checked = threading.Event(), threading.Event()
+
+        def hold():
+            with no_grad():
+                inside.set()
+                checked.wait(10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            assert is_grad_enabled()
+            assert Tensor(np.ones(2), requires_grad=True).requires_grad
+        finally:
+            checked.set()
+            thread.join()
 
 
 class TestGraphMemory:
